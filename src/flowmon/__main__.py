@@ -1,0 +1,6 @@
+"""`python -m flowmon`: the same command line as the `flowmon` script."""
+
+from .cli import main_entry
+
+if __name__ == "__main__":
+    main_entry()

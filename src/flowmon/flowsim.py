@@ -16,8 +16,16 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import ValidationError
-from .graph import Graph, bridge_ids, component_labels, make_mask, reachable_from, spanning_forest
+from .errors import FlowmonError, ValidationError
+from .graph import (
+    Graph,
+    bridge_ids,
+    component_labels,
+    make_mask,
+    reachable_from,
+    search_forest,
+    spanning_forest,
+)
 
 Measurements = Mapping[int, int]
 
@@ -58,7 +66,7 @@ def random_circulation(g: Graph, seed: int, flow_range: int = 100) -> Circulatio
     forest = spanning_forest(g)
     n, m = g.vertex_count, len(g.edges)
     flow = [0] * m
-    resid = [0] * n  # net inflow from the free edges
+    resid = [0] * n  # net inflow from the free edges, then per subtree
     for e in g.edges:
         if e.id in forest:
             continue
@@ -67,40 +75,24 @@ def random_circulation(g: Graph, seed: int, flow_range: int = 100) -> Circulatio
         resid[e.v] += f
         resid[e.u] -= f
 
-    # forest adjacency, then a post-order pass accumulating subtree residuals
+    # forest edges are forced leaf-inward: the flow into the subtree
+    # hanging below an edge must cancel that subtree's residual
     tree_adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for eid in forest:
         e = g.edges[eid]
         tree_adj[e.u].append((e.v, eid))
         tree_adj[e.v].append((e.u, eid))
-    visited = [False] * n
-    sub = resid[:]  # per-vertex, becomes per-subtree in reverse order
-    for root in range(n):
-        if visited[root]:
+    order, entry = search_forest(n, tree_adj)
+    for v in reversed(order):
+        eid = entry[v]
+        if eid < 0:
             continue
-        visited[root] = True
-        order: list[tuple[int, int]] = [(root, -1)]
-        stack = [(root, -1)]
-        while stack:
-            v, entry = stack.pop()
-            for w, eid in tree_adj[v]:
-                if not visited[w]:
-                    visited[w] = True
-                    order.append((w, eid))
-                    stack.append((w, eid))
-        for v, entry in reversed(order):
-            if entry < 0:
-                continue
-            e = g.edges[entry]
-            # flow into the subtree hanging below `entry` must cancel its residual
-            if e.v == v:
-                flow[entry] = -sub[v]
-            else:
-                flow[entry] = sub[v]
-            parent = e.u if e.v == v else e.v
-            sub[parent] += sub[v]
+        e = g.edges[eid]
+        flow[eid] = -resid[v] if e.v == v else resid[v]
+        resid[e.u if e.v == v else e.v] += resid[v]
     circ = Circulation(tuple(flow))
-    assert not conservation_violations(g, circ)
+    if conservation_violations(g, circ):
+        raise FlowmonError("random circulation violates conservation")
     return circ
 
 

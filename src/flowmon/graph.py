@@ -2,9 +2,16 @@
 
 Parallel edges and self-loops are first class: an edge is identified by
 its dense integer id, never by its endpoints. Graphs are immutable once
-built, and every "what happens without these edges" question is answered
-by traversing with a removal mask rather than copying the graph. That
-keeps candidate evaluation in the greedy solvers allocation-light.
+built. Traversals take a removal mask rather than copying the graph.
+
+The question "which edges does a monitor set M determine?" is answered by
+cut-space labels (Pritchard & Thurimella, "Fast computation of small
+cuts via cycle space sampling"): each edge gets an exact GF(2) vector,
+and an edge is in M or is a bridge of G - M iff its label lies in the
+span of the labels of M. Bridges have label 0, and two edges of a
+bridgeless graph form a 2-cut iff their labels are equal. One linear
+pass builds the labels; solvers then work with XORs instead of a masked
+traversal per candidate.
 
 The adjacency lists deliberately omit self-loops: a loop never affects
 connectivity, components, or bridges, so traversals can skip it. Code
@@ -15,7 +22,6 @@ edge list directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import ValidationError
@@ -259,12 +265,12 @@ def gain(g: Graph, monitors: Iterable[int]) -> Weight:
 
 
 def is_c_edge_connected(g: Graph, c: int) -> bool:
-    """Brute-force c-edge-connectivity for c in {1, 2, 3}.
+    """c-edge-connectivity for c in {1, 2, 3}, read off the cut labels.
 
     True iff the graph is connected and stays connected after removing
-    any edge subset of size at most c-1. Graphs with at most one vertex
-    are c-edge-connected by convention. Intended for desk-scale checks;
-    the subset enumeration is the definition, not an optimized test.
+    any edge subset of size at most c-1: connected for c >= 1, no bridge
+    (zero label) for c >= 2, and no 2-cut (two equal labels) for c = 3.
+    Graphs with at most one vertex are c-edge-connected by convention.
     """
     if not 1 <= c <= 3:
         raise ValidationError("c must be 1, 2, or 3")
@@ -272,18 +278,113 @@ def is_c_edge_connected(g: Graph, c: int) -> bool:
         return True
     if component_count(g) != 1:
         return False
-    m = len(g.edges)
-    mask = bytearray(m)
-    for size in range(1, c):
-        for subset in combinations(range(m), size):
-            for e in subset:
-                mask[e] = 1
-            disconnected = component_count(g, mask) != 1
-            for e in subset:
-                mask[e] = 0
-            if disconnected:
-                return False
-    return True
+    if c == 1:
+        return True
+    labels = cut_labels(g)
+    if 0 in labels:
+        return False
+    return c == 2 or len(set(labels)) == len(labels)
+
+
+def search_forest(
+    n: int, adjacency: Sequence[Sequence[tuple[int, int]]]
+) -> tuple[list[int], list[int]]:
+    """Grow a search tree from each unvisited vertex, in index order.
+
+    Returns the vertices in visiting order (every vertex after its
+    parent) and each vertex's entry edge id (-1 for roots). Walking the
+    order backwards visits every subtree before its parent.
+    """
+    entry = [-1] * n
+    seen = [False] * n
+    order: list[int] = []
+    for root in range(n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            for w, eid in adjacency[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    entry[w] = eid
+                    stack.append(w)
+    return order, entry
+
+
+def cut_labels(g: Graph) -> list[int]:
+    """Exact cut-space label of every edge, as a Python int over GF(2).
+
+    Every edge outside a search forest (self-loops included) gets its
+    own bit, and a forest edge gets the XOR of the bits of the
+    fundamental cycles through it, found by one leaf-to-root pass. A set
+    of edges is a cut of G exactly when its labels XOR to 0, so bridges
+    get 0 and an edge is determined by a monitor set M iff its label
+    lies in span(labels(M)).
+    """
+    order, entry = search_forest(g.vertex_count, g.adjacency)
+    in_forest = bytearray(len(g.edges))
+    for eid in entry:
+        if eid >= 0:
+            in_forest[eid] = 1
+    labels = [0] * len(g.edges)
+    acc = [0] * g.vertex_count
+    bit = 1
+    for e in g.edges:
+        if not in_forest[e.id]:
+            labels[e.id] = bit
+            acc[e.u] ^= bit
+            acc[e.v] ^= bit
+            bit <<= 1
+    for v in reversed(order):
+        eid = entry[v]
+        if eid >= 0:
+            labels[eid] = acc[v]
+            e = g.edges[eid]
+            acc[e.u if e.v == v else e.v] ^= acc[v]
+    return labels
+
+
+class LabelBasis:
+    """Reduced-row-echelon GF(2) basis of cut labels, keyed by pivot bit.
+
+    Every row holds its own pivot bit and no other row's, so reduce()
+    clears all pivot bits and returns the same residual for any two
+    labels whose difference lies in the span: residuals name cosets.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self) -> None:
+        self.rows: dict[int, int] = {}
+
+    def reduce(self, x: int) -> int:
+        for pivot, row in self.rows.items():
+            if x >> pivot & 1:
+                x ^= row
+        return x
+
+    def add(self, x: int) -> None:
+        x = self.reduce(x)
+        if not x:
+            return
+        pivot = x.bit_length() - 1
+        rows = self.rows
+        for q, row in rows.items():
+            if row >> pivot & 1:
+                rows[q] = row ^ x
+        rows[pivot] = x
+
+
+def label_span(vectors: Iterable[int]) -> set[int]:
+    """All XOR combinations of the given labels, 0 included."""
+    span = {0}
+    for x in vectors:
+        if x not in span:
+            span |= {y ^ x for y in span}
+    return span
 
 
 def spanning_forest(g: Graph) -> frozenset[int]:

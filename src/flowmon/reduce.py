@@ -16,13 +16,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import ValidationError
+from .errors import FlowmonError, ValidationError
 from .graph import (
     EdgeRecord,
     Graph,
     bridge_ids,
     bridges,
     component_labels,
+    cut_labels,
     is_c_edge_connected,
 )
 from .weights import Weight
@@ -51,8 +52,8 @@ def strip_bridges(g: Graph) -> tuple[Graph, frozenset[int]]:
 
     Removing a bridge can only split off subgraphs along cut edges that
     were already bridges, so no second pass is needed; a post-check
-    asserts the fixed point anyway. Surviving edges are renumbered
-    densely in their original order.
+    raises FlowmonError if the fixed point is not reached anyway.
+    Surviving edges are renumbered densely in their original order.
     """
     dropped = bridges(g)
     kept = [e for e in g.edges if e.id not in dropped]
@@ -60,7 +61,8 @@ def strip_bridges(g: Graph) -> tuple[Graph, frozenset[int]]:
         g.vertex_count,
         [EdgeRecord(i, e.u, e.v, e.weight) for i, e in enumerate(kept)],
     )
-    assert not bridge_ids(out), "bridge stripping did not reach a fixed point"
+    if bridge_ids(out):
+        raise FlowmonError("bridge stripping did not reach a fixed point")
     return out, dropped
 
 
@@ -97,27 +99,17 @@ def merge_components(g: Graph) -> tuple[Graph, tuple[int, ...]]:
 def edge_groups(g: Graph) -> tuple[frozenset[int], ...]:
     """Equivalence classes of "these two edges form a 2-cut".
 
-    Requires a 2-edge-connected input. On such a graph the class of e is
-    {e} plus the bridges of G - e: removing e leaves exactly the edges
-    that complete a 2-cut with it dangling as bridges. Quadratic overall,
-    which is fine at desk scale. Self-loops are always singletons.
+    Requires a 2-edge-connected input. On such a graph two edges form a
+    2-cut iff their cut labels are equal, so the classes are the groups
+    of equal labels, in order of their lowest edge id. One linear pass.
+    Self-loops have a bit of their own and are always singletons.
     """
     if not is_c_edge_connected(g, 2):
         raise ValidationError("edge groups are defined on 2-edge-connected graphs")
-    m = len(g.edges)
-    assigned = [False] * m
-    classes: list[frozenset[int]] = []
-    mask = bytearray(m)
-    for e in range(m):
-        if assigned[e]:
-            continue
-        mask[e] = 1
-        cls = frozenset([e] + bridge_ids(g, mask))
-        mask[e] = 0
-        for member in cls:
-            assigned[member] = True
-        classes.append(cls)
-    return tuple(classes)
+    classes: dict[int, list[int]] = {}
+    for e, label in enumerate(cut_labels(g)):
+        classes.setdefault(label, []).append(e)
+    return tuple(frozenset(cls) for cls in classes.values())
 
 
 def contract_groups(g: Graph) -> tuple[Graph, ReductionMap]:

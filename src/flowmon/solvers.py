@@ -4,9 +4,12 @@ sigma_greedy places monitors in batches of sigma, each batch chosen by
 exhaustive search to maximize the immediate gain (batch weight plus the
 bridges it exposes); collected edges leave the working graph before the
 next batch. exact enumerates all size-k monitor sets and is the oracle
-the approximation guarantees are tested against. solve_pipeline wires
-preprocessing, a solver, and the lift back to original edge ids into the
-end-to-end path the CLI uses.
+the approximation guarantees are tested against. Both score a candidate
+set with cut-space labels (see graph.cut_labels): the edges it determines
+are those whose label lies in the span of the candidate's labels, so
+scoring s monitors costs at most 2^s dictionary lookups instead of a
+bridge traversal. solve_pipeline wires preprocessing, a solver, and the
+lift back to original edge ids into the end-to-end path the CLI uses.
 
 Determinism: among equal-gain candidate sets the lexicographically
 smallest sorted id tuple wins, so traces are reproducible and tests can
@@ -21,21 +24,26 @@ from math import comb
 from typing import Callable
 
 from .errors import CandidateBudgetError, SizeGuardError, ValidationError
-from .graph import Graph, bridge_ids, make_mask, spanning_forest
+from .graph import (
+    Graph,
+    LabelBasis,
+    bridge_ids,
+    cut_labels,
+    label_span,
+    make_mask,
+    spanning_forest,
+)
 from .reduce import ReductionMap, lift_monitors, preprocess
 from .weights import Weight
 
 EXACT_DEFAULT_BUDGET = 2_000_000
 GREEDY_DEFAULT_BUDGET = 50_000_000
 
-TIE_BREAK_LOWEST_IDS = "lowest-id-tuple"
-
 
 @dataclass(frozen=True)
 class SolverConfig:
     k: int
     sigma: int = 1
-    tie_break: str = TIE_BREAK_LOWEST_IDS
     max_candidate_evals: int = GREEDY_DEFAULT_BUDGET
 
     def __post_init__(self) -> None:
@@ -43,8 +51,6 @@ class SolverConfig:
             raise ValidationError("monitor budget k must be at least 1")
         if self.sigma < 1:
             raise ValidationError("batch size sigma must be at least 1")
-        if self.tie_break != TIE_BREAK_LOWEST_IDS:
-            raise ValidationError(f"unknown tie-break policy {self.tie_break!r}")
 
 
 @dataclass(frozen=True)
@@ -105,6 +111,8 @@ def sigma_greedy(g: Graph, cfg: SolverConfig) -> Solution:
         return _take_everything(g)
 
     w = g.weights_micros
+    labels = cut_labels(g)
+    basis = LabelBasis()
     gone = bytearray(m)
     monitors: list[int] = []
     steps: list[StepRecord] = []
@@ -133,29 +141,34 @@ def sigma_greedy(g: Graph, cfg: SolverConfig) -> Solution:
                 f" budget {cfg.max_candidate_evals} exhausted"
             )
         evals_used += count
+        # live edges are those outside span(placed monitors); an edge is
+        # collected by p iff its residual lies in the span of p's residuals
+        res = [0] * m
+        cw: dict[int, int] = {}
+        for e in live:
+            r = res[e] = basis.reduce(labels[e])
+            cw[r] = cw.get(r, 0) + w[e]
         best = -1
         best_p: tuple[int, ...] = ()
-        best_b: list[int] = []
+        best_span: set[int] = set()
         for p in combinations(live, sp):
-            for e in p:
-                gone[e] = 1
-            b = bridge_ids(g, gone)
-            val = sum(w[e] for e in p) + sum(w[e] for e in b)
+            span = label_span(res[e] for e in p)
+            val = sum(cw.get(x, 0) for x in span)
             if val > best:
-                best, best_p, best_b = val, p, b
-            for e in p:
-                gone[e] = 0
-        collected = set(best_p)
-        collected.update(best_b)
+                best, best_p, best_span = val, p, span
+        collected = [e for e in live if res[e] in best_span]
         for e in collected:
             gone[e] = 1
+        for e in best_p:
+            basis.add(labels[e])
         monitors.extend(best_p)
         steps.append(
             StepRecord(frozenset(best_p), frozenset(collected), Weight(best), len(live), count)
         )
 
+    # collected edges are exactly those whose label lies in span(monitors)
     mon = frozenset(monitors)
-    extras = frozenset(bridge_ids(g, make_mask(g, mon)))
+    extras = frozenset(e for e in range(m) if gone[e]) - mon
     total = Weight(sum(w[e] for e in mon) + sum(w[e] for e in extras))
     return Solution(mon, extras, total, GreedyTrace(tuple(steps)))
 
@@ -187,20 +200,18 @@ def exact(g: Graph, k: int, max_evals: int = EXACT_DEFAULT_BUDGET) -> Solution:
             f" the guard allows {max_evals}"
         )
     w = g.weights_micros
-    mask = bytearray(m)
+    labels = cut_labels(g)
+    cw: dict[int, int] = {}
+    for e in range(m):
+        cw[labels[e]] = cw.get(labels[e], 0) + w[e]
     best = -1
     best_p: tuple[int, ...] = ()
-    best_b: tuple[int, ...] = ()
     for p in combinations(range(m), size):
-        for e in p:
-            mask[e] = 1
-        b = bridge_ids(g, mask)
-        val = sum(w[e] for e in p) + sum(w[e] for e in b)
+        val = sum(cw.get(x, 0) for x in label_span(labels[e] for e in p))
         if val > best:
-            best, best_p, best_b = val, p, tuple(b)
-        for e in p:
-            mask[e] = 0
-    return Solution(frozenset(best_p), frozenset(best_b), Weight(best))
+            best, best_p = val, p
+    extras = frozenset(bridge_ids(g, make_mask(g, best_p)))
+    return Solution(frozenset(best_p), extras, Weight(best))
 
 
 def full_determination(g: Graph) -> frozenset[int]:

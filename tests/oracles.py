@@ -4,13 +4,23 @@ Everything here is deliberately naive and independent of the library's
 traversal code: plain BFS over edge lists, remove-one-edge-and-recount
 bridge detection, and subset enumeration straight from the definitions.
 The library is checked against these, never the other way around.
+
+The exception is the pair sigma_greedy_by_traversal / exact_by_traversal:
+the solvers as they were before cut-space labels, scoring every
+candidate with one masked bridge_ids traversal (itself checked against
+bridges_by_removal). They pin the label-based solvers to the same
+monitors, extras, gains and traces, ties included.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+from math import comb
 
-from flowmon.graph import Graph
+from flowmon.errors import CandidateBudgetError
+from flowmon.graph import Graph, bridge_ids, make_mask
+from flowmon.solvers import GreedyTrace, Solution, SolverConfig, StepRecord
+from flowmon.weights import Weight
 
 
 def components_naive(n: int, edge_list: list[tuple[int, int]]) -> list[int]:
@@ -145,3 +155,87 @@ def greedy_reference(g: Graph, k: int, sigma: int) -> int:
         removed_total |= collected
         remaining -= collected
     return total
+
+
+def sigma_greedy_by_traversal(g: Graph, cfg: SolverConfig) -> Solution:
+    """sigma_greedy with one masked bridge traversal per candidate."""
+    m = len(g.edges)
+    k, sigma = cfg.k, cfg.sigma
+    if k >= m:
+        all_edges = frozenset(range(m))
+        total = g.total_weight()
+        steps = (StepRecord(all_edges, all_edges, total, m, 0),) if m else ()
+        return Solution(all_edges, frozenset(), total, GreedyTrace(steps))
+
+    w = g.weights_micros
+    gone = bytearray(m)
+    monitors: list[int] = []
+    steps: list[StepRecord] = []
+    evals_used = 0
+    n_steps = -(-k // sigma)
+    partial_step = k // sigma + 1
+
+    for t in range(1, n_steps + 1):
+        live = [e for e in range(m) if not gone[e]]
+        if not live:
+            break
+        sp = k % sigma if t == partial_step else sigma
+        if len(live) <= sp:
+            for e in live:
+                gone[e] = 1
+            monitors.extend(live)
+            taken = frozenset(live)
+            steps.append(
+                StepRecord(taken, taken, Weight(sum(w[e] for e in live)), len(live), 0)
+            )
+            break
+        count = comb(len(live), sp)
+        if evals_used + count > cfg.max_candidate_evals:
+            raise CandidateBudgetError(f"step {t} needs {count} candidate evaluations")
+        evals_used += count
+        best = -1
+        best_p: tuple[int, ...] = ()
+        best_b: list[int] = []
+        for p in combinations(live, sp):
+            for e in p:
+                gone[e] = 1
+            b = bridge_ids(g, gone)
+            val = sum(w[e] for e in p) + sum(w[e] for e in b)
+            if val > best:
+                best, best_p, best_b = val, p, b
+            for e in p:
+                gone[e] = 0
+        collected = set(best_p)
+        collected.update(best_b)
+        for e in collected:
+            gone[e] = 1
+        monitors.extend(best_p)
+        steps.append(
+            StepRecord(frozenset(best_p), frozenset(collected), Weight(best), len(live), count)
+        )
+
+    mon = frozenset(monitors)
+    extras = frozenset(bridge_ids(g, make_mask(g, mon)))
+    total = Weight(sum(w[e] for e in mon) + sum(w[e] for e in extras))
+    return Solution(mon, extras, total, GreedyTrace(tuple(steps)))
+
+
+def exact_by_traversal(g: Graph, k: int) -> Solution:
+    """exact with one masked bridge traversal per size-min(k, m) subset."""
+    m = len(g.edges)
+    size = min(k, m)
+    w = g.weights_micros
+    mask = bytearray(m)
+    best = -1
+    best_p: tuple[int, ...] = ()
+    best_b: tuple[int, ...] = ()
+    for p in combinations(range(m), size):
+        for e in p:
+            mask[e] = 1
+        b = bridge_ids(g, mask)
+        val = sum(w[e] for e in p) + sum(w[e] for e in b)
+        if val > best:
+            best, best_p, best_b = val, p, tuple(b)
+        for e in p:
+            mask[e] = 0
+    return Solution(frozenset(best_p), frozenset(best_b), Weight(best))

@@ -1,8 +1,13 @@
 import io
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
+import flowmon
 from flowmon.cli import main
 from flowmon.textio import parse_graph
 
@@ -58,6 +63,22 @@ def test_solve_output_shape(fig1_files):
     lines = out.splitlines()
     assert sum(l.startswith("M ") for l in lines) == 2
     assert lines[-1].startswith("GAIN ")
+
+
+def test_python_dash_m_runs_the_cli(fig1_files):
+    graph, _ = fig1_files
+    src = str(Path(flowmon.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = ["solve", str(graph), "--algo", "greedy1", "-k", "2"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "flowmon", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == run_cli(*argv)[1]
 
 
 def test_solve_trace_records_steps(fig1_files):

@@ -7,16 +7,24 @@ from hypothesis import strategies as st
 from flowmon.errors import ValidationError
 from flowmon.graph import (
     Graph,
+    LabelBasis,
     bridges,
     connected_components,
+    cut_labels,
     gain,
     is_c_edge_connected,
+    label_span,
     spanning_forest,
 )
 from flowmon.weights import Weight
 
-from conftest import multigraphs
-from oracles import bridges_by_removal, c_edge_connected_naive, gain_micros_by_definition
+from conftest import bridgeless_graphs, multigraphs
+from oracles import (
+    bridges_by_removal,
+    c_edge_connected_naive,
+    gain_micros_by_definition,
+    two_cut_classes_by_pairs,
+)
 
 TRIANGLE = Graph.build(3, [(0, 1), (1, 2), (0, 2)])
 K4 = Graph.build(4, list(combinations(range(4), 2)))
@@ -127,6 +135,43 @@ def test_c_edge_connected_conventions():
 @given(multigraphs(max_n=5, max_m=8), st.integers(1, 3))
 def test_c_edge_connected_matches_subset_oracle(g, c):
     assert is_c_edge_connected(g, c) == c_edge_connected_naive(g, c)
+
+
+@given(multigraphs(max_n=7, max_m=14))
+def test_cut_labels_zero_exactly_on_bridges(g):
+    labels = cut_labels(g)
+    assert frozenset(e for e, x in enumerate(labels) if x == 0) == bridges_by_removal(g)
+
+
+@given(bridgeless_graphs())
+def test_cut_labels_equal_exactly_on_two_cuts(g):
+    classes: dict[int, set[int]] = {}
+    for e, x in enumerate(cut_labels(g)):
+        classes.setdefault(x, set()).add(e)
+    assert {frozenset(c) for c in classes.values()} == two_cut_classes_by_pairs(g)
+
+
+@given(multigraphs(max_n=6, max_m=10), st.data())
+def test_cut_label_span_is_gain(g, data):
+    m = len(g.edges)
+    mon = frozenset(data.draw(st.sets(st.integers(0, m - 1), max_size=4))) if m else frozenset()
+    labels = cut_labels(g)
+    span = label_span(labels[e] for e in mon)
+    w = g.weights_micros
+    assert sum(w[e] for e in range(m) if labels[e] in span) == gain_micros_by_definition(g, mon)
+
+
+@given(st.lists(st.integers(0, 63), max_size=6), st.lists(st.integers(0, 63), max_size=6))
+def test_label_basis_residuals_name_cosets(rows, probes):
+    basis = LabelBasis()
+    for x in rows:
+        basis.add(x)
+    span = label_span(rows)
+    for x in probes:
+        for y in probes:
+            assert (basis.reduce(x) == basis.reduce(y)) == (x ^ y in span)
+    pivots = sum(1 << p for p in basis.rows)
+    assert all(basis.reduce(x) & pivots == 0 for x in probes)
 
 
 def test_spanning_forest_triangle_lowest_ids():

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowmon.errors import ValidationError
+from flowmon import reduce as reduce_mod
+from flowmon.errors import FlowmonError, ValidationError
 from flowmon.generators import gen_cycle, gen_fig1, gen_greedy1_tight, gen_ladder
 from flowmon.graph import Graph, bridges, connected_components, gain, is_c_edge_connected
 from flowmon.reduce import (
@@ -37,6 +38,14 @@ def test_strip_bridges_triangle_untouched():
     g = Graph.build(3, [(0, 1), (1, 2), (0, 2)])
     out, dropped = strip_bridges(g)
     assert out == g and dropped == frozenset()
+
+
+def test_strip_bridges_checks_fixed_point(monkeypatch):
+    # a bridge finder that misses a bridge must fail loudly, also under -O
+    path = Graph.build(3, [(0, 1), (1, 2)])
+    monkeypatch.setattr(reduce_mod, "bridges", lambda g: frozenset({0}))
+    with pytest.raises(FlowmonError, match="fixed point"):
+        strip_bridges(path)
 
 
 def test_strip_bridges_joining_edge():

@@ -17,7 +17,12 @@ from flowmon.solvers import (
 from flowmon.weights import Weight
 
 from conftest import multigraphs
-from oracles import exact_reference, greedy_reference
+from oracles import (
+    exact_by_traversal,
+    exact_reference,
+    greedy_reference,
+    sigma_greedy_by_traversal,
+)
 
 TRIANGLE = Graph.build(3, [(0, 1), (1, 2), (0, 2)])
 
@@ -94,6 +99,25 @@ def test_greedy_final_partial_batch():
 def test_greedy_matches_reference_simulation(g, k, sigma):
     sol = sigma_greedy(g, SolverConfig(k=k, sigma=sigma))
     assert sol.gain.micros == greedy_reference(g, k, sigma)
+
+
+@settings(max_examples=200)
+@given(multigraphs(), st.integers(1, 5), st.integers(1, 3))
+def test_greedy_matches_traversal_solver(g, k, sigma):
+    # monitors, extras, gain and every StepRecord field, ties included
+    cfg = SolverConfig(k=k, sigma=sigma)
+    assert sigma_greedy(g, cfg) == sigma_greedy_by_traversal(g, cfg)
+
+
+def test_greedy_residuals_are_canonical():
+    # reducing only the leading bit of each label leaves residuals that
+    # differ within one coset; that split the third step's collection
+    g = Graph.build(
+        4, [(1, 3, 5), (2, 2, 4), (2, 0, 4), (1, 1, 4), (0, 3, 3), (1, 3, 4), (2, 3, 3), (0, 2, 4)]
+    )
+    steps = one_greedy(g, 3).trace.steps
+    assert [s.monitors_placed for s in steps] == [{0}, {4}, {2}]
+    assert steps[2].collected == {2, 7}
 
 
 @given(multigraphs(max_n=6, max_m=10), st.integers(1, 4))
@@ -177,6 +201,12 @@ def test_exact_tie_break_lowest_ids():
 @given(multigraphs(max_n=6, max_m=9), st.integers(1, 3))
 def test_exact_matches_at_most_k_reference(g, k):
     assert exact(g, k).gain.micros == exact_reference(g, k)
+
+
+@settings(max_examples=200)
+@given(multigraphs(), st.integers(1, 5))
+def test_exact_matches_traversal_solver(g, k):
+    assert exact(g, k) == exact_by_traversal(g, k)
 
 
 @given(multigraphs(max_n=6, max_m=10), st.integers(1, 3))

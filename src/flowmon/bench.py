@@ -13,6 +13,7 @@ import time
 from dataclasses import dataclass
 from math import comb
 
+from .errors import ValidationError
 from .graph import Graph
 from .solvers import SolverConfig, sigma_greedy, solve_pipeline
 
@@ -68,7 +69,7 @@ def run_ladder(sizes: tuple[int, ...] = (12, 16, 20), sigmas: tuple[int, ...] = 
     rows = []
     for m in sizes:
         if m % 2:
-            raise ValueError("circulant sizes must be even edge counts (m = 2n)")
+            raise ValidationError("circulant sizes must be even edge counts (m = 2n)")
         g = circulant(m // 2)
         for sigma in sigmas:
             rows.append(run_case(g, sigma, k))

@@ -160,6 +160,8 @@ def _cmd_kernel(args) -> int:
 
 
 def _cmd_hardness(args) -> int:
+    if args.max_n < 1:
+        raise ValidationError("--max-n must be at least 1")
     lines = []
     failed = False
     if args.lemma1:
@@ -191,9 +193,16 @@ def _cmd_hardness(args) -> int:
     return 1 if failed else 0
 
 
+def _int_list(text: str, option: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(s) for s in text.split(","))
+    except ValueError:
+        raise ValidationError(f"bad {option} {text!r}; expected comma-separated integers") from None
+
+
 def _cmd_bench(args) -> int:
-    sizes = tuple(int(s) for s in args.sizes.split(","))
-    sigmas = tuple(int(s) for s in args.sigma.split(","))
+    sizes = _int_list(args.sizes, "--sizes")
+    sigmas = _int_list(args.sigma, "--sigma")
     rows = bench_mod.run_ladder(sizes, sigmas, args.k)
     sys.stdout.write(bench_mod.format_report(rows))
     return 0 if all(r.ok for r in rows) else 1

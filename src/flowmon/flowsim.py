@@ -6,8 +6,14 @@ Given readings on a monitor set M, the flow of a non-monitored edge is
 uniquely forced exactly when that edge is a bridge of G - M: cutting the
 bridge splits its component into two sides, and summing conservation over
 the side containing the bridge's tail determines the bridge's flow from
-the monitor readings crossing out of that side. Nothing else is forced,
+the monitor readings crossing into that side. Nothing else is forced,
 and nothing else is guessed.
+
+Inference works on the kernel forest: one contraction of the components
+of G - M - bridges(G - M), whose bridges then form a forest, and one
+leaf-to-root pass that sums the net monitor inflow of every subtree.
+Each bridge reads its flow off the side holding its stored tail, so the
+whole inference is linear in the size of the graph.
 """
 
 from __future__ import annotations
@@ -17,15 +23,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import FlowmonError, ValidationError
-from .graph import (
-    Graph,
-    bridge_ids,
-    component_labels,
-    make_mask,
-    reachable_from,
-    search_forest,
-    spanning_forest,
-)
+from .graph import Graph, kernel_labels, search_forest, spanning_forest
 
 Measurements = Mapping[int, int]
 
@@ -104,14 +102,23 @@ def measure(circ: Circulation, monitors: Iterable[int]) -> dict[int, int]:
 def infer(g: Graph, monitors: Iterable[int], readings: Measurements) -> InferenceResult:
     """Determine every edge forced by the readings and validate them.
 
-    Each bridge b of G - M is solved independently: let A be the side of
-    b's component of G - M (minus b itself) that contains b's stored tail
-    u. Summing conservation over A, the flow on b equals minus the net
-    measured flow leaving A over monitor edges. Afterwards every
-    component of G - M - bridges(G-M) is audited: the net determined flow
-    across its boundary must be zero, otherwise the readings are
-    inconsistent and the offending components are reported. Loops outside
-    M stay undetermined.
+    One contraction and one forest pass, O(n + m). Each component of
+    G - M - B, where B is the bridges of G - M, becomes a kernel vertex
+    holding its net monitor inflow; B is a forest on these vertices.
+    Summing conservation over the side of bridge b that holds b's stored
+    tail u, the flow on b equals that side's net monitor inflow. One
+    leaf-to-root pass gives sub[c], the inflow into the subtree hanging
+    from kernel vertex c; with c the lower end of b,
+
+        flow(b) = sub[c]             if u lies in c's subtree,
+        flow(b) = sub[root] - sub[c] otherwise.
+
+    Consistent readings make sub[root] zero on every tree; inconsistent
+    ones still get values by this tail-side rule. Afterwards every
+    kernel vertex is audited: the net determined flow across its
+    boundary must be zero, otherwise the readings are inconsistent and
+    the component's vertices are reported, by component label. Loops
+    outside M stay undetermined.
     """
     mon = frozenset(monitors)
     g.check_edge_ids(mon)
@@ -122,43 +129,57 @@ def infer(g: Graph, monitors: Iterable[int], readings: Measurements) -> Inferenc
         if e not in readings:
             raise ValidationError(f"missing reading for monitor edge {e}")
 
-    m = len(g.edges)
-    mask = make_mask(g, mon)
-    extra = bridge_ids(g, mask)
+    edges = g.edges
+    exposed, labels = kernel_labels(g, mon)
+    ncomp = max(labels) + 1 if labels else 0
+    sub = [0] * ncomp  # net monitor inflow per kernel vertex, then per subtree
+    for e in mon:
+        rec = edges[e]
+        cu, cv = labels[rec.u], labels[rec.v]
+        if cu != cv:
+            sub[cu] -= readings[e]
+            sub[cv] += readings[e]
+    forest_adj: list[list[tuple[int, int]]] = [[] for _ in range(ncomp)]
+    for b in exposed:
+        rec = edges[b]
+        cu, cv = labels[rec.u], labels[rec.v]
+        forest_adj[cu].append((cv, b))
+        forest_adj[cv].append((cu, b))
+    order, entry = search_forest(ncomp, forest_adj)
+    # a bridge's ends have distinct labels, so the end other than c is
+    # their sum minus c
+    for c in reversed(order):
+        b = entry[c]
+        if b >= 0:
+            rec = edges[b]
+            sub[labels[rec.u] + labels[rec.v] - c] += sub[c]
+    tree_total = [0] * ncomp
+    flow: dict[int, int] = {}
+    for c in order:
+        b = entry[c]
+        if b < 0:
+            tree_total[c] = sub[c]
+            continue
+        rec = edges[b]
+        tail = labels[rec.u]
+        tree_total[c] = tree_total[tail + labels[rec.v] - c]
+        flow[b] = sub[c] if tail == c else tree_total[c] - sub[c]
+
     determined: dict[int, int] = {e: readings[e] for e in sorted(mon)}
-
-    for b in sorted(extra):
-        rec = g.edges[b]
-        mask[b] = 1
-        side_a = reachable_from(g, rec.u, mask)
-        mask[b] = 0
-        net_out = 0
-        for e in mon:
-            er = g.edges[e]
-            in_u, in_v = side_a[er.u], side_a[er.v]
-            if in_u and not in_v:
-                net_out += readings[e]
-            elif in_v and not in_u:
-                net_out -= readings[e]
-        determined[b] = -net_out
-
-    undetermined = frozenset(range(m)) - determined.keys()
+    for b in sorted(exposed):
+        determined[b] = flow[b]
+    undetermined = frozenset(range(len(edges))) - determined.keys()
 
     # audit: net determined flow across each kernel-component boundary is zero
-    for e in extra:
-        mask[e] = 1
-    labels = component_labels(g, mask)
-    ncomp = max(labels) + 1 if labels else 0
     net = [0] * ncomp
     for e, f in determined.items():
-        rec = g.edges[e]
+        rec = edges[e]
         cu, cv = labels[rec.u], labels[rec.v]
         if cu != cv:
             net[cu] -= f
             net[cv] += f
-    violations = tuple(
-        tuple(v for v in range(g.vertex_count) if labels[v] == c)
-        for c in range(ncomp)
-        if net[c] != 0
-    )
+    members: list[list[int]] = [[] for _ in range(ncomp)]
+    for v, c in enumerate(labels):
+        members[c].append(v)
+    violations = tuple(tuple(members[c]) for c in range(ncomp) if net[c])
     return InferenceResult(determined, undetermined, not violations, violations)

@@ -21,15 +21,17 @@ edge list directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ValidationError
 from .weights import Weight
 
 
-@dataclass(frozen=True, slots=True)
-class EdgeRecord:
+class EdgeRecord(NamedTuple):
+    """One edge, as a named tuple: immutable, and about twice as cheap to
+    build as a frozen dataclass, which counts because parsing and every
+    contraction build one record per edge."""
+
     id: int
     u: int
     v: int
@@ -156,7 +158,11 @@ def component_count(g: Graph, removed: Sequence[int] | None = None) -> int:
 
 
 def reachable_from(g: Graph, start: int, removed: Sequence[int]) -> list[bool]:
-    """Vertices reachable from `start` ignoring masked edges."""
+    """Vertices reachable from `start` ignoring masked edges.
+
+    The library itself no longer needs this; it is the traversal the
+    reference inference in the test oracles uses.
+    """
     adj = g.adjacency
     seen = [False] * g.vertex_count
     seen[start] = True
@@ -237,6 +243,20 @@ def bridge_ids(g: Graph, removed: Sequence[int] | None = None) -> list[int]:
                 if lv > disc[p]:
                     out.append(entry)
     return out
+
+
+def kernel_labels(g: Graph, monitors: Iterable[int]) -> tuple[list[int], list[int]]:
+    """The bridges B of G - M, and a component label per vertex of
+    G - M - B (first-appearance order, as in component_labels).
+
+    The labels name the kernel vertices; each bridge joins two distinct
+    labels, and the bridges form a forest on them.
+    """
+    mask = make_mask(g, monitors)
+    exposed = bridge_ids(g, mask)
+    for e in exposed:
+        mask[e] = 1
+    return exposed, component_labels(g, mask)
 
 
 def connected_components(g: Graph) -> list[int]:

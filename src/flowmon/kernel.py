@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graph import EdgeRecord, Graph, bridge_ids, component_labels, make_mask
+from .graph import EdgeRecord, Graph, kernel_labels
 
 
 @dataclass(frozen=True)
@@ -35,13 +35,9 @@ def kernel_graph(g: Graph, monitors: Iterable[int]) -> KernelGraph:
     """
     mon = frozenset(monitors)
     g.check_edge_ids(mon)
-    mask = make_mask(g, mon)
-    extra = frozenset(bridge_ids(g, mask))
-    for e in extra:
-        mask[e] = 1
-    labels = component_labels(g, mask)
+    extra, labels = kernel_labels(g, mon)
     ncomp = max(labels) + 1 if labels else 0
-    kept = sorted(mon | extra)
+    kept = sorted(mon.union(extra))
     records = [
         EdgeRecord(i, labels[g.edges[orig].u], labels[g.edges[orig].v], g.edges[orig].weight)
         for i, orig in enumerate(kept)

@@ -13,16 +13,21 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .errors import ParseError
+from .errors import ParseError, WeightOverflowError
 from .graph import EdgeRecord, Graph
-from .weights import Weight
+from .weights import MAX_MICROS, Weight
 
 MAX_FLOW = 2**63 - 1
 
 
 def parse_graph(text: str) -> Graph:
+    """Parse the graph format. Each distinct weight text is parsed once,
+    and the running total of weights must fit in MAX_MICROS, so no sum
+    over the graph's weights can overflow later."""
     n = m = None
     records: list[EdgeRecord] = []
+    weights: dict[str, Weight] = {}
+    total = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -46,12 +51,17 @@ def parse_graph(text: str) -> Graph:
             raise ParseError(f"line {lineno}: non-integer endpoint") from None
         if not (0 <= u < n and 0 <= v < n):
             raise ParseError(f"line {lineno}: endpoint out of range [0, {n})")
-        try:
-            w = Weight.parse(fields[3])
-        except ParseError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from None
+        w = weights.get(fields[3])
+        if w is None:
+            try:
+                w = weights[fields[3]] = Weight.parse(fields[3])
+            except (ParseError, WeightOverflowError) as exc:
+                raise ParseError(f"line {lineno}: {exc}") from None
         if len(records) >= m:
             raise ParseError(f"line {lineno}: more than the declared {m} edges")
+        total += w.micros
+        if total > MAX_MICROS:
+            raise ParseError(f"line {lineno}: total weight exceeds {MAX_MICROS} millionths")
         records.append(EdgeRecord(len(records), u, v, w))
     if n is None:
         raise ParseError("line 1: missing 'p flowmon <n> <m>' header")

@@ -5,20 +5,25 @@ traversal code: plain BFS over edge lists, remove-one-edge-and-recount
 bridge detection, and subset enumeration straight from the definitions.
 The library is checked against these, never the other way around.
 
-The exception is the pair sigma_greedy_by_traversal / exact_by_traversal:
+The exceptions are the pair sigma_greedy_by_traversal / exact_by_traversal:
 the solvers as they were before cut-space labels, scoring every
 candidate with one masked bridge_ids traversal (itself checked against
 bridges_by_removal). They pin the label-based solvers to the same
-monitors, extras, gains and traces, ties included.
+monitors, extras, gains and traces, ties included. Likewise
+infer_by_traversal is inference as it was before the kernel-forest
+pass: one reachable_from traversal per bridge of G - M, pinning infer
+to the same values, verdicts and violation lists.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 from math import comb
+from typing import Iterable
 
-from flowmon.errors import CandidateBudgetError
-from flowmon.graph import Graph, bridge_ids, make_mask
+from flowmon.errors import CandidateBudgetError, ValidationError
+from flowmon.flowsim import InferenceResult, Measurements
+from flowmon.graph import Graph, bridge_ids, component_labels, make_mask, reachable_from
 from flowmon.solvers import GreedyTrace, Solution, SolverConfig, StepRecord
 from flowmon.weights import Weight
 
@@ -239,3 +244,56 @@ def exact_by_traversal(g: Graph, k: int) -> Solution:
         for e in p:
             mask[e] = 0
     return Solution(frozenset(best_p), frozenset(best_b), Weight(best))
+
+
+def infer_by_traversal(g: Graph, monitors: Iterable[int], readings: Measurements) -> InferenceResult:
+    """infer with one reachable_from traversal per bridge of G - M."""
+    mon = frozenset(monitors)
+    g.check_edge_ids(mon)
+    for e in readings:
+        if e not in mon:
+            raise ValidationError(f"reading for non-monitor edge {e}")
+    for e in mon:
+        if e not in readings:
+            raise ValidationError(f"missing reading for monitor edge {e}")
+
+    m = len(g.edges)
+    mask = make_mask(g, mon)
+    extra = bridge_ids(g, mask)
+    determined: dict[int, int] = {e: readings[e] for e in sorted(mon)}
+
+    for b in sorted(extra):
+        rec = g.edges[b]
+        mask[b] = 1
+        side_a = reachable_from(g, rec.u, mask)
+        mask[b] = 0
+        net_out = 0
+        for e in mon:
+            er = g.edges[e]
+            in_u, in_v = side_a[er.u], side_a[er.v]
+            if in_u and not in_v:
+                net_out += readings[e]
+            elif in_v and not in_u:
+                net_out -= readings[e]
+        determined[b] = -net_out
+
+    undetermined = frozenset(range(m)) - determined.keys()
+
+    # audit: net determined flow across each kernel-component boundary is zero
+    for e in extra:
+        mask[e] = 1
+    labels = component_labels(g, mask)
+    ncomp = max(labels) + 1 if labels else 0
+    net = [0] * ncomp
+    for e, f in determined.items():
+        rec = g.edges[e]
+        cu, cv = labels[rec.u], labels[rec.v]
+        if cu != cv:
+            net[cu] -= f
+            net[cv] += f
+    violations = tuple(
+        tuple(v for v in range(g.vertex_count) if labels[v] == c)
+        for c in range(ncomp)
+        if net[c] != 0
+    )
+    return InferenceResult(determined, undetermined, not violations, violations)

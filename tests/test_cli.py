@@ -179,3 +179,31 @@ def test_deterministic_output_across_runs(tmp_path):
         for _ in range(2)
     ]
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("solve", "--algo", "greedy1", "-k", "1"), ("reduce",), ("infer", "-m", "0", "-r", "READINGS")],
+)
+def test_total_weight_overflow_exits_2(tmp_path, capsys, argv):
+    graph = tmp_path / "heavy.graph"
+    graph.write_text("p flowmon 2 3\n" + "e 0 1 9000000000000\n" * 3)
+    readings = tmp_path / "heavy.readings"
+    readings.write_text("r 0 1\n")
+    argv = [str(readings) if a == "READINGS" else a for a in argv]
+    code, out = run_cli(*argv, str(graph))
+    assert code == 2 and out == ""
+    assert "line 3: total weight exceeds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sizes", ["x", "13"])
+def test_bench_bad_sizes_exit_2(capsys, sizes):
+    code, _ = run_cli("bench", "--sizes", sizes)
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_hardness_rejects_max_n_below_one(capsys):
+    code, _ = run_cli("hardness", "--lemma1", "--max-n", "0")
+    assert code == 2
+    assert "--max-n must be at least 1" in capsys.readouterr().err

@@ -14,6 +14,7 @@ from flowmon.graph import Graph, gain, make_mask, bridge_ids
 from flowmon.solvers import full_determination
 
 from conftest import multigraphs
+from oracles import infer_by_traversal
 
 TRIANGLE = Graph.build(3, [(0, 1), (1, 2), (0, 2)])
 
@@ -72,6 +73,12 @@ def test_infer_detects_inconsistency():
     assert not bad.consistent
     assert bad.violations  # the offending components are reported
     assert (1,) in bad.violations
+    # bridge 2 = (0, 2) hangs vertex 2 below the root 0, so its tail 0 is
+    # on the parent side; that tree's inflow totals 1, not 0, and the
+    # flow is still the inflow into the tail's side {0}: -5
+    assert bad.determined == {0: 5, 1: 6, 2: -5}
+    assert bad.violations == ((1,), (2,))
+    assert bad == infer_by_traversal(TRIANGLE, {0, 1}, {0: 5, 1: 6})
 
 
 def test_infer_monitor_across_components_uses_whole_cut():
@@ -146,3 +153,20 @@ def test_perturbed_reading_breaks_consistency():
     res = infer(g, frozenset(range(12)), bumped)
     assert not res.consistent
     assert res.violations
+
+
+@settings(max_examples=200)
+@given(multigraphs(max_n=8, max_m=14), st.data())
+def test_infer_matches_traversal_oracle(g, data):
+    # readings drawn freely, not from a circulation, so most trees of the
+    # kernel forest have a non-zero inflow total
+    m = len(g.edges)
+    mon = data.draw(st.frozensets(st.integers(0, m - 1), max_size=m)) if m else frozenset()
+    readings = {e: data.draw(st.integers(-9, 9)) for e in sorted(mon)}
+    got = infer(g, mon, readings)
+    want = infer_by_traversal(g, mon, readings)
+    assert got.determined == want.determined
+    assert list(got.determined) == list(want.determined)
+    assert got.undetermined == want.undetermined
+    assert got.consistent == want.consistent
+    assert got.violations == want.violations

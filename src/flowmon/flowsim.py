@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import FlowmonError, ValidationError
-from .graph import Graph, kernel_labels, search_forest, spanning_forest
+from .graph import Graph, kernel_labels, spanning_forest, subtree_sums
 
 Measurements = Mapping[int, int]
 
@@ -64,7 +64,7 @@ def random_circulation(g: Graph, seed: int, flow_range: int = 100) -> Circulatio
     forest = spanning_forest(g)
     n, m = g.vertex_count, len(g.edges)
     flow = [0] * m
-    resid = [0] * n  # net inflow from the free edges, then per subtree
+    resid = [0] * n  # net inflow from the free edges
     for e in g.edges:
         if e.id in forest:
             continue
@@ -75,19 +75,11 @@ def random_circulation(g: Graph, seed: int, flow_range: int = 100) -> Circulatio
 
     # forest edges are forced leaf-inward: the flow into the subtree
     # hanging below an edge must cancel that subtree's residual
-    tree_adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for eid in forest:
-        e = g.edges[eid]
-        tree_adj[e.u].append((e.v, eid))
-        tree_adj[e.v].append((e.u, eid))
-    order, entry = search_forest(n, tree_adj)
-    for v in reversed(order):
-        eid = entry[v]
-        if eid < 0:
-            continue
-        e = g.edges[eid]
-        flow[eid] = -resid[v] if e.v == v else resid[v]
-        resid[e.u if e.v == v else e.v] += resid[v]
+    edges = g.edges
+    _, entry, sub = subtree_sums(n, ((eid, edges[eid].u, edges[eid].v) for eid in forest), resid)
+    for v, eid in enumerate(entry):
+        if eid >= 0:
+            flow[eid] = -sub[v] if edges[eid].v == v else sub[v]
     circ = Circulation(tuple(flow))
     if conservation_violations(g, circ):
         raise FlowmonError("random circulation violates conservation")
@@ -132,27 +124,15 @@ def infer(g: Graph, monitors: Iterable[int], readings: Measurements) -> Inferenc
     edges = g.edges
     exposed, labels = kernel_labels(g, mon)
     ncomp = max(labels) + 1 if labels else 0
-    sub = [0] * ncomp  # net monitor inflow per kernel vertex, then per subtree
+    inflow = [0] * ncomp  # net monitor inflow per kernel vertex
     for e in mon:
         rec = edges[e]
         cu, cv = labels[rec.u], labels[rec.v]
         if cu != cv:
-            sub[cu] -= readings[e]
-            sub[cv] += readings[e]
-    forest_adj: list[list[tuple[int, int]]] = [[] for _ in range(ncomp)]
-    for b in exposed:
-        rec = edges[b]
-        cu, cv = labels[rec.u], labels[rec.v]
-        forest_adj[cu].append((cv, b))
-        forest_adj[cv].append((cu, b))
-    order, entry = search_forest(ncomp, forest_adj)
-    # a bridge's ends have distinct labels, so the end other than c is
-    # their sum minus c
-    for c in reversed(order):
-        b = entry[c]
-        if b >= 0:
-            rec = edges[b]
-            sub[labels[rec.u] + labels[rec.v] - c] += sub[c]
+            inflow[cu] -= readings[e]
+            inflow[cv] += readings[e]
+    forest = ((b, labels[edges[b].u], labels[edges[b].v]) for b in exposed)
+    order, entry, sub = subtree_sums(ncomp, forest, inflow)
     tree_total = [0] * ncomp
     flow: dict[int, int] = {}
     for c in order:

@@ -30,7 +30,8 @@ from .weights import Weight
 class EdgeRecord(NamedTuple):
     """One edge, as a named tuple: immutable, and about twice as cheap to
     build as a frozen dataclass, which counts because parsing and every
-    contraction build one record per edge."""
+    contraction build one record per edge. Like any tuple, a record
+    equals the plain tuple (id, u, v, weight)."""
 
     id: int
     u: int
@@ -332,6 +333,30 @@ def search_forest(
                     entry[w] = eid
                     stack.append(w)
     return order, entry
+
+
+def subtree_sums(
+    n: int, forest: Iterable[tuple[int, int, int]], values: Sequence[int]
+) -> tuple[list[int], list[int], list[int]]:
+    """Sum `values` over every subtree of a forest on vertices 0..n-1.
+
+    `forest` yields (edge_id, a, b) with a != b. Returns search_forest's
+    order and entry edges, and sums[v], the total of values over the
+    subtree hanging from v; a root's sum covers its whole tree.
+    """
+    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    ends: dict[int, int] = {}
+    for eid, a, b in forest:
+        adjacency[a].append((b, eid))
+        adjacency[b].append((a, eid))
+        ends[eid] = a + b  # the end other than v is ends[eid] - v
+    order, entry = search_forest(n, adjacency)
+    sums = list(values)
+    for v in reversed(order):
+        eid = entry[v]
+        if eid >= 0:
+            sums[ends[eid] - v] += sums[v]
+    return order, entry, sums
 
 
 def cut_labels(g: Graph) -> list[int]:

@@ -38,10 +38,11 @@ def kernel_graph(g: Graph, monitors: Iterable[int]) -> KernelGraph:
     extra, labels = kernel_labels(g, mon)
     ncomp = max(labels) + 1 if labels else 0
     kept = sorted(mon.union(extra))
-    records = [
-        EdgeRecord(i, labels[g.edges[orig].u], labels[g.edges[orig].v], g.edges[orig].weight)
-        for i, orig in enumerate(kept)
-    ]
+    edges = g.edges
+    records = []
+    for i, orig in enumerate(kept):
+        rec = edges[orig]
+        records.append(EdgeRecord(i, labels[rec.u], labels[rec.v], rec.weight))
     return KernelGraph(Graph(ncomp, records), tuple(labels), tuple(kept))
 
 

@@ -21,12 +21,10 @@ MAX_FLOW = 2**63 - 1
 
 
 def parse_graph(text: str) -> Graph:
-    """Parse the graph format. Each distinct weight text is parsed once,
-    and the running total of weights must fit in MAX_MICROS, so no sum
-    over the graph's weights can overflow later."""
+    """Parse the graph format. The running total of weights must fit in
+    MAX_MICROS, so no sum over the graph's weights can overflow later."""
     n = m = None
     records: list[EdgeRecord] = []
-    weights: dict[str, Weight] = {}
     total = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -51,12 +49,10 @@ def parse_graph(text: str) -> Graph:
             raise ParseError(f"line {lineno}: non-integer endpoint") from None
         if not (0 <= u < n and 0 <= v < n):
             raise ParseError(f"line {lineno}: endpoint out of range [0, {n})")
-        w = weights.get(fields[3])
-        if w is None:
-            try:
-                w = weights[fields[3]] = Weight.parse(fields[3])
-            except (ParseError, WeightOverflowError) as exc:
-                raise ParseError(f"line {lineno}: {exc}") from None
+        try:
+            w = Weight.parse(fields[3])
+        except (ParseError, WeightOverflowError) as exc:
+            raise ParseError(f"line {lineno}: {exc}") from None
         if len(records) >= m:
             raise ParseError(f"line {lineno}: more than the declared {m} edges")
         total += w.micros

@@ -45,6 +45,10 @@ class Weight:
 
     @classmethod
     def parse(cls, text: str) -> "Weight":
+        whole, dot, frac = text.partition(".")
+        if text.isascii() and whole.isdigit() and (not dot or frac.isdigit() and len(frac) <= 6):
+            # plain ASCII decimals skip the regex, which handles the rest
+            return cls(int(whole) * SCALE + int(frac.ljust(6, "0")))
         m = _DECIMAL.match(text)
         if m is None:
             raise ParseError(

@@ -74,9 +74,9 @@ def test_edge_id_list():
         parse_edge_id_list("1,x")
 
 
-def test_weight_memo_keeps_equal_texts_equal():
-    g = parse_graph("p flowmon 2 4\ne 0 1 1\ne 0 1 01\ne 1 0 1.0\ne 0 1 1\n")
-    assert [e.weight for e in g.edges] == [Weight.from_units(1)] * 4
+def test_equal_weight_texts_parse_equal():
+    g = parse_graph("p flowmon 2 5\ne 0 1 1\ne 0 1 01\ne 1 0 1.0\ne 0 1 1\ne 0 1 1.000000\n")
+    assert [e.weight for e in g.edges] == [Weight.from_units(1)] * 5
 
 
 # Header counts stay small: a header's vertex count is allocated, so a huge

@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from flowmon.errors import ParseError, ValidationError, WeightOverflowError
-from flowmon.weights import MAX_MICROS, Weight
+from flowmon.weights import _DECIMAL, MAX_MICROS, SCALE, Weight
 
 
 def test_parse_basics():
@@ -17,6 +17,18 @@ def test_parse_basics():
 def test_parse_rejects(bad):
     with pytest.raises(ParseError):
         Weight.parse(bad)
+
+
+@given(st.text(alphabet="0123456789.\u0663x-\n ", max_size=12))
+def test_parse_agrees_with_the_decimal_pattern(text):
+    # plain ASCII decimals take a path without the regex; both must agree
+    m = _DECIMAL.match(text)
+    if m is None:
+        with pytest.raises(ParseError):
+            Weight.parse(text)
+    else:
+        frac = m.group(2) or ""
+        assert Weight.parse(text).micros == int(m.group(1)) * SCALE + int(frac.ljust(6, "0"))
 
 
 @given(st.integers(0, 10**13))

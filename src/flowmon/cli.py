@@ -1,14 +1,16 @@
 """Command-line interface.
 
 Subcommands: gen, reduce, solve, exact, infer, kernel, hardness, bench.
-Exit codes: 0 success, 2 parse/validation error, 3 size-guard refusal,
-4 inconsistent measurements. All output is line-oriented plain text and
+Exit codes: 0 success, 1 verifier mismatch (hardness, bench) or a broken
+internal invariant (a plain FlowmonError), 2 parse/validation error,
+3 size-guard refusal, 4 inconsistent measurements. All output is line-oriented plain text and
 deterministic for fixed inputs and seeds (bench timings excepted).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -171,15 +173,10 @@ def _cmd_hardness(args) -> int:
                 failed |= not ok
                 lines.append(f"LEMMA1 n={n} s={s} {'PASS' if ok else 'FAIL'}")
     if args.verify_star:
-        for report in verify_star_canonical(min(args.max_n, 7)):
-            failed |= not report.ok
-            lines.append(
-                f"STAR {report.label} instances={report.instances}"
-                f" checks={report.checks} mismatches={report.mismatches}"
-                f" {'PASS' if report.ok else 'FAIL'}"
-            )
+        reports = verify_star_canonical(min(args.max_n, 7))
         if args.random_instances:
-            report = verify_star_random((7, 8), args.random_instances, seed=args.seed)
+            reports.append(verify_star_random((7, 8), args.random_instances, seed=args.seed))
+        for report in reports:
             failed |= not report.ok
             lines.append(
                 f"STAR {report.label} instances={report.instances}"
@@ -208,6 +205,7 @@ def _cmd_bench(args) -> int:
     return 0 if all(r.ok for r in rows) else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="flowmon")
     sub = parser.add_subparsers(dest="command", required=True)

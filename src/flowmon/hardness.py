@@ -18,9 +18,10 @@ from math import comb
 from typing import Iterable, Iterator
 
 from .errors import SizeGuardError, ValidationError
-from .graph import Graph, bridge_ids, component_count
+from .graph import EdgeRecord, Graph, bridge_ids, component_count, spanning_forest
 
 DECIDE_DEFAULT_BUDGET = 2_000_000
+CLIQUE_MAX_COMBOS = 5_000_000
 
 
 class ReductionInfeasible(ValidationError):
@@ -113,30 +114,25 @@ def _neighbor_masks(g: Graph) -> list[int]:
     return nb
 
 
-def has_clique(g: Graph, q: int, max_combos: int = 5_000_000) -> bool:
-    """Exhaustive clique test on a simple graph."""
+def clique_witness(g: Graph, q: int) -> tuple[int, ...] | None:
+    """The first q-clique of a simple graph in lexicographic vertex
+    order, or None. Exhaustive over C(n, q) subsets, with a size guard."""
     require_simple(g)
     n = g.vertex_count
     if q > n:
-        return False
-    if q <= 1:
-        return n >= q
-    if comb(n, q) > max_combos:
+        return None
+    if comb(n, q) > CLIQUE_MAX_COMBOS:
         raise SizeGuardError(f"clique search over C({n},{q}) subsets refused")
     nb = _neighbor_masks(g)
     for vs in combinations(range(n), q):
         if all(nb[u] >> v & 1 for u, v in combinations(vs, 2)):
-            return True
-    return False
-
-
-def clique_witness(g: Graph, q: int) -> tuple[int, ...] | None:
-    require_simple(g)
-    nb = _neighbor_masks(g)
-    for vs in combinations(range(g.vertex_count), q):
-        if all(nb[u] >> v & 1 for u, v in combinations(vs, 2)):
             return vs
     return None
+
+
+def has_clique(g: Graph, q: int) -> bool:
+    """Exhaustive clique test on a simple graph."""
+    return clique_witness(g, q) is not None
 
 
 def forward_witness(g: Graph, q: int, clique: Iterable[int]) -> frozenset[int]:
@@ -148,23 +144,11 @@ def forward_witness(g: Graph, q: int, clique: Iterable[int]) -> frozenset[int]:
     merged = min(cl)
     vmap = [merged if v in cl else v for v in range(g.vertex_count)]
     outside = [e for e in g.edges if not (e.u in cl and e.v in cl)]
-    # spanning tree of the contracted graph, greedy in edge id order
-    parent = list(range(g.vertex_count))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    monitors = set()
-    for e in outside:
-        ru, rv = find(vmap[e.u]), find(vmap[e.v])
-        if ru != rv:
-            parent[ru] = rv
-        else:
-            monitors.add(e.id)
-    return frozenset(monitors)
+    contracted = Graph(g.vertex_count, [
+        EdgeRecord(i, vmap[e.u], vmap[e.v], e.weight) for i, e in enumerate(outside)
+    ])
+    tree = spanning_forest(contracted)
+    return frozenset(e.id for i, e in enumerate(outside) if i not in tree)
 
 
 def lemma1_check(n: int, s: int) -> bool:
@@ -187,25 +171,6 @@ def lemma1_check(n: int, s: int) -> bool:
         elif val == best:
             best_shapes.add(shape)
     return best_shapes == {target}
-
-
-def _connected_mask(n: int, mask: int, pairs: list[tuple[int, int]]) -> bool:
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    comps = n
-    for i, (u, v) in enumerate(pairs):
-        if mask >> i & 1:
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-                comps -= 1
-    return comps == 1
 
 
 def canonical_connected_graphs(n: int) -> Iterator[Graph]:
@@ -239,8 +204,9 @@ def canonical_connected_graphs(n: int) -> Iterator[Graph]:
                 image |= 1 << table[low.bit_length() - 1]
                 rest ^= low
             seen[image] = 1
-        if _connected_mask(n, mask, pairs):
-            yield Graph.build(n, [pairs[i] for i in range(np) if mask >> i & 1])
+        g = Graph.build(n, [pairs[i] for i in range(np) if mask >> i & 1])
+        if component_count(g) == 1:
+            yield g
 
 
 def random_connected_simple(n: int, m: int, seed: int) -> Graph:

@@ -25,6 +25,7 @@ from .graph import (
     component_labels,
     cut_labels,
     is_c_edge_connected,
+    make_mask,
 )
 from .weights import Weight
 
@@ -121,51 +122,24 @@ def contract_groups(g: Graph) -> tuple[Graph, ReductionMap]:
     legal and handled. The output is 3-edge-connected.
     """
     classes = edge_groups(g)
-    n = g.vertex_count
-    parent = list(range(n))
+    deputy_orig = [max(cls) for cls in classes]
+    group_of = {e: gi for gi, cls in enumerate(classes) for e in cls}
+    # contracting the non-deputy members merges exactly the vertices they
+    # connect; components come numbered by their lowest original vertex
+    vmap = component_labels(g, make_mask(g, deputy_orig))
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    group_of: dict[int, int] = {}
-    deputy_orig: list[int] = []
-    for gi, cls in enumerate(classes):
-        deputy = max(cls)
-        deputy_orig.append(deputy)
-        for e in cls:
-            group_of[e] = gi
-            if e != deputy:
-                rec = g.edges[e]
-                ru, rv = find(rec.u), find(rec.v)
-                if ru != rv:
-                    parent[ru] = rv
-
-    # renumber union-find classes by their lowest original vertex
-    vmap = [-1] * n
-    nxt = 0
-    for v in range(n):
-        r = find(v)
-        if vmap[r] < 0:
-            vmap[r] = nxt
-            nxt += 1
-        vmap[v] = vmap[r]
-
-    class_weight = {gi: Weight(sum(g.weights_micros[e] for e in cls))
-                    for gi, cls in enumerate(classes)}
+    group_weight = [Weight(sum(g.weights_micros[e] for e in cls)) for cls in classes]
     survivors = sorted(deputy_orig)
     new_id_of_orig = {orig: i for i, orig in enumerate(survivors)}
     records = []
     for i, orig in enumerate(survivors):
         rec = g.edges[orig]
-        records.append(EdgeRecord(i, vmap[rec.u], vmap[rec.v], class_weight[group_of[orig]]))
-    reduced = Graph(nxt, records)
+        records.append(EdgeRecord(i, vmap[rec.u], vmap[rec.v], group_weight[group_of[orig]]))
+    reduced = Graph(max(vmap, default=-1) + 1, records)
     rmap = ReductionMap(
         vertex_map=tuple(vmap),
         group_of=group_of,
-        deputy_of_group=tuple(new_id_of_orig[deputy_orig[gi]] for gi in range(len(classes))),
+        deputy_of_group=tuple(new_id_of_orig[d] for d in deputy_orig),
         orig_edge_of_reduced=tuple(survivors),
         stripped_bridges=frozenset(),
     )

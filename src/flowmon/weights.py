@@ -8,15 +8,12 @@ Values like 1.01 or 1.51 are representable exactly.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 from .errors import ParseError, ValidationError, WeightOverflowError
 
 SCALE = 10**6
 MAX_MICROS = 2**63 - 1
-
-_DECIMAL = re.compile(r"^(\d+)(?:\.(\d{1,6}))?$")
 
 
 def check_micros(micros: int) -> int:
@@ -46,18 +43,12 @@ class Weight:
     @classmethod
     def parse(cls, text: str) -> "Weight":
         whole, dot, frac = text.partition(".")
-        if text.isascii() and whole.isdigit() and (not dot or frac.isdigit() and len(frac) <= 6):
-            # plain ASCII decimals skip the regex, which handles the rest
-            return cls(int(whole) * SCALE + int(frac.ljust(6, "0")))
-        m = _DECIMAL.match(text)
-        if m is None:
+        if not whole.isdecimal() or dot and not (frac.isdecimal() and len(frac) <= 6):
             raise ParseError(
                 f"bad weight {text!r}: expected a non-negative decimal"
                 " with at most 6 fractional digits"
             )
-        whole, frac = m.group(1), m.group(2) or ""
-        micros = int(whole) * SCALE + int(frac.ljust(6, "0") or "0")
-        return cls(micros)
+        return cls(int(whole) * SCALE + int(frac.ljust(6, "0")))
 
     def __add__(self, other: "Weight") -> "Weight":
         return Weight(self.micros + other.micros)

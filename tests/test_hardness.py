@@ -68,6 +68,19 @@ def test_has_clique_examples():
     assert has_clique(K4, 4)
     assert not has_clique(C5, 3)
     assert has_clique(K5, 5) and not has_clique(C5, 4)
+    # q <= 1 and q > n
+    assert has_clique(C5, 0) and has_clique(C5, 1) and has_clique(C5, 2)
+    assert has_clique(Graph.build(0, []), 0)
+    assert not has_clique(Graph.build(0, []), 1)
+    assert not has_clique(K4, 5)
+
+
+def test_clique_witness_size_guard():
+    # K40 has a 20-clique at the first subset, but the guard looks at the
+    # C(40, 20) subsets a graph without one would need
+    k40 = Graph.build(40, list(combinations(range(40), 2)))
+    with pytest.raises(SizeGuardError):
+        clique_witness(k40, 20)
 
 
 def _has_clique_second_enumeration(g: Graph, q: int) -> bool:

@@ -20,7 +20,7 @@ from flowmon.solvers import exact
 from flowmon.weights import Weight
 
 from conftest import bridgeless_graphs, multigraphs
-from oracles import exact_reference, is_pair_two_cut, two_cut_classes_by_pairs
+from oracles import components_naive, exact_reference, is_pair_two_cut, two_cut_classes_by_pairs
 
 TWO_TRIANGLES_JOINED = Graph.build(
     6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)]
@@ -176,6 +176,18 @@ def test_contract_result_is_3ec_and_weight_preserving(g):
         assert reduced.edges[deputy].weight.micros == sum(
             g.weights_micros[e] for e in members
         )
+
+
+@settings(max_examples=200)
+@given(multigraphs())
+def test_contract_vertex_map_matches_components_without_deputies(g):
+    # contracting every non-deputy group member merges what those members
+    # connect; components are numbered by their lowest vertex
+    g, _ = merge_components(strip_bridges(g)[0])
+    deputies = {max(cls) for cls in edge_groups(g)}
+    live = [(e.u, e.v) for e in g.edges if e.id not in deputies]
+    _, rmap = contract_groups(g)
+    assert rmap.vertex_map == tuple(components_naive(g.vertex_count, live))
 
 
 def test_lift_identity():

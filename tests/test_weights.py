@@ -1,9 +1,14 @@
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from flowmon.errors import ParseError, ValidationError, WeightOverflowError
-from flowmon.weights import _DECIMAL, MAX_MICROS, SCALE, Weight
+from flowmon.weights import MAX_MICROS, SCALE, Weight
+
+# the reference grammar: \d is Unicode category Nd, as str.isdecimal
+_DECIMAL = re.compile(r"(\d+)(?:\.(\d{1,6}))?")
 
 
 def test_parse_basics():
@@ -13,7 +18,7 @@ def test_parse_basics():
     assert Weight.parse("0").micros == 0
 
 
-@pytest.mark.parametrize("bad", ["", "-1", "1.", ".5", "1.0000001", "1e3", "abc", "1,5"])
+@pytest.mark.parametrize("bad", ["", "-1", "1.", ".5", "1.0000001", "1e3", "abc", "1,5", "1\n", "1.5\n"])
 def test_parse_rejects(bad):
     with pytest.raises(ParseError):
         Weight.parse(bad)
@@ -21,8 +26,7 @@ def test_parse_rejects(bad):
 
 @given(st.text(alphabet="0123456789.\u0663x-\n ", max_size=12))
 def test_parse_agrees_with_the_decimal_pattern(text):
-    # plain ASCII decimals take a path without the regex; both must agree
-    m = _DECIMAL.match(text)
+    m = _DECIMAL.fullmatch(text)
     if m is None:
         with pytest.raises(ParseError):
             Weight.parse(text)

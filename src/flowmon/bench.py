@@ -15,7 +15,7 @@ from math import comb
 
 from .errors import ValidationError
 from .graph import Graph
-from .solvers import SolverConfig, sigma_greedy, solve_pipeline
+from .solvers import make_solver, solve_pipeline
 
 
 def circulant(n: int, offsets: tuple[int, ...] = (1, 2)) -> Graph:
@@ -52,9 +52,7 @@ class BenchRow:
 
 def run_case(g: Graph, sigma: int, k: int) -> BenchRow:
     start = time.perf_counter()
-    solution = solve_pipeline(
-        g, k, lambda gg, kk: sigma_greedy(gg, SolverConfig(k=kk, sigma=sigma))
-    )
+    solution = solve_pipeline(g, k, make_solver(f"greedy:{sigma}"))
     seconds = time.perf_counter() - start
     stats = []
     trace = solution.trace

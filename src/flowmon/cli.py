@@ -16,13 +16,13 @@ from pathlib import Path
 
 from . import bench as bench_mod
 from . import generators
-from .errors import FlowmonError, ParseError, ValidationError
+from .errors import FlowmonError, ParseError, SizeGuardError, ValidationError
 from .flowsim import infer
 from .graph import Graph
-from .hardness import lemma1_check, verify_star_canonical, verify_star_random
+from .hardness import LEMMA1_MAX_COMBOS, lemma1_check, verify_star_canonical, verify_star_random
 from .kernel import kernel_graph
 from .reduce import preprocess
-from .solvers import SolverConfig, Solution, exact, sigma_greedy, solve_pipeline
+from .solvers import Solution, exact, make_solver, solve_pipeline
 from .textio import (
     format_graph,
     format_readings,
@@ -106,26 +106,9 @@ def _solution_lines(sol: Solution, trace: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _make_algo(name: str):
-    if name == "exact":
-        return exact
-    if name == "greedy1":
-        sigma = 1
-    elif name == "greedy2":
-        sigma = 2
-    elif name.startswith("greedy:"):
-        try:
-            sigma = int(name.split(":", 1)[1])
-        except ValueError:
-            raise ValidationError(f"bad solver name {name!r}") from None
-    else:
-        raise ValidationError(f"unknown solver {name!r}")
-    return lambda g, k: sigma_greedy(g, SolverConfig(k=k, sigma=sigma))
-
-
 def _cmd_solve(args) -> int:
     g = _read_graph(args.graph)
-    sol = solve_pipeline(g, args.k, _make_algo(args.algo))
+    sol = solve_pipeline(g, args.k, make_solver(args.algo))
     _emit(_solution_lines(sol, args.trace), args.output)
     return 0
 
@@ -167,6 +150,11 @@ def _cmd_hardness(args) -> int:
     lines = []
     failed = False
     if args.lemma1:
+        total = 2**args.max_n - 1  # each n has 2^(n-1) compositions
+        if total > LEMMA1_MAX_COMBOS:
+            raise SizeGuardError(
+                f"--lemma1 needs {total} compositions; the guard allows {LEMMA1_MAX_COMBOS}"
+            )
         for n in range(1, args.max_n + 1):
             for s in range(1, n + 1):
                 ok = lemma1_check(n, s)

@@ -12,6 +12,7 @@ by one big part) is checked by full enumeration as well.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from itertools import combinations, permutations
 from math import comb
@@ -22,6 +23,7 @@ from .graph import EdgeRecord, Graph, bridge_ids, component_count, spanning_fore
 
 DECIDE_DEFAULT_BUDGET = 2_000_000
 CLIQUE_MAX_COMBOS = 5_000_000
+LEMMA1_MAX_COMBOS = 5_000_000
 
 
 class ReductionInfeasible(ValidationError):
@@ -80,17 +82,17 @@ def reduce_clique(inst: CliqueInstance) -> DecInstance:
     return DecInstance(inst.graph, k, l)
 
 
-def decide_flow_monitors(inst: DecInstance, max_evals: int = DECIDE_DEFAULT_BUDGET) -> bool:
+def decide_flow_monitors(inst: DecInstance) -> bool:
     """Is there a set of exactly k edges whose removal leaves at least l
     bridges? Exhaustive over all k-subsets, with a size guard."""
     g, k, l = inst.graph, inst.k, inst.l
     m = len(g.edges)
     if k > m:
         return False
-    if comb(m, k) > max_evals:
+    if comb(m, k) > DECIDE_DEFAULT_BUDGET:
         raise SizeGuardError(
             f"decision needs C({m},{k}) = {comb(m, k)} evaluations;"
-            f" the guard allows {max_evals}"
+            f" the guard allows {DECIDE_DEFAULT_BUDGET}"
         )
     if l == 0:
         return True
@@ -216,9 +218,7 @@ def random_connected_simple(n: int, m: int, seed: int) -> Graph:
         raise ValidationError("n must be positive")
     if m < n - 1 or m > comb(n, 2):
         raise ValidationError(f"need n-1 <= m <= C(n,2) for n={n}")
-    import random as _random
-
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     tree = [(rng.randrange(v), v) for v in range(1, n)]
     tree_set = {tuple(sorted(e)) for e in tree}
     others = [p for p in combinations(range(n), 2) if p not in tree_set]
@@ -273,10 +273,8 @@ def verify_star_canonical(max_n: int) -> list[StarReport]:
 def verify_star_random(ns: Iterable[int], count: int, seed: int = 0) -> StarReport:
     """Equivalence check over seeded random connected simple graphs with
     edge counts kept in the tractable band for the decision brute force."""
-    import random as _random
-
     ns = list(ns)
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     checks = mismatches = 0
     for i in range(count):
         n = ns[i % len(ns)]

@@ -22,9 +22,9 @@ from .graph import (
     Graph,
     bridge_ids,
     bridges,
+    component_count,
     component_labels,
     cut_labels,
-    is_c_edge_connected,
     make_mask,
 )
 from .weights import Weight
@@ -105,10 +105,11 @@ def edge_groups(g: Graph) -> tuple[frozenset[int], ...]:
     of equal labels, in order of their lowest edge id. One linear pass.
     Self-loops have a bit of their own and are always singletons.
     """
-    if not is_c_edge_connected(g, 2):
+    labels = cut_labels(g)
+    if component_count(g) > 1 or 0 in labels:
         raise ValidationError("edge groups are defined on 2-edge-connected graphs")
     classes: dict[int, list[int]] = {}
-    for e, label in enumerate(cut_labels(g)):
+    for e, label in enumerate(labels):
         classes.setdefault(label, []).append(e)
     return tuple(frozenset(cls) for cls in classes.values())
 

@@ -3,13 +3,16 @@
 sigma_greedy places monitors in batches of sigma, each batch chosen by
 exhaustive search to maximize the immediate gain (batch weight plus the
 bridges it exposes); collected edges leave the working graph before the
-next batch. exact enumerates all size-k monitor sets and is the oracle
-the approximation guarantees are tested against. Both score a candidate
-set with cut-space labels (see graph.cut_labels): the edges it determines
-are those whose label lies in the span of the candidate's labels, so
-scoring s monitors costs at most 2^s dictionary lookups instead of a
-bridge traversal. solve_pipeline wires preprocessing, a solver, and the
-lift back to original edge ids into the end-to-end path the CLI uses.
+next batch. exact, the oracle the approximation guarantees are tested
+against, is the same search taken as one batch of size k. A candidate
+set is scored with cut-space labels (see graph.cut_labels): the edges it
+determines are those whose label lies in the span of the candidate's
+labels, so scoring s monitors costs at most 2^s dictionary lookups
+instead of a bridge traversal. The enumeration budgets are fixed
+constants; a run that would exceed one is refused before it enumerates
+(CLI exit 3). solve_pipeline wires preprocessing, a solver (make_solver
+maps CLI names to solvers), and the lift back to original edge ids into
+the end-to-end path the CLI uses.
 
 Determinism: among equal-gain candidate sets the lexicographically
 smallest sorted id tuple wins, so traces are reproducible and tests can
@@ -44,7 +47,6 @@ GREEDY_DEFAULT_BUDGET = 50_000_000
 class SolverConfig:
     k: int
     sigma: int = 1
-    max_candidate_evals: int = GREEDY_DEFAULT_BUDGET
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -102,8 +104,8 @@ def sigma_greedy(g: Graph, cfg: SolverConfig) -> Solution:
     maximizing subset weight plus exposed bridge weight; the collected
     edges are removed before the next step. If at most sigma' edges
     remain they are all taken and the run halts; if the graph empties the
-    trace is simply truncated. A budget ceiling on subset evaluations
-    guards large sigma.
+    trace is simply truncated. GREEDY_DEFAULT_BUDGET caps the subset
+    evaluations of the whole run, which guards large sigma.
     """
     m = len(g.edges)
     k, sigma = cfg.k, cfg.sigma
@@ -135,10 +137,10 @@ def sigma_greedy(g: Graph, cfg: SolverConfig) -> Solution:
             )
             break
         count = comb(len(live), sp)
-        if evals_used + count > cfg.max_candidate_evals:
+        if evals_used + count > GREEDY_DEFAULT_BUDGET:
             raise CandidateBudgetError(
                 f"step {t} needs {count} candidate evaluations;"
-                f" budget {cfg.max_candidate_evals} exhausted"
+                f" budget {GREEDY_DEFAULT_BUDGET} exhausted"
             )
         evals_used += count
         # live edges are those outside span(placed monitors); an edge is
@@ -181,37 +183,44 @@ def two_greedy(g: Graph, k: int) -> Solution:
     return sigma_greedy(g, SolverConfig(k=k, sigma=2))
 
 
-def exact(g: Graph, k: int, max_evals: int = EXACT_DEFAULT_BUDGET) -> Solution:
-    """Maximum-gain monitor set by exhaustive enumeration.
+def exact(g: Graph, k: int) -> Solution:
+    """Maximum-gain monitor set: sigma_greedy with one batch of size k.
 
-    Only subsets of size exactly min(k, m) are tried: gain never
-    decreases when a monitor is added, so the optimum over sets of size
-    at most k is attained at full size. Refuses instances whose subset
-    count exceeds the evaluation budget.
+    That one step scores every subset of size exactly min(k, m): gain
+    never decreases when a monitor is added, so the optimum over sets of
+    size at most k is attained at full size. Refuses instances whose
+    subset count exceeds EXACT_DEFAULT_BUDGET.
     """
     if k < 1:
         raise ValidationError("monitor budget k must be at least 1")
     m = len(g.edges)
     size = min(k, m)
     total = comb(m, size)
-    if total > max_evals:
+    if total > EXACT_DEFAULT_BUDGET:
         raise SizeGuardError(
             f"exhaustive search needs C({m},{size}) = {total} evaluations;"
-            f" the guard allows {max_evals}"
+            f" the guard allows {EXACT_DEFAULT_BUDGET}"
         )
-    w = g.weights_micros
-    labels = cut_labels(g)
-    cw: dict[int, int] = {}
-    for e in range(m):
-        cw[labels[e]] = cw.get(labels[e], 0) + w[e]
-    best = -1
-    best_p: tuple[int, ...] = ()
-    for p in combinations(range(m), size):
-        val = sum(cw.get(x, 0) for x in label_span(labels[e] for e in p))
-        if val > best:
-            best, best_p = val, p
-    extras = frozenset(bridge_ids(g, make_mask(g, best_p)))
-    return Solution(frozenset(best_p), extras, Weight(best))
+    sol = sigma_greedy(g, SolverConfig(k=k, sigma=k))
+    return Solution(sol.monitors, sol.determined_extras, sol.gain)
+
+
+def make_solver(name: str) -> Callable[[Graph, int], Solution]:
+    """The solver named greedy1, greedy2, greedy:<sigma> or exact."""
+    if name == "exact":
+        return exact
+    if name == "greedy1":
+        sigma = 1
+    elif name == "greedy2":
+        sigma = 2
+    elif name.startswith("greedy:"):
+        try:
+            sigma = int(name.split(":", 1)[1])
+        except ValueError:
+            raise ValidationError(f"bad solver name {name!r}") from None
+    else:
+        raise ValidationError(f"unknown solver {name!r}")
+    return lambda g, k: sigma_greedy(g, SolverConfig(k=k, sigma=sigma))
 
 
 def full_determination(g: Graph) -> frozenset[int]:

@@ -1,7 +1,7 @@
 """Line-oriented text formats for graphs, readings, and reduction maps.
 
 Graph format:
-    p flowmon <n> <m>
+    p flowmon <n> <m>  (n at most MAX_VERTICES, checked before allocating)
     e <u> <v> <w>      (m lines; 0-based endpoints, decimal weight)
     c ...              (comment, anywhere)
 
@@ -18,6 +18,7 @@ from .graph import EdgeRecord, Graph
 from .weights import MAX_MICROS, Weight
 
 MAX_FLOW = 2**63 - 1
+MAX_VERTICES = 1_000_000
 
 
 def parse_graph(text: str) -> Graph:
@@ -40,6 +41,8 @@ def parse_graph(text: str) -> Graph:
                 raise ParseError(f"line {lineno}: non-integer vertex or edge count") from None
             if n < 0 or m < 0:
                 raise ParseError(f"line {lineno}: counts must be non-negative")
+            if n > MAX_VERTICES:
+                raise ParseError(f"line {lineno}: vertex count {n} exceeds the limit {MAX_VERTICES}")
             continue
         if fields[0] != "e" or len(fields) != 4:
             raise ParseError(f"line {lineno}: expected 'e <u> <v> <w>'")

@@ -21,6 +21,7 @@ from itertools import combinations
 from math import comb
 from typing import Iterable
 
+from flowmon import solvers
 from flowmon.errors import CandidateBudgetError, ValidationError
 from flowmon.flowsim import InferenceResult, Measurements
 from flowmon.graph import Graph, bridge_ids, component_labels, make_mask, reachable_from
@@ -195,7 +196,7 @@ def sigma_greedy_by_traversal(g: Graph, cfg: SolverConfig) -> Solution:
             )
             break
         count = comb(len(live), sp)
-        if evals_used + count > cfg.max_candidate_evals:
+        if evals_used + count > solvers.GREEDY_DEFAULT_BUDGET:
             raise CandidateBudgetError(f"step {t} needs {count} candidate evaluations")
         evals_used += count
         best = -1

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import flowmon
+from flowmon import cli, hardness, textio
 from flowmon.cli import main
 from flowmon.textio import parse_graph
 
@@ -207,3 +208,34 @@ def test_hardness_rejects_max_n_below_one(capsys):
     code, _ = run_cli("hardness", "--lemma1", "--max-n", "0")
     assert code == 2
     assert "--max-n must be at least 1" in capsys.readouterr().err
+
+
+def test_solve_exact_trace_prints_no_step_lines(fig1_files):
+    graph, _ = fig1_files
+    code, out = run_cli("solve", "--algo", "exact", "-k", "2", "--trace", str(graph))
+    assert code == 0
+    assert out.splitlines()[-1].startswith("GAIN ")
+    assert not [l for l in out.splitlines() if l.startswith("T ")]
+
+
+def test_vertex_count_over_limit_exits_2(tmp_path, capsys, monkeypatch):
+    def no_graph(*args):
+        raise AssertionError("Graph built for an over-limit header")
+
+    monkeypatch.setattr(textio, "Graph", no_graph)
+    graph = tmp_path / "huge.graph"
+    graph.write_text(f"c huge\np flowmon {textio.MAX_VERTICES + 1} 0\n")
+    code, out = run_cli("solve", "--algo", "greedy1", "-k", "1", str(graph))
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert "line 2: vertex count" in err and f"limit {textio.MAX_VERTICES}" in err
+
+
+def test_hardness_lemma1_size_guard(capsys, monkeypatch):
+    def no_check(n, s):
+        raise AssertionError("lemma1_check ran past the size guard")
+
+    monkeypatch.setattr(cli, "lemma1_check", no_check)
+    code, out = run_cli("hardness", "--lemma1", "--max-n", "40")
+    assert code == 3 and out == ""
+    assert f"the guard allows {hardness.LEMMA1_MAX_COMBOS}" in capsys.readouterr().err

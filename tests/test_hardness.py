@@ -61,7 +61,7 @@ def test_decide_examples():
 def test_decide_size_guard():
     big = Graph.build(10, [(i, j) for i in range(10) for j in range(i + 1, 10)])
     with pytest.raises(SizeGuardError):
-        decide_flow_monitors(DecInstance(big, 20, 1), max_evals=100)
+        decide_flow_monitors(DecInstance(big, 20, 1))  # C(45,20) > DECIDE_DEFAULT_BUDGET
 
 
 def test_has_clique_examples():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowmon import graph as graph_mod
 from flowmon import reduce as reduce_mod
 from flowmon.errors import FlowmonError, ValidationError
 from flowmon.generators import gen_cycle, gen_fig1, gen_greedy1_tight, gen_ladder
@@ -259,3 +260,18 @@ def test_preprocess_preserves_optimum(g, k):
     reduced, rmap = preprocess(g)
     zb = sum(g.weights_micros[e] for e in rmap.stripped_bridges)
     assert exact(reduced, k).gain.micros == exact_reference(g, k) - zb
+
+
+def test_preprocess_computes_cut_labels_once(monkeypatch):
+    # edge_groups checks 2-edge-connectivity on the labels it groups by
+    real = graph_mod.cut_labels
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(graph_mod, "cut_labels", counting)
+    monkeypatch.setattr(reduce_mod, "cut_labels", counting)
+    preprocess(gen_fig1()[0])
+    assert len(calls) == 1

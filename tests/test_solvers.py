@@ -186,9 +186,9 @@ def test_exact_budget_covers_everything():
 
 
 def test_exact_size_guard():
-    g = gen_ladder(30)
+    g = gen_ladder(30)  # 45 edges: C(45,6) = 8145060 > EXACT_DEFAULT_BUDGET
     with pytest.raises(SizeGuardError):
-        exact(g, 6, max_evals=1000)
+        exact(g, 6)
 
 
 def test_exact_tie_break_lowest_ids():
@@ -217,9 +217,9 @@ def test_exact_dominates_heuristics(g, k):
 
 
 def test_candidate_budget_guard():
-    g = gen_ladder(12)  # 18 edges: C(18,3) = 816 candidates in step 1
+    g = gen_ladder(80)  # 120 edges: C(120,5) = 190578024 > GREEDY_DEFAULT_BUDGET
     with pytest.raises(CandidateBudgetError):
-        sigma_greedy(g, SolverConfig(k=3, sigma=3, max_candidate_evals=100))
+        sigma_greedy(g, SolverConfig(k=5, sigma=5))
 
 
 def test_full_determination_tree():

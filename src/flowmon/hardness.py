@@ -5,9 +5,12 @@ question "do k monitor edges exist exposing at least l bridges?" with
 l = n - q and k = m - q(q-1)/2 - l. The verifiers here brute-force both
 sides of that equivalence on small instances: exhaustively over canonical
 (isomorphism-class) connected graphs up to 7 vertices, plus seeded random
-connected graphs beyond that. A composition lemma used by the reduction
-(sum of C(a_i, 2) over positive parts summing to n is maximized exactly
-by one big part) is checked by full enumeration as well.
+connected graphs beyond that. The decision side counts, for each k-set,
+the edges whose cut label lies in the set's span (graph.span_search),
+not the bridges of a traversal per subset. A composition lemma used by
+the reduction (sum of C(a_i, 2) over positive parts summing to n is
+maximized exactly by one big part) is checked over every partition of
+n, which covers every composition.
 """
 
 from __future__ import annotations
@@ -19,7 +22,14 @@ from math import comb
 from typing import Iterable, Iterator
 
 from .errors import SizeGuardError, ValidationError
-from .graph import EdgeRecord, Graph, bridge_ids, component_count, spanning_forest
+from .graph import (
+    EdgeRecord,
+    Graph,
+    component_count,
+    cut_labels,
+    span_search,
+    spanning_forest,
+)
 
 DECIDE_DEFAULT_BUDGET = 2_000_000
 CLIQUE_MAX_COMBOS = 5_000_000
@@ -84,7 +94,13 @@ def reduce_clique(inst: CliqueInstance) -> DecInstance:
 
 def decide_flow_monitors(inst: DecInstance) -> bool:
     """Is there a set of exactly k edges whose removal leaves at least l
-    bridges? Exhaustive over all k-subsets, with a size guard."""
+    bridges? Exhaustive over the k-subsets, with a size guard.
+
+    A k-set M leaves b bridges exactly when k + b edges have a cut label
+    in the span of M's labels, so one span_search over the labels with
+    unit weights counts them, and it stops at the first set reaching
+    k + l; no subset needs a traversal.
+    """
     g, k, l = inst.graph, inst.k, inst.l
     m = len(g.edges)
     if k > m:
@@ -96,16 +112,8 @@ def decide_flow_monitors(inst: DecInstance) -> bool:
         )
     if l == 0:
         return True
-    mask = bytearray(m)
-    for p in combinations(range(m), k):
-        for e in p:
-            mask[e] = 1
-        found = len(bridge_ids(g, mask)) >= l
-        for e in p:
-            mask[e] = 0
-        if found:
-            return True
-    return False
+    best, _, _ = span_search(cut_labels(g), [1] * m, k, k + l)
+    return best >= k + l
 
 
 def _neighbor_masks(g: Graph) -> list[int]:
@@ -153,20 +161,36 @@ def forward_witness(g: Graph, q: int, clique: Iterable[int]) -> frozenset[int]:
     return frozenset(e.id for i, e in enumerate(outside) if i not in tree)
 
 
+def partitions(n: int, s: int) -> Iterator[tuple[int, ...]]:
+    """Each partition of n into s positive parts once, as a non-increasing
+    tuple. An explicit stack, so any s is fine."""
+    stack = [((), n)]  # a non-increasing prefix and the sum still to place
+    while stack:
+        parts, rest = stack.pop()
+        left = s - len(parts)
+        if not left:
+            if not rest:
+                yield parts
+            continue
+        # the next part is at most the last one, leaves at least 1 for each
+        # later part, and is at least their mean, since they are no larger
+        top = min(parts[-1] if parts else rest, rest - left + 1)
+        for a in range(max(1, -(-rest // left)), top + 1):
+            stack.append((parts + (a,), rest - a))
+
+
 def lemma1_check(n: int, s: int) -> bool:
-    """Enumerate all compositions of n into s positive parts and confirm
-    that sum C(a_i, 2) is maximized exactly on the rearrangements of
-    (n-s+1, 1, ..., 1)."""
+    """Confirm that over the compositions of n into s positive parts, sum
+    C(a_i, 2) is maximized exactly on the rearrangements of
+    (n-s+1, 1, ..., 1). The sum depends only on the multiset of parts, so
+    enumerating each partition once covers every composition."""
     if not 1 <= s <= n:
         raise ValidationError("need 1 <= s <= n")
     target = tuple(sorted([n - s + 1] + [1] * (s - 1), reverse=True))
     best = -1
     best_shapes: set[tuple[int, ...]] = set()
-    for cuts in combinations(range(1, n), s - 1):
-        bounds = (0,) + cuts + (n,)
-        parts = tuple(bounds[i + 1] - bounds[i] for i in range(s))
-        val = sum(comb(a, 2) for a in parts)
-        shape = tuple(sorted(parts, reverse=True))
+    for shape in partitions(n, s):
+        val = sum(comb(a, 2) for a in shape)
         if val > best:
             best = val
             best_shapes = {shape}

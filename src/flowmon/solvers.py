@@ -7,12 +7,16 @@ next batch. exact, the oracle the approximation guarantees are tested
 against, is the same search taken as one batch of size k. A candidate
 set is scored with cut-space labels (see graph.cut_labels): the edges it
 determines are those whose label lies in the span of the candidate's
-labels, so scoring s monitors costs at most 2^s dictionary lookups
-instead of a bridge traversal. The enumeration budgets are fixed
-constants; a run that would exceed one is refused before it enumerates
-(CLI exit 3). solve_pipeline wires preprocessing, a solver (make_solver
-maps CLI names to solvers), and the lift back to original edge ids into
-the end-to-end path the CLI uses.
+labels. graph.span_search walks the candidates prefix by prefix with the
+residuals folded modulo each prefix's span: a prefix costs one pass over
+the live residuals and its table of weight per coset, and the last two
+monitors are read off that table with at most two lookups per
+candidate, instead of a bridge traversal per candidate. Each step's
+folded residuals are the next step's live labels. The enumeration
+budgets are fixed constants; a run that would exceed one is refused
+before it enumerates (CLI exit 3). solve_pipeline wires preprocessing,
+a solver (make_solver maps CLI names to solvers), and the lift back to
+original edge ids into the end-to-end path the CLI uses.
 
 Determinism: among equal-gain candidate sets the lexicographically
 smallest sorted id tuple wins, so traces are reproducible and tests can
@@ -22,20 +26,11 @@ compare outputs byte for byte.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 from math import comb
 from typing import Callable
 
 from .errors import CandidateBudgetError, SizeGuardError, ValidationError
-from .graph import (
-    Graph,
-    LabelBasis,
-    bridge_ids,
-    cut_labels,
-    label_span,
-    make_mask,
-    spanning_forest,
-)
+from .graph import Graph, bridge_ids, cut_labels, make_mask, span_search, spanning_forest
 from .reduce import ReductionMap, lift_monitors, preprocess
 from .weights import Weight
 
@@ -113,23 +108,23 @@ def sigma_greedy(g: Graph, cfg: SolverConfig) -> Solution:
         return _take_everything(g)
 
     w = g.weights_micros
-    labels = cut_labels(g)
-    basis = LabelBasis()
-    gone = bytearray(m)
+    live = list(range(m))
+    # residuals of the live edges modulo span(placed monitors), none zero
+    # after the first step; an edge is collected by p iff its residual
+    # lies in the span of p's residuals
+    res = cut_labels(g)
     monitors: list[int] = []
+    determined: list[int] = []
     steps: list[StepRecord] = []
     evals_used = 0
     n_steps = -(-k // sigma)
     partial_step = k // sigma + 1  # reachable only when k % sigma > 0
 
     for t in range(1, n_steps + 1):
-        live = [e for e in range(m) if not gone[e]]
         if not live:
             break
         sp = k % sigma if t == partial_step else sigma
         if len(live) <= sp:
-            for e in live:
-                gone[e] = 1
             monitors.extend(live)
             taken = frozenset(live)
             steps.append(
@@ -143,34 +138,21 @@ def sigma_greedy(g: Graph, cfg: SolverConfig) -> Solution:
                 f" budget {GREEDY_DEFAULT_BUDGET} exhausted"
             )
         evals_used += count
-        # live edges are those outside span(placed monitors); an edge is
-        # collected by p iff its residual lies in the span of p's residuals
-        res = [0] * m
-        cw: dict[int, int] = {}
-        for e in live:
-            r = res[e] = basis.reduce(labels[e])
-            cw[r] = cw.get(r, 0) + w[e]
-        best = -1
-        best_p: tuple[int, ...] = ()
-        best_span: set[int] = set()
-        for p in combinations(live, sp):
-            span = label_span(res[e] for e in p)
-            val = sum(cw.get(x, 0) for x in span)
-            if val > best:
-                best, best_p, best_span = val, p, span
-        collected = [e for e in live if res[e] in best_span]
-        for e in collected:
-            gone[e] = 1
-        for e in best_p:
-            basis.add(labels[e])
-        monitors.extend(best_p)
+        wl = [w[e] for e in live]
+        best, pick, res = span_search(res, wl, sp, sum(wl))
+        placed = [live[j] for j in pick]
+        collected = [e for e, x in zip(live, res) if not x]
+        determined.extend(collected)
+        monitors.extend(placed)
         steps.append(
-            StepRecord(frozenset(best_p), frozenset(collected), Weight(best), len(live), count)
+            StepRecord(frozenset(placed), frozenset(collected), Weight(best), len(live), count)
         )
+        live = [e for e, x in zip(live, res) if x]
+        res = [x for x in res if x]
 
     # collected edges are exactly those whose label lies in span(monitors)
     mon = frozenset(monitors)
-    extras = frozenset(e for e in range(m) if gone[e]) - mon
+    extras = frozenset(determined) - mon
     total = Weight(sum(w[e] for e in mon) + sum(w[e] for e in extras))
     return Solution(mon, extras, total, GreedyTrace(tuple(steps)))
 

@@ -9,7 +9,9 @@ The exceptions are the pair sigma_greedy_by_traversal / exact_by_traversal:
 the solvers as they were before cut-space labels, scoring every
 candidate with one masked bridge_ids traversal (itself checked against
 bridges_by_removal). They pin the label-based solvers to the same
-monitors, extras, gains and traces, ties included. Likewise
+monitors, extras, gains and traces, ties included. decide_by_traversal
+likewise pins the label-counting decision, and label_span (the span as
+an explicit set) is the reference for the folded residuals. Likewise
 infer_by_traversal is inference as it was before the kernel-forest
 pass: one reachable_from traversal per bridge of G - M, pinning infer
 to the same values, verdicts and violation lists.
@@ -25,6 +27,7 @@ from flowmon import solvers
 from flowmon.errors import CandidateBudgetError, ValidationError
 from flowmon.flowsim import InferenceResult, Measurements
 from flowmon.graph import Graph, bridge_ids, component_labels, make_mask, reachable_from
+from flowmon.hardness import DecInstance
 from flowmon.solvers import GreedyTrace, Solution, SolverConfig, StepRecord
 from flowmon.weights import Weight
 
@@ -117,6 +120,15 @@ def c_edge_connected_naive(g: Graph, c: int) -> bool:
             if component_count_naive(g.vertex_count, rest) != 1:
                 return False
     return True
+
+
+def label_span(vectors: Iterable[int]) -> set[int]:
+    """All XOR combinations of the given labels, 0 included."""
+    span = {0}
+    for x in vectors:
+        if x not in span:
+            span |= {y ^ x for y in span}
+    return span
 
 
 def exact_reference(g: Graph, k: int) -> int:
@@ -245,6 +257,27 @@ def exact_by_traversal(g: Graph, k: int) -> Solution:
         for e in p:
             mask[e] = 0
     return Solution(frozenset(best_p), frozenset(best_b), Weight(best))
+
+
+def decide_by_traversal(inst: DecInstance) -> bool:
+    """decide_flow_monitors with one masked bridge traversal per k-subset
+    (without its size guard)."""
+    g, k, l = inst.graph, inst.k, inst.l
+    m = len(g.edges)
+    if k > m:
+        return False
+    if l == 0:
+        return True
+    mask = bytearray(m)
+    for p in combinations(range(m), k):
+        for e in p:
+            mask[e] = 1
+        found = len(bridge_ids(g, mask)) >= l
+        for e in p:
+            mask[e] = 0
+        if found:
+            return True
+    return False
 
 
 def infer_by_traversal(g: Graph, monitors: Iterable[int], readings: Measurements) -> InferenceResult:

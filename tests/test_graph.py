@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 from flowmon.errors import ValidationError
 from flowmon.graph import (
     Graph,
-    LabelBasis,
     bridges,
     connected_components,
     cut_labels,
     gain,
+    fold_residual,
     is_c_edge_connected,
-    label_span,
+    span_search,
     spanning_forest,
 )
 from flowmon.weights import Weight
@@ -23,6 +23,7 @@ from oracles import (
     bridges_by_removal,
     c_edge_connected_naive,
     gain_micros_by_definition,
+    label_span,
     two_cut_classes_by_pairs,
 )
 
@@ -162,16 +163,51 @@ def test_cut_label_span_is_gain(g, data):
 
 
 @given(st.lists(st.integers(0, 63), max_size=6), st.lists(st.integers(0, 63), max_size=6))
-def test_label_basis_residuals_name_cosets(rows, probes):
-    basis = LabelBasis()
-    for x in rows:
-        basis.add(x)
+def test_folded_residuals_name_cosets(rows, probes):
+    # fold the rows one by one into rows + probes, as span_search does
+    res = rows + probes
+    pivots = 0
+    for j in range(len(rows)):
+        if res[j]:
+            pivots |= 1 << res[j].bit_length() - 1
+        res = fold_residual(res, res[j])
     span = label_span(rows)
-    for x in probes:
-        for y in probes:
-            assert (basis.reduce(x) == basis.reduce(y)) == (x ^ y in span)
-    pivots = sum(1 << p for p in basis.rows)
-    assert all(basis.reduce(x) & pivots == 0 for x in probes)
+    folded = res[len(rows):]
+    for x, fx in zip(probes, folded):
+        for y, fy in zip(probes, folded):
+            assert (fx == fy) == (x ^ y in span)
+    assert all(r & pivots == 0 for r in res)
+    assert all(r == 0 for r in res[: len(rows)])
+
+
+def _subset_value(res, wts, p):
+    span = label_span(res[j] for j in p)
+    return sum(wt for x, wt in zip(res, wts) if x in span)
+
+
+@given(
+    st.lists(st.tuples(st.integers(0, 31), st.integers(0, 4)), max_size=9),
+    st.data(),
+)
+def test_span_search_is_the_first_best_subset(items, data):
+    res = [x for x, _ in items]
+    wts = [wt for _, wt in items]
+    size = data.draw(st.integers(0, len(res)))
+    first_best = (-1, ())
+    for p in combinations(range(len(res)), size):
+        val = _subset_value(res, wts, p)
+        if val > first_best[0]:
+            first_best = (val, p)
+    best, pick, folded = span_search(res, wts, size, sum(wts) + 1)
+    assert (best, pick) == first_best
+    span = label_span(res[j] for j in pick)
+    assert [x == 0 for x in folded] == [x in span for x in res]
+    # stopping at the best value still returns the first best subset, and
+    # a lower stop value returns a subset worth at least that much
+    assert span_search(res, wts, size, best)[:2] == first_best
+    stop = data.draw(st.integers(0, best))
+    val, p, _ = span_search(res, wts, size, stop)
+    assert val >= stop and val == _subset_value(res, wts, p) and len(p) == size
 
 
 def test_spanning_forest_triangle_lowest_ids():

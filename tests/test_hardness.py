@@ -1,4 +1,5 @@
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -16,11 +17,15 @@ from flowmon.hardness import (
     forward_witness,
     has_clique,
     lemma1_check,
+    partitions,
     random_connected_simple,
     reduce_clique,
     verify_star_canonical,
     verify_star_random,
 )
+
+from conftest import multigraphs
+from oracles import decide_by_traversal
 
 K4 = Graph.build(4, list(combinations(range(4), 2)))
 K5 = Graph.build(5, list(combinations(range(5), 2)))
@@ -56,6 +61,20 @@ def test_decide_examples():
     assert decide_flow_monitors(DecInstance(TRIANGLE, 1, 2))
     multi = Graph.build(2, [(0, 1), (0, 1), (0, 1)])
     assert not decide_flow_monitors(DecInstance(multi, 1, 1))
+
+
+@settings(max_examples=150)
+@given(multigraphs(max_n=6, max_m=11))
+def test_decide_matches_traversal(g):
+    # loops and parallel edges included; every tractable k and every l
+    m = len(g.edges)
+    for k in range(m + 1):
+        if comb(m, k) > 5_000:
+            continue
+        for l in range(m + 1):
+            inst = DecInstance(g, k, l)
+            assert decide_flow_monitors(inst) == decide_by_traversal(inst), (k, l)
+    assert not decide_flow_monitors(DecInstance(g, m + 1, 0))
 
 
 def test_decide_size_guard():
@@ -118,6 +137,19 @@ def test_lemma1_examples():
     assert lemma1_check(5, 2)  # (4,1) beats (3,2)
     assert lemma1_check(5, 5)  # only (1,1,1,1,1): vacuous uniqueness
     assert lemma1_check(7, 1)
+
+
+def test_partitions_are_the_sorted_compositions():
+    for n in range(1, 13):
+        for s in range(1, n + 1):
+            shapes = list(partitions(n, s))
+            assert len(shapes) == len(set(shapes))
+            sorted_compositions = set()
+            for cuts in combinations(range(1, n), s - 1):
+                bounds = (0, *cuts, n)
+                parts = (bounds[i + 1] - bounds[i] for i in range(s))
+                sorted_compositions.add(tuple(sorted(parts, reverse=True)))
+            assert set(shapes) == sorted_compositions
 
 
 def test_lemma1_exhaustive_small():

@@ -102,9 +102,13 @@ def test_greedy_matches_reference_simulation(g, k, sigma):
 
 
 @settings(max_examples=200)
-@given(multigraphs(), st.integers(1, 5), st.integers(1, 3))
-def test_greedy_matches_traversal_solver(g, k, sigma):
-    # monitors, extras, gain and every StepRecord field, ties included
+@given(multigraphs(), st.data())
+def test_greedy_matches_traversal_solver(g, data):
+    # monitors, extras, gain and every StepRecord field, ties included;
+    # sigma reaches m - 1, the largest batch that still enumerates
+    m = len(g.edges)
+    sigma = data.draw(st.integers(1, max(1, m - 1)))
+    k = data.draw(st.integers(1, max(5, m)))
     cfg = SolverConfig(k=k, sigma=sigma)
     assert sigma_greedy(g, cfg) == sigma_greedy_by_traversal(g, cfg)
 
@@ -118,6 +122,39 @@ def test_greedy_residuals_are_canonical():
     steps = one_greedy(g, 3).trace.steps
     assert [s.monitors_placed for s in steps] == [{0}, {4}, {2}]
     assert steps[2].collected == {2, 7}
+
+
+def _cycle_batch(n, sigma):
+    return sigma_greedy(gen_cycle(n), SolverConfig(k=sigma, sigma=sigma))
+
+
+def test_greedy_batch_of_m_minus_1_on_a_long_cycle():
+    # a batch of 1,099: a walk recursing once per pick would overflow
+    sol = _cycle_batch(1100, 1099)
+    assert sol.monitors == frozenset(range(1099))
+    assert sol.determined_extras == {1099}
+    assert sol.gain == gen_cycle(1100).total_weight()
+
+
+def test_greedy_large_batch_stops_at_the_live_total():
+    # every cycle edge has the same label, so the first edge spans all;
+    # the walk must stop there rather than visit C(150, 147) candidates
+    sol = _cycle_batch(150, 147)
+    assert sol.monitors == frozenset(range(147))
+    assert sol.determined_extras == {147, 148, 149}
+    assert sol.gain == gen_cycle(150).total_weight()
+    assert sol.trace.steps[0].candidates == 551_300
+
+
+def test_greedy_deep_batch_of_independent_loops():
+    # loops at one vertex have independent labels, so the walk holds 1,098
+    # open prefixes before the last pick completes the first subset worth
+    # the live total (the unpicked loop weighs 0)
+    g = Graph.build(1, [(0, 0, 1)] * 1099 + [(0, 0, 0)])
+    sol = sigma_greedy(g, SolverConfig(k=1099, sigma=1099))
+    assert sol.monitors == frozenset(range(1099))
+    assert sol.determined_extras == frozenset()
+    assert sol.gain == Weight.from_units(1099)
 
 
 @given(multigraphs(max_n=6, max_m=10), st.integers(1, 4))

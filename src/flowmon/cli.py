@@ -2,9 +2,11 @@
 
 Subcommands: gen, reduce, solve, exact, infer, kernel, hardness, bench.
 Exit codes: 0 success, 1 verifier mismatch (hardness, bench) or a broken
-internal invariant (a plain FlowmonError), 2 parse/validation error,
-3 size-guard refusal, 4 inconsistent measurements. All output is line-oriented plain text and
-deterministic for fixed inputs and seeds (bench timings excepted).
+internal invariant (a plain FlowmonError), 2 parse/validation error
+(including an unreadable or non-UTF-8 input file and an unwritable
+output path), 3 size-guard refusal, 4 inconsistent measurements. All
+output is line-oriented plain text and deterministic for fixed inputs
+and seeds (bench timings excepted).
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from . import bench as bench_mod
 from . import generators
 from .errors import FlowmonError, ParseError, SizeGuardError, ValidationError
 from .flowsim import infer
-from .graph import Graph
 from .hardness import LEMMA1_MAX_COMBOS, lemma1_check, verify_star_canonical, verify_star_random
 from .kernel import kernel_graph
 from .reduce import preprocess
@@ -34,19 +35,22 @@ from .textio import (
 from .weights import Weight
 
 
-def _read_graph(path: str) -> Graph:
+def _read_text(path: str) -> str:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
-    return parse_graph(text)
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
+def _write_text(path: str | None, text: str) -> None:
+    """Write to path, or to stdout when no path is given."""
+    if not path:
         sys.stdout.write(text)
+        return
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from None
 
 
 def _cmd_gen(args) -> int:
@@ -66,8 +70,8 @@ def _cmd_gen(args) -> int:
     g = generators.build_instance(spec)
     if args.family == "fig1" and args.readings_out:
         _, _, readings = generators.gen_fig1()
-        Path(args.readings_out).write_text(format_readings(readings))
-    _emit(format_graph(g), args.output)
+        _write_text(args.readings_out, format_readings(readings))
+    _write_text(args.output, format_graph(g))
     return 0
 
 
@@ -80,14 +84,10 @@ def _parse_weight_range(text: str) -> tuple[int, int]:
 
 
 def _cmd_reduce(args) -> int:
-    g = _read_graph(args.graph)
+    g = parse_graph(_read_text(args.graph))
     reduced, rmap = preprocess(g)
-    _emit(format_graph(reduced), args.output)
-    map_text = format_reduction_map(rmap, g.vertex_count, len(g.edges))
-    if args.map_out:
-        Path(args.map_out).write_text(map_text)
-    else:
-        sys.stdout.write(map_text)
+    _write_text(args.output, format_graph(reduced))
+    _write_text(args.map_out, format_reduction_map(rmap, g.vertex_count, len(g.edges)))
     return 0
 
 
@@ -107,46 +107,45 @@ def _solution_lines(sol: Solution, trace: bool) -> str:
 
 
 def _cmd_solve(args) -> int:
-    g = _read_graph(args.graph)
+    g = parse_graph(_read_text(args.graph))
     sol = solve_pipeline(g, args.k, make_solver(args.algo))
-    _emit(_solution_lines(sol, args.trace), args.output)
+    _write_text(args.output, _solution_lines(sol, args.trace))
     return 0
 
 
 def _cmd_exact(args) -> int:
-    g = _read_graph(args.graph)
+    g = parse_graph(_read_text(args.graph))
     sol = exact(g, args.k)
-    _emit(_solution_lines(sol, trace=False), args.output)
+    _write_text(args.output, _solution_lines(sol, trace=False))
     return 0
 
 
 def _cmd_infer(args) -> int:
-    g = _read_graph(args.graph)
+    g = parse_graph(_read_text(args.graph))
     monitors = parse_edge_id_list(args.monitors)
-    try:
-        readings = parse_readings(Path(args.readings).read_text())
-    except OSError as exc:
-        raise ParseError(f"cannot read {args.readings}: {exc}") from None
+    readings = parse_readings(_read_text(args.readings))
     result = infer(g, monitors, readings)
     lines = [f"F {e} {result.determined[e]}" for e in sorted(result.determined)]
     lines += [f"U {e}" for e in sorted(result.undetermined)]
     lines.append(f"CONSISTENT {'yes' if result.consistent else 'no'}")
-    _emit("\n".join(lines) + "\n", args.output)
+    _write_text(args.output, "\n".join(lines) + "\n")
     return 0 if result.consistent else 4
 
 
 def _cmd_kernel(args) -> int:
-    g = _read_graph(args.graph)
+    g = parse_graph(_read_text(args.graph))
     kg = kernel_graph(g, parse_edge_id_list(args.monitors))
     out = format_graph(kg.graph)
     out += "".join(f"K {i} {orig}\n" for i, orig in enumerate(kg.represents))
-    _emit(out, args.output)
+    _write_text(args.output, out)
     return 0
 
 
 def _cmd_hardness(args) -> int:
     if args.max_n < 1:
         raise ValidationError("--max-n must be at least 1")
+    if args.random_instances < 0:
+        raise ValidationError("--random-instances must be non-negative")
     lines = []
     failed = False
     if args.lemma1:
@@ -174,7 +173,7 @@ def _cmd_hardness(args) -> int:
     if not lines:
         raise ValidationError("choose --verify-star and/or --lemma1")
     lines.append(f"OVERALL {'FAIL' if failed else 'PASS'}")
-    _emit("\n".join(lines) + "\n", args.output)
+    _write_text(args.output, "\n".join(lines) + "\n")
     return 1 if failed else 0
 
 

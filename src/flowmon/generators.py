@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import combinations
+from math import comb
 
 from .errors import ValidationError
 from .graph import Graph
@@ -143,8 +145,6 @@ def gen_random(
     rng = random.Random(seed)
     edges: list[tuple[int, int]] = []
     if simple:
-        from itertools import combinations
-
         pairs = list(combinations(range(n), 2))
         if m > len(pairs):
             raise ValidationError(f"a simple graph on {n} vertices holds at most {len(pairs)} edges")
@@ -211,16 +211,23 @@ def build_instance(spec: GeneratorSpec) -> Graph:
 
 
 def random_connected_multigraph(
-    n: int, m: int, seed: int, weight_lo: int = 1, weight_hi: int = 1
+    n: int, m: int, seed: int, weight_lo: int = 1, weight_hi: int = 1, simple: bool = False
 ) -> Graph:
     """Seeded connected multigraph: random spanning tree plus arbitrary
-    extra edges (parallels and loops allowed). Needs m >= n-1."""
+    extra edges (parallels and loops allowed). Needs m >= n-1. With
+    `simple`, the extras are distinct pairs the tree does not use."""
     if n < 1:
         raise ValidationError("n must be positive")
     if m < n - 1:
         raise ValidationError("connectivity needs at least n-1 edges")
+    if simple and m > comb(n, 2):
+        raise ValidationError(f"a simple graph on {n} vertices holds at most {comb(n, 2)} edges")
     rng = random.Random(seed)
     edges = [(rng.randrange(v), v) for v in range(1, n)]
+    if simple:
+        tree = set(edges)  # each tree pair (u, v) already has u < v
+        others = [p for p in combinations(range(n), 2) if p not in tree]
+        edges += rng.sample(others, m - (n - 1))
     while len(edges) < m:
         edges.append((rng.randrange(n), rng.randrange(n)))
     weighted = [(u, v, rng.randint(weight_lo, weight_hi)) for u, v in edges]

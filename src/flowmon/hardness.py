@@ -22,6 +22,7 @@ from math import comb
 from typing import Iterable, Iterator
 
 from .errors import SizeGuardError, ValidationError
+from .generators import random_connected_multigraph
 from .graph import (
     EdgeRecord,
     Graph,
@@ -235,21 +236,6 @@ def canonical_connected_graphs(n: int) -> Iterator[Graph]:
             yield g
 
 
-def random_connected_simple(n: int, m: int, seed: int) -> Graph:
-    """Seeded connected simple graph: a random spanning tree plus m-(n-1)
-    distinct extra non-tree pairs."""
-    if n < 1:
-        raise ValidationError("n must be positive")
-    if m < n - 1 or m > comb(n, 2):
-        raise ValidationError(f"need n-1 <= m <= C(n,2) for n={n}")
-    rng = random.Random(seed)
-    tree = [(rng.randrange(v), v) for v in range(1, n)]
-    tree_set = {tuple(sorted(e)) for e in tree}
-    others = [p for p in combinations(range(n), 2) if p not in tree_set]
-    extras = rng.sample(others, m - (n - 1))
-    return Graph.build(n, tree + extras)
-
-
 @dataclass(frozen=True)
 class StarReport:
     label: str
@@ -303,7 +289,7 @@ def verify_star_random(ns: Iterable[int], count: int, seed: int = 0) -> StarRepo
     for i in range(count):
         n = ns[i % len(ns)]
         m = rng.randint(n + 2, min(comb(n, 2), 2 * n - 1))
-        g = random_connected_simple(n, m, seed=rng.randrange(2**32))
+        g = random_connected_multigraph(n, m, seed=rng.randrange(2**32), simple=True)
         c, mm = _check_instance(g)
         checks += c
         mismatches += mm

@@ -1,5 +1,5 @@
 """Instance preprocessing: strip bridges, merge components, contract
-2-cut edge groups.
+2-cut edge groups, all read off one cut-label pass.
 
 A bridge of the input graph can only ever carry zero flow, so bridges are
 removed up front and reported separately. Distinct components are then
@@ -14,7 +14,7 @@ to the original graph with identical gain.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import FlowmonError, ValidationError
 from .graph import (
@@ -97,6 +97,16 @@ def merge_components(g: Graph) -> tuple[Graph, tuple[int, ...]]:
     return out, tuple(vmap)
 
 
+def _label_groups(labels: Sequence[int]) -> list[list[int]]:
+    """Edge ids grouped by equal non-zero label, each group ascending and
+    the groups in order of their lowest id."""
+    groups: dict[int, list[int]] = {}
+    for e, label in enumerate(labels):
+        if label:
+            groups.setdefault(label, []).append(e)
+    return list(groups.values())
+
+
 def edge_groups(g: Graph) -> tuple[frozenset[int], ...]:
     """Equivalence classes of "these two edges form a 2-cut".
 
@@ -108,43 +118,16 @@ def edge_groups(g: Graph) -> tuple[frozenset[int], ...]:
     labels = cut_labels(g)
     if component_count(g) > 1 or 0 in labels:
         raise ValidationError("edge groups are defined on 2-edge-connected graphs")
-    classes: dict[int, list[int]] = {}
-    for e, label in enumerate(labels):
-        classes.setdefault(label, []).append(e)
-    return tuple(frozenset(cls) for cls in classes.values())
+    return tuple(frozenset(cls) for cls in _label_groups(labels))
 
 
 def contract_groups(g: Graph) -> tuple[Graph, ReductionMap]:
-    """Collapse every multi-edge group to its deputy.
-
-    The deputy is the highest-id group member and carries the group's
-    total weight; all other members are contracted (their endpoints
-    identified). Collapsing a whole cycle to one vertex with a loop is
-    legal and handled. The output is 3-edge-connected.
-    """
-    classes = edge_groups(g)
-    deputy_orig = [max(cls) for cls in classes]
-    group_of = {e: gi for gi, cls in enumerate(classes) for e in cls}
-    # contracting the non-deputy members merges exactly the vertices they
-    # connect; components come numbered by their lowest original vertex
-    vmap = component_labels(g, make_mask(g, deputy_orig))
-
-    group_weight = [Weight(sum(g.weights_micros[e] for e in cls)) for cls in classes]
-    survivors = sorted(deputy_orig)
-    new_id_of_orig = {orig: i for i, orig in enumerate(survivors)}
-    records = []
-    for i, orig in enumerate(survivors):
-        rec = g.edges[orig]
-        records.append(EdgeRecord(i, vmap[rec.u], vmap[rec.v], group_weight[group_of[orig]]))
-    reduced = Graph(max(vmap, default=-1) + 1, records)
-    rmap = ReductionMap(
-        vertex_map=tuple(vmap),
-        group_of=group_of,
-        deputy_of_group=tuple(new_id_of_orig[d] for d in deputy_orig),
-        orig_edge_of_reduced=tuple(survivors),
-        stripped_bridges=frozenset(),
-    )
-    return reduced, rmap
+    """Collapse every edge group to its deputy, the highest-id member,
+    carrying the group's total weight. Raises ValidationError unless g is
+    connected and bridgeless, where preprocess's one label pass strips and
+    merges nothing and so is this contraction."""
+    edge_groups(g)
+    return preprocess(g)
 
 
 def lift_monitors(m_reduced: Iterable[int], rmap: ReductionMap) -> frozenset[int]:
@@ -164,26 +147,48 @@ def lift_monitors(m_reduced: Iterable[int], rmap: ReductionMap) -> frozenset[int
 
 
 def preprocess(g: Graph) -> tuple[Graph, ReductionMap]:
-    """strip_bridges, then merge_components, then contract_groups.
+    """strip_bridges, merge_components and contract_groups as one
+    contraction, read off one cut-label pass and built as one graph.
 
+    Bridges are the zero labels. Stripping them and gluing components
+    changes no cut, so the edge groups are the equal non-zero labels.
     Output is 3-edge-connected; a degenerate single vertex with loops is
-    possible and legal. The returned map composes all three stages and
-    speaks original vertex/edge ids throughout.
+    possible and legal. The map speaks original vertex/edge ids.
     """
-    stripped_g, dropped = strip_bridges(g)
-    kept = [e.id for e in g.edges if e.id not in dropped]
-    merged_g, vmap_merge = merge_components(stripped_g)
-    reduced, cmap = contract_groups(merged_g)
+    labels = cut_labels(g)
+    classes = _label_groups(labels)
+    dropped = frozenset(e for e, label in enumerate(labels) if not label)
+    deputy_orig = [cls[-1] for cls in classes]
+    group_of = {e: gi for gi, cls in enumerate(classes) for e in cls}
 
-    vertex_map = tuple(
-        cmap.vertex_map[vmap_merge[v]] for v in range(g.vertex_count)
-    )
-    group_of = {kept[e]: gi for e, gi in cmap.group_of.items()}
+    glue = component_labels(g, make_mask(g, dropped))
+    comp = component_labels(g, make_mask(g, [*dropped, *deputy_orig]))
+    # merging glues the lowest vertex of each component of G - B to vertex
+    # 0; the parts of G - B - deputies holding none follow in vertex order
+    roots = {}
+    for v, c in enumerate(glue):
+        roots.setdefault(c, comp[v])
+    name = dict.fromkeys(roots.values(), 0)
+    nxt = 1
+    for c in comp:
+        if c not in name:
+            name[c] = nxt
+            nxt += 1
+    vertex_map = tuple([name[c] for c in comp])
+
+    w = g.weights_micros
+    survivors = sorted(deputy_orig)
+    new_id_of_orig = {orig: i for i, orig in enumerate(survivors)}
+    records = []
+    for i, orig in enumerate(survivors):
+        rec = g.edges[orig]
+        weight = Weight(sum(w[e] for e in classes[group_of[orig]]))
+        records.append(EdgeRecord(i, vertex_map[rec.u], vertex_map[rec.v], weight))
     rmap = ReductionMap(
         vertex_map=vertex_map,
         group_of=group_of,
-        deputy_of_group=cmap.deputy_of_group,
-        orig_edge_of_reduced=tuple(kept[e] for e in cmap.orig_edge_of_reduced),
+        deputy_of_group=tuple(new_id_of_orig[d] for d in deputy_orig),
+        orig_edge_of_reduced=tuple(survivors),
         stripped_bridges=dropped,
     )
-    return reduced, rmap
+    return Graph(nxt if vertex_map else 0, records), rmap

@@ -14,7 +14,11 @@ likewise pins the label-counting decision, and label_span (the span as
 an explicit set) is the reference for the folded residuals. Likewise
 infer_by_traversal is inference as it was before the kernel-forest
 pass: one reachable_from traversal per bridge of G - M, pinning infer
-to the same values, verdicts and violation lists.
+to the same values, verdicts and violation lists. preprocess_by_stages
+is preprocessing as it was before its single label pass: strip_bridges,
+merge_components and the old contract_groups body, each building its own
+graph, with the three maps composed; it pins preprocess's reduced graph
+and every ReductionMap field.
 """
 
 from __future__ import annotations
@@ -26,8 +30,16 @@ from typing import Iterable
 from flowmon import solvers
 from flowmon.errors import CandidateBudgetError, ValidationError
 from flowmon.flowsim import InferenceResult, Measurements
-from flowmon.graph import Graph, bridge_ids, component_labels, make_mask, reachable_from
+from flowmon.graph import (
+    EdgeRecord,
+    Graph,
+    bridge_ids,
+    component_labels,
+    make_mask,
+    reachable_from,
+)
 from flowmon.hardness import DecInstance
+from flowmon.reduce import ReductionMap, edge_groups, merge_components, strip_bridges
 from flowmon.solvers import GreedyTrace, Solution, SolverConfig, StepRecord
 from flowmon.weights import Weight
 
@@ -331,3 +343,51 @@ def infer_by_traversal(g: Graph, monitors: Iterable[int], readings: Measurements
         if net[c] != 0
     )
     return InferenceResult(determined, undetermined, not violations, violations)
+
+
+def _contract_groups_by_components(g: Graph) -> tuple[Graph, ReductionMap]:
+    classes = edge_groups(g)
+    deputy_orig = [max(cls) for cls in classes]
+    group_of = {e: gi for gi, cls in enumerate(classes) for e in cls}
+    # contracting the non-deputy members merges exactly the vertices they
+    # connect; components come numbered by their lowest original vertex
+    vmap = component_labels(g, make_mask(g, deputy_orig))
+
+    group_weight = [Weight(sum(g.weights_micros[e] for e in cls)) for cls in classes]
+    survivors = sorted(deputy_orig)
+    new_id_of_orig = {orig: i for i, orig in enumerate(survivors)}
+    records = []
+    for i, orig in enumerate(survivors):
+        rec = g.edges[orig]
+        records.append(EdgeRecord(i, vmap[rec.u], vmap[rec.v], group_weight[group_of[orig]]))
+    reduced = Graph(max(vmap, default=-1) + 1, records)
+    rmap = ReductionMap(
+        vertex_map=tuple(vmap),
+        group_of=group_of,
+        deputy_of_group=tuple(new_id_of_orig[d] for d in deputy_orig),
+        orig_edge_of_reduced=tuple(survivors),
+        stripped_bridges=frozenset(),
+    )
+    return reduced, rmap
+
+
+def preprocess_by_stages(g: Graph) -> tuple[Graph, ReductionMap]:
+    """strip_bridges, then merge_components, then contract the groups,
+    with the three maps composed into original ids."""
+    stripped_g, dropped = strip_bridges(g)
+    kept = [e.id for e in g.edges if e.id not in dropped]
+    merged_g, vmap_merge = merge_components(stripped_g)
+    reduced, cmap = _contract_groups_by_components(merged_g)
+
+    vertex_map = tuple(
+        cmap.vertex_map[vmap_merge[v]] for v in range(g.vertex_count)
+    )
+    group_of = {kept[e]: gi for e, gi in cmap.group_of.items()}
+    rmap = ReductionMap(
+        vertex_map=vertex_map,
+        group_of=group_of,
+        deputy_of_group=cmap.deputy_of_group,
+        orig_edge_of_reduced=tuple(kept[e] for e in cmap.orig_edge_of_reduced),
+        stripped_bridges=dropped,
+    )
+    return reduced, rmap

@@ -239,3 +239,45 @@ def test_hardness_lemma1_size_guard(capsys, monkeypatch):
     code, out = run_cli("hardness", "--lemma1", "--max-n", "40")
     assert code == 3 and out == ""
     assert f"the guard allows {hardness.LEMMA1_MAX_COMBOS}" in capsys.readouterr().err
+
+
+def test_non_utf8_graph_exits_2(tmp_path, capsys):
+    graph = tmp_path / "bad.graph"
+    graph.write_bytes(b"\xff\xfe")
+    code, out = run_cli("reduce", str(graph))
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err.startswith(f"error: cannot read {graph}: ")
+
+
+def test_non_utf8_readings_exit_2(fig1_files, tmp_path, capsys):
+    graph, _ = fig1_files
+    readings = tmp_path / "bad.readings"
+    readings.write_bytes(b"r 0 \xff\n")
+    code, out = run_cli("infer", "-m", "0", "-r", str(readings), str(graph))
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err.startswith(f"error: cannot read {readings}: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("reduce", "GRAPH", "-o", "OUT"),
+        ("reduce", "GRAPH", "--map-out", "OUT"),
+        ("solve", "GRAPH", "--algo", "greedy1", "-k", "1", "-o", "OUT"),
+        ("gen", "fig1", "--readings-out", "OUT"),
+    ],
+    ids=["output", "map-out", "solve-output", "readings-out"],
+)
+def test_unwritable_output_exits_2(fig1_files, tmp_path, capsys, argv):
+    graph, _ = fig1_files
+    target = tmp_path / "missing" / "out.txt"
+    argv = [str(graph) if a == "GRAPH" else str(target) if a == "OUT" else a for a in argv]
+    code, _ = run_cli(*argv)
+    assert code == 2 and not target.exists()
+    assert capsys.readouterr().err.startswith(f"error: cannot write {target}: ")
+
+
+def test_hardness_rejects_negative_random_instances(capsys):
+    code, out = run_cli("hardness", "--verify-star", "--random-instances", "-2")
+    assert code == 2 and out == ""
+    assert "--random-instances must be non-negative" in capsys.readouterr().err

@@ -163,3 +163,14 @@ def test_outputs_round_trip_bit_exactly(g):
 def test_any_random_instance_round_trips(seed):
     g = gen_random(1 + seed % 8, seed % 13, seed=seed, weight_lo=1, weight_hi=5)
     assert parse_graph(format_graph(g)) == g
+
+
+def test_random_connected_simple_mode():
+    for seed in range(20):
+        g = random_connected_multigraph(7, 12, seed, simple=True)
+        pairs = {(min(e.u, e.v), max(e.u, e.v)) for e in g.edges if e.u != e.v}
+        assert len(pairs) == len(g.edges) == 12
+        assert max(connected_components(g)) == 0
+    assert len(random_connected_multigraph(5, 10, 3, simple=True).edges) == 10
+    with pytest.raises(ValidationError, match="at most 10 edges"):
+        random_connected_multigraph(5, 11, 3, simple=True)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowmon.errors import SizeGuardError, ValidationError
+from flowmon.generators import random_connected_multigraph
 from flowmon.graph import Graph, bridge_ids, make_mask
 from flowmon.hardness import (
     CliqueInstance,
@@ -18,7 +19,6 @@ from flowmon.hardness import (
     has_clique,
     lemma1_check,
     partitions,
-    random_connected_simple,
     reduce_clique,
     verify_star_canonical,
     verify_star_random,
@@ -128,7 +128,7 @@ def test_has_clique_cross_check(seed, n):
 
     rng = _r.Random(seed)
     m = rng.randint(n - 1, min(n * (n - 1) // 2, 2 * n))
-    g = random_connected_simple(n, m, seed)
+    g = random_connected_multigraph(n, m, seed, simple=True)
     for q in range(3, n + 1):
         assert has_clique(g, q) == _has_clique_second_enumeration(g, q)
 
@@ -183,7 +183,7 @@ def test_forward_witness_realizes_the_bound(seed):
     rng = _r.Random(seed)
     n = rng.randint(4, 7)
     m = rng.randint(n + 2, min(n * (n - 1) // 2, 2 * n))
-    g = random_connected_simple(n, m, seed)
+    g = random_connected_multigraph(n, m, seed, simple=True)
     for q in range(3, n + 1):
         try:
             dec = reduce_clique(CliqueInstance(g, q))

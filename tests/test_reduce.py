@@ -21,7 +21,13 @@ from flowmon.solvers import exact
 from flowmon.weights import Weight
 
 from conftest import bridgeless_graphs, multigraphs
-from oracles import components_naive, exact_reference, is_pair_two_cut, two_cut_classes_by_pairs
+from oracles import (
+    components_naive,
+    exact_reference,
+    is_pair_two_cut,
+    preprocess_by_stages,
+    two_cut_classes_by_pairs,
+)
 
 TWO_TRIANGLES_JOINED = Graph.build(
     6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)]
@@ -275,3 +281,58 @@ def test_preprocess_computes_cut_labels_once(monkeypatch):
     monkeypatch.setattr(reduce_mod, "cut_labels", counting)
     preprocess(gen_fig1()[0])
     assert len(calls) == 1
+
+
+def _assert_same_reduction(g):
+    reduced, rmap = preprocess(g)
+    ref_reduced, ref_map = preprocess_by_stages(g)
+    assert reduced == ref_reduced
+    assert rmap.vertex_map == ref_map.vertex_map
+    assert rmap.group_of == ref_map.group_of
+    assert rmap.deputy_of_group == ref_map.deputy_of_group
+    assert rmap.orig_edge_of_reduced == ref_map.orig_edge_of_reduced
+    assert rmap.stripped_bridges == ref_map.stripped_bridges
+
+
+@settings(max_examples=400)
+@given(multigraphs(max_n=10, max_m=14, min_w=0))
+def test_preprocess_matches_stages(g):
+    # loops, parallels, zero weights, isolated vertices, several components
+    _assert_same_reduction(g)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        Graph.build(0, []),
+        Graph.build(5, [(0, 1), (1, 2), (1, 3), (3, 4)]),  # a tree: all bridges
+        gen_cycle(5),
+        TWO_TRIANGLES_JOINED,
+    ],
+    ids=["empty", "tree", "cycle", "two-triangles"],
+)
+def test_preprocess_matches_stages_pinned(g):
+    _assert_same_reduction(g)
+
+
+def test_preprocess_does_one_pass(monkeypatch):
+    # one cut_labels pass, no lowpoint DFS and a single Graph build per call
+    calls = {"cut_labels": 0, "bridge_ids": 0, "Graph": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    labels = counting("cut_labels", graph_mod.cut_labels)
+    lowpoint = counting("bridge_ids", graph_mod.bridge_ids)
+    for mod in (graph_mod, reduce_mod):
+        monkeypatch.setattr(mod, "cut_labels", labels)
+        monkeypatch.setattr(mod, "bridge_ids", lowpoint)
+    monkeypatch.setattr(reduce_mod, "Graph", counting("Graph", Graph))
+    g = Graph.build(7, [(0, 1), (1, 2), (2, 0), (2, 3), (4, 5), (5, 6), (6, 4), (4, 4)])
+    for _ in range(2):
+        preprocess(g)
+    assert calls == {"cut_labels": 2, "bridge_ids": 0, "Graph": 2}

@@ -54,6 +54,8 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _cmd_gen(args) -> int:
+    if args.readings_out and args.family != "fig1":
+        raise ValidationError("--readings-out needs family fig1")
     lo, hi = _parse_weight_range(args.weights)
     spec = generators.GeneratorSpec(
         family=args.family,
@@ -68,7 +70,7 @@ def _cmd_gen(args) -> int:
         weight_hi=hi,
     )
     g = generators.build_instance(spec)
-    if args.family == "fig1" and args.readings_out:
+    if args.readings_out:
         _, _, readings = generators.gen_fig1()
         _write_text(args.readings_out, format_readings(readings))
     _write_text(args.output, format_graph(g))

@@ -2,7 +2,10 @@
 
 Parallel edges and self-loops are first class: an edge is identified by
 its dense integer id, never by its endpoints. Graphs are immutable once
-built. Traversals take a removal mask rather than copying the graph.
+built. There are two traversals, and both take a removal mask rather
+than copying the graph: component_labels is a flood fill, and
+search_forest grows the one depth-first forest that every tree pass
+(bridge_ids, cut_labels, subtree_sums) reads.
 
 The question "which edges does a monitor set M determine?" is answered by
 cut-space labels (Pritchard & Thurimella, "Fast computation of small
@@ -164,90 +167,84 @@ def component_count(g: Graph, removed: Sequence[int] | None = None) -> int:
 
 
 def reachable_from(g: Graph, start: int, removed: Sequence[int]) -> list[bool]:
-    """Vertices reachable from `start` ignoring masked edges.
+    """Vertices reachable from `start` ignoring masked edges: those that
+    share its component label. Only the reference inference in the test
+    oracles calls it."""
+    labels = component_labels(g, removed)
+    return [c == labels[start] for c in labels]
 
-    The library itself no longer needs this; it is the traversal the
-    reference inference in the test oracles uses.
+
+def search_forest(
+    n: int,
+    adjacency: Sequence[Sequence[tuple[int, int]]],
+    removed: Sequence[int] | None = None,
+) -> tuple[list[int], list[int]]:
+    """Depth-first forest, grown from each unvisited vertex in index order.
+
+    Returns the vertices in preorder (every vertex after its parent) and
+    each vertex's entry edge id (-1 for roots); masked edges are never
+    followed. Walking the order backwards visits every subtree before
+    its parent. The search is depth-first, so every unmasked edge outside
+    the forest that is not a loop joins a vertex to one of its
+    ancestors. An explicit stack of adjacency iterators replaces
+    recursion, so path-shaped graphs of any depth are fine.
     """
-    adj = g.adjacency
-    seen = [False] * g.vertex_count
-    seen[start] = True
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for w, eid in adj[v]:
-            if not removed[eid] and not seen[w]:
-                seen[w] = True
-                stack.append(w)
-    return seen
+    entry = [-1] * n
+    seen = [False] * n
+    order: list[int] = []
+    for root in range(n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        order.append(root)
+        stack = [iter(adjacency[root])]
+        while stack:
+            for w, eid in stack[-1]:
+                if not seen[w] and (removed is None or not removed[eid]):
+                    seen[w] = True
+                    entry[w] = eid
+                    order.append(w)
+                    stack.append(iter(adjacency[w]))
+                    break
+            else:
+                stack.pop()
+    return order, entry
 
 
 def bridge_ids(g: Graph, removed: Sequence[int] | None = None) -> list[int]:
     """Bridges of the graph minus the masked edges, as a list of edge ids.
 
-    Iterative lowpoint traversal keyed on edge ids, not parent vertices:
-    the entry edge into a vertex is skipped exactly once, so a parallel
-    edge with a different id still counts as a back edge and neither of
-    the pair is ever reported. Self-loops are absent from the adjacency
-    lists and are never bridges. No recursion, so path-shaped graphs of
-    any depth are fine.
+    Each unmasked non-tree edge of search_forest joins a vertex to an
+    ancestor and covers the tree path between them: it adds +1 at its
+    later end in preorder and -1 at the earlier. One leaf-to-root pass
+    sums these over the subtree below each tree edge, which is the
+    number of edges covering it; a tree edge nothing covers is a bridge.
+    Tree edges are told apart by id, so a parallel edge covers its twin
+    and neither is reported. Self-loops are never bridges.
     """
     if removed is None:
         removed = g._zero_mask
-    n = g.vertex_count
-    adj = g.adjacency
-    disc = [-1] * n
-    low = [0] * n
-    out: list[int] = []
-    timer = 0
-    # parallel stacks: vertex, edge id used to enter it, next adjacency index
-    sv: list[int] = []
-    se: list[int] = []
-    si: list[int] = []
-    for root in range(n):
-        if disc[root] >= 0:
+    order, entry = search_forest(g.vertex_count, g.adjacency, removed)
+    pos = [0] * g.vertex_count
+    for i, v in enumerate(order):
+        pos[v] = i
+    edges = g.edges
+    cover = [0] * g.vertex_count
+    for eid, u, v, _ in edges:
+        if removed[eid] or u == v or entry[u] == eid or entry[v] == eid:
             continue
-        disc[root] = low[root] = timer
-        timer += 1
-        sv.append(root)
-        se.append(-1)
-        si.append(0)
-        while sv:
-            v = sv[-1]
-            av = adj[v]
-            i = si[-1]
-            descended = False
-            lv = low[v]
-            while i < len(av):
-                w, eid = av[i]
-                i += 1
-                if removed[eid] or eid == se[-1]:
-                    continue
-                dw = disc[w]
-                if dw < 0:
-                    si[-1] = i
-                    low[v] = lv
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    sv.append(w)
-                    se.append(eid)
-                    si.append(0)
-                    descended = True
-                    break
-                if dw < lv:
-                    lv = dw
-            if descended:
-                continue
-            low[v] = lv
-            sv.pop()
-            entry = se.pop()
-            si.pop()
-            if sv:
-                p = sv[-1]
-                if lv < low[p]:
-                    low[p] = lv
-                if lv > disc[p]:
-                    out.append(entry)
+        if pos[u] < pos[v]:
+            u, v = v, u
+        cover[u] += 1
+        cover[v] -= 1
+    out: list[int] = []
+    for v in reversed(order):
+        eid = entry[v]
+        if eid >= 0:
+            if not cover[v]:
+                out.append(eid)
+            e = edges[eid]
+            cover[e.u + e.v - v] += cover[v]
     return out
 
 
@@ -312,34 +309,6 @@ def is_c_edge_connected(g: Graph, c: int) -> bool:
     return c == 2 or len(set(labels)) == len(labels)
 
 
-def search_forest(
-    n: int, adjacency: Sequence[Sequence[tuple[int, int]]]
-) -> tuple[list[int], list[int]]:
-    """Grow a search tree from each unvisited vertex, in index order.
-
-    Returns the vertices in visiting order (every vertex after its
-    parent) and each vertex's entry edge id (-1 for roots). Walking the
-    order backwards visits every subtree before its parent.
-    """
-    entry = [-1] * n
-    seen = [False] * n
-    order: list[int] = []
-    for root in range(n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            for w, eid in adjacency[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    entry[w] = eid
-                    stack.append(w)
-    return order, entry
-
-
 def subtree_sums(
     n: int, forest: Iterable[tuple[int, int, int]], values: Sequence[int]
 ) -> tuple[list[int], list[int], list[int]]:
@@ -367,7 +336,7 @@ def subtree_sums(
 def cut_labels(g: Graph) -> list[int]:
     """Exact cut-space label of every edge, as a Python int over GF(2).
 
-    Every edge outside a search forest (self-loops included) gets its
+    Every edge outside the depth-first forest (self-loops included) gets its
     own bit, and a forest edge gets the XOR of the bits of the
     fundamental cycles through it, found by one leaf-to-root pass. A set
     of edges is a cut of G exactly when its labels XOR to 0, so bridges

@@ -1,16 +1,20 @@
+import hashlib
 import io
 import os
+import random
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
 import flowmon
-from flowmon import cli, hardness, textio
+from flowmon import cli, generators, hardness, textio
 from flowmon.cli import main
-from flowmon.textio import parse_graph
+from flowmon.flowsim import measure, random_circulation
+from flowmon.graph import Graph
+from flowmon.textio import format_graph, format_readings, parse_graph
 
 
 def run_cli(*argv) -> tuple[int, str]:
@@ -281,3 +285,67 @@ def test_hardness_rejects_negative_random_instances(capsys):
     code, out = run_cli("hardness", "--verify-star", "--random-instances", "-2")
     assert code == 2 and out == ""
     assert "--random-instances must be non-negative" in capsys.readouterr().err
+
+
+def test_gen_readings_out_needs_fig1(tmp_path, capsys):
+    graph, readings = tmp_path / "c.graph", tmp_path / "c.readings"
+    code, out = run_cli("gen", "cycle", "-n", "4", "--readings-out", str(readings), "-o", str(graph))
+    assert code == 2 and out == ""
+    assert not graph.exists() and not readings.exists()
+    assert capsys.readouterr().err == "error: --readings-out needs family fig1\n"
+
+
+def seeded_cli_runs(count: int, seed: int) -> list[list[str]]:
+    """Write `count` seeded multigraphs (loops, parallels, fractional
+    weights) and monitor readings to the working directory, and return
+    the CLI runs over them: reduce with a map, solve --trace with every
+    solver at k 1-3, exact, infer (some readings perturbed) and kernel."""
+    rng = random.Random(seed)
+    runs = []
+    for i in range(count):
+        n = rng.randint(1, 8)
+        if rng.random() < 0.5:
+            base = generators.random_connected_multigraph(n, rng.randint(n - 1, n + 6), rng.randrange(10**6))
+        else:
+            base = generators.gen_random(n, rng.randint(0, 12), rng.randrange(10**6))
+        g = Graph.build(n, [(e.u, e.v, f"{rng.randint(0, 3)}.{rng.randrange(1000):03d}") for e in base.edges])
+        name = f"g{i}.graph"
+        Path(name).write_text(format_graph(g))
+        mon = sorted(rng.sample(range(len(g.edges)), min(len(g.edges), rng.randint(1, 3))))
+        readings = measure(random_circulation(g, seed=i), mon)
+        if mon and rng.random() < 0.2:
+            readings[mon[0]] += 1
+        Path(f"g{i}.readings").write_text(format_readings(readings))
+        ids = ",".join(map(str, mon))
+        runs.append(["reduce", name, "--map-out", f"g{i}.map"])
+        for algo in ("greedy1", "greedy2", "greedy:3", "exact"):
+            for k in ("1", "2", "3"):
+                runs.append(["solve", "--algo", algo, "-k", k, "--trace", name])
+        runs.append(["exact", "-k", str(rng.randint(1, 3)), name])
+        runs.append(["infer", "-m", ids, "-r", f"g{i}.readings", name])
+        runs.append(["kernel", "-m", ids, name])
+    return runs
+
+
+def cli_digest(runs: list[list[str]]) -> str:
+    """SHA-256 over each run's argv, exit code, stdout and stderr, and the
+    reduction map a reduce run writes."""
+    h = hashlib.sha256()
+    for argv in runs:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        h.update(repr((argv, code, out.getvalue(), err.getvalue())).encode())
+        if "--map-out" in argv:
+            h.update(Path(argv[-1]).read_bytes())
+    return h.hexdigest()
+
+
+# the CLI output must stay byte-identical: a new digest here is a
+# behaviour change, to be logged with its reason
+PINNED_CLI_DIGEST = "163721079327264b1ce2961a50742246eeb507d3e52d1db0b1e764c2b7becbb2"
+
+
+def test_cli_output_bytes_are_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli_digest(seeded_cli_runs(200, seed=0)) == PINNED_CLI_DIGEST

@@ -5,14 +5,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from flowmon.errors import ValidationError
+from flowmon.flowsim import infer
 from flowmon.graph import (
     Graph,
+    bridge_ids,
     bridges,
+    component_labels,
     connected_components,
     cut_labels,
     gain,
     fold_residual,
     is_c_edge_connected,
+    make_mask,
+    search_forest,
     span_search,
     spanning_forest,
 )
@@ -71,9 +76,56 @@ def test_self_loop_never_bridge():
     assert bridges(g) == {0}
 
 
-@given(multigraphs(max_n=7, max_m=14))
-def test_bridges_match_removal_oracle(g):
+@given(multigraphs(max_n=7, max_m=14), st.data())
+def test_bridges_match_removal_oracle(g, data):
+    m = len(g.edges)
+    removed = frozenset(data.draw(st.sets(st.integers(0, m - 1)))) if m else frozenset()
     assert bridges(g) == bridges_by_removal(g)
+    assert frozenset(bridge_ids(g, make_mask(g, removed))) == bridges_by_removal(g, removed)
+
+
+@given(multigraphs(max_n=8, max_m=16), st.data())
+def test_search_forest_is_a_dfs(g, data):
+    m = len(g.edges)
+    mask = make_mask(g, data.draw(st.sets(st.integers(0, m - 1))) if m else ())
+    order, entry = search_forest(g.vertex_count, g.adjacency, mask)
+    assert sorted(order) == list(range(g.vertex_count))
+    parent = [-1] * g.vertex_count
+    for v, eid in enumerate(entry):
+        if eid >= 0:
+            e = g.edges[eid]
+            assert not mask[eid] and not e.is_loop and v in (e.u, e.v)
+            parent[v] = e.u + e.v - v
+    pos = {v: i for i, v in enumerate(order)}
+    assert all(pos[parent[v]] < pos[v] for v in order if parent[v] >= 0)
+    labels = component_labels(g, mask)
+    roots = [v for v in order if entry[v] < 0]
+    assert roots == [labels.index(c) for c in range(max(labels, default=-1) + 1)]
+
+    def ancestors(v):
+        while v >= 0:
+            yield v
+            v = parent[v]
+
+    for e in g.edges:
+        if mask[e.id] or e.is_loop or e.id in (entry[e.u], entry[e.v]):
+            continue
+        assert e.u in ancestors(e.v) or e.v in ancestors(e.u)
+
+
+def test_tree_passes_do_not_recurse_on_deep_graphs():
+    # a 200,000-edge cycle with a 1,000-edge path hanging off vertex 0
+    cycle, tail = 200_000, 1_000
+    one = Weight.from_units(1)
+    edges = [(i, (i + 1) % cycle, one) for i in range(cycle)]
+    edges += [(0 if i == 0 else cycle + i - 1, cycle + i, one) for i in range(tail)]
+    g = Graph.build(cycle + tail, edges)
+    pendant = set(range(cycle, cycle + tail))
+    assert set(bridge_ids(g)) == pendant
+    assert {e for e, x in enumerate(cut_labels(g)) if not x} == pendant
+    result = infer(g, [0], {0: 5})
+    assert result.consistent and not result.undetermined
+    assert all(result.determined[e] == (5 if e < cycle else 0) for e in range(len(edges)))
 
 
 def test_gain_triangle():

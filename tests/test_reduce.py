@@ -316,7 +316,7 @@ def test_preprocess_matches_stages_pinned(g):
 
 
 def test_preprocess_does_one_pass(monkeypatch):
-    # one cut_labels pass, no lowpoint DFS and a single Graph build per call
+    # one cut_labels pass, no bridge_ids pass and a single Graph build per call
     calls = {"cut_labels": 0, "bridge_ids": 0, "Graph": 0}
 
     def counting(name, fn):
@@ -327,10 +327,10 @@ def test_preprocess_does_one_pass(monkeypatch):
         return wrapper
 
     labels = counting("cut_labels", graph_mod.cut_labels)
-    lowpoint = counting("bridge_ids", graph_mod.bridge_ids)
+    bridge_pass = counting("bridge_ids", graph_mod.bridge_ids)
     for mod in (graph_mod, reduce_mod):
         monkeypatch.setattr(mod, "cut_labels", labels)
-        monkeypatch.setattr(mod, "bridge_ids", lowpoint)
+        monkeypatch.setattr(mod, "bridge_ids", bridge_pass)
     monkeypatch.setattr(reduce_mod, "Graph", counting("Graph", Graph))
     g = Graph.build(7, [(0, 1), (1, 2), (2, 0), (2, 3), (4, 5), (5, 6), (6, 4), (4, 4)])
     for _ in range(2):

@@ -1,8 +1,10 @@
 """Run every command of the README's CLI block and check its exit code.
 
 The lines of the first fenced block under "## CLI" run in order, in one
-fresh temporary directory, through bash with `flowmon` replaced by
-`python -m flowmon` and this checkout's src/ on PYTHONPATH. A line
+fresh temporary directory, through bash with `flowmon` and
+`python -m flowmon` replaced by `<this interpreter> -m flowmon` and this
+checkout's src/ on PYTHONPATH, so every command runs under the Python
+that runs this script. A line
 expects exit 0, or N when its comment starts with "exit N". Prints one
 line per command and exits 1 if any exit code differs:
 
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import os
 import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -28,13 +31,14 @@ def cli_block(readme: str) -> list[str]:
 
 def main() -> int:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    flowmon = f"{shlex.quote(sys.executable)} -m flowmon "
     failed = 0
     with tempfile.TemporaryDirectory() as tmp:
         for line in cli_block((ROOT / "README.md").read_text(encoding="utf-8")):
             command, _, comment = line.partition("#")
             expected = re.match(r"\s*exit (\d+)", comment)
             want = int(expected.group(1)) if expected else 0
-            command = re.sub(r"(^|\| )flowmon ", r"\1python -m flowmon ", command.strip())
+            command = re.sub(r"(^|\| )(python -m )?flowmon ", lambda m: m.group(1) + flowmon, command.strip())
             run = subprocess.run(
                 ["bash", "-c", command], cwd=tmp, env=env, stdin=subprocess.DEVNULL,
                 stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,

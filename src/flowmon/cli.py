@@ -20,7 +20,13 @@ from . import bench as bench_mod
 from . import generators
 from .errors import FlowmonError, ParseError, SizeGuardError, ValidationError
 from .flowsim import infer
-from .hardness import LEMMA1_MAX_COMBOS, lemma1_check, verify_star_canonical, verify_star_random
+from .hardness import (
+    LEMMA1_MAX_COMBOS,
+    lemma1_check,
+    partition_total,
+    verify_star_canonical,
+    verify_star_random,
+)
 from .kernel import kernel_graph
 from .reduce import preprocess
 from .solvers import Solution, exact, make_solver, solve_pipeline
@@ -144,6 +150,9 @@ def _cmd_kernel(args) -> int:
 
 
 def _cmd_hardness(args) -> int:
+    """--lemma1 checks lemma1 for every 1 <= s <= n <= --max-n, one
+    enumeration per partition of n; it is refused (exit 3) when the
+    partitions of 1..max_n exceed LEMMA1_MAX_COMBOS, from --max-n 41."""
     if args.max_n < 1:
         raise ValidationError("--max-n must be at least 1")
     if args.random_instances < 0:
@@ -151,10 +160,10 @@ def _cmd_hardness(args) -> int:
     lines = []
     failed = False
     if args.lemma1:
-        total = 2**args.max_n - 1  # each n has 2^(n-1) compositions
+        total = partition_total(args.max_n, LEMMA1_MAX_COMBOS)
         if total > LEMMA1_MAX_COMBOS:
             raise SizeGuardError(
-                f"--lemma1 needs {total} compositions; the guard allows {LEMMA1_MAX_COMBOS}"
+                f"--lemma1 needs at least {total} partitions; the guard allows {LEMMA1_MAX_COMBOS}"
             )
         for n in range(1, args.max_n + 1):
             for s in range(1, n + 1):

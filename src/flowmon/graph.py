@@ -5,7 +5,7 @@ its dense integer id, never by its endpoints. Graphs are immutable once
 built. There are two traversals, and both take a removal mask rather
 than copying the graph: component_labels is a flood fill, and
 search_forest grows the one depth-first forest that every tree pass
-(bridge_ids, cut_labels, subtree_sums) reads.
+(bridge_ids, kernel_labels, cut_labels, subtree_sums) reads.
 
 The question "which edges does a monitor set M determine?" is answered by
 cut-space labels (Pritchard & Thurimella, "Fast computation of small
@@ -54,25 +54,30 @@ class Graph:
     __slots__ = ("vertex_count", "edges", "adjacency", "weights_micros", "_zero_mask")
 
     def __init__(self, vertex_count: int, edges: Iterable[EdgeRecord]):
+        """Validate the records (each id equals its position, endpoints
+        lie in range) and build the loop-free adjacency lists and the
+        weight column, in one pass that unpacks each record once."""
         edges = tuple(edges)
         if vertex_count < 0:
             raise ValidationError("vertex_count must be non-negative")
         adj: list[list[tuple[int, int]]] = [[] for _ in range(vertex_count)]
-        for i, e in enumerate(edges):
-            if e.id != i:
-                raise ValidationError(f"edge id {e.id} must equal its position {i}")
-            if not (0 <= e.u < vertex_count and 0 <= e.v < vertex_count):
-                raise ValidationError(f"edge {i} endpoints ({e.u},{e.v}) out of range")
-            if e.u != e.v:
-                adj[e.u].append((e.v, i))
-                adj[e.v].append((e.u, i))
+        micros = []
+        for i, (eid, u, v, w) in enumerate(edges):
+            if eid != i:
+                raise ValidationError(f"edge id {eid} must equal its position {i}")
+            if not (0 <= u < vertex_count and 0 <= v < vertex_count):
+                raise ValidationError(f"edge {i} endpoints ({u},{v}) out of range")
+            if u != v:
+                adj[u].append((v, i))
+                adj[v].append((u, i))
+            micros.append(w.micros)
         object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "edges", edges)
         # tuple() of a list, not of a generator: on CPython 3.11, tuples
         # grown from generators past 10 items left memory the allocator
         # kept, and peak RSS rose by 2 MiB over 12,000 graphs of 11-18 edges
         object.__setattr__(self, "adjacency", tuple([tuple(a) for a in adj]))
-        object.__setattr__(self, "weights_micros", tuple([e.weight.micros for e in edges]))
+        object.__setattr__(self, "weights_micros", tuple(micros))
         object.__setattr__(self, "_zero_mask", bytes(len(edges)))
 
     def __setattr__(self, name, value):
@@ -211,19 +216,20 @@ def search_forest(
     return order, entry
 
 
-def bridge_ids(g: Graph, removed: Sequence[int] | None = None) -> list[int]:
-    """Bridges of the graph minus the masked edges, as a list of edge ids.
+def _forest_bridges(
+    g: Graph, removed: Sequence[int]
+) -> tuple[list[int], list[int], list[int], list[int]]:
+    """search_forest's order and entry edges on G minus the masked edges;
+    cover[v], the number of unmasked edges covering the tree edge into v;
+    and the bridges, the tree edges nothing covers, leaves first.
 
-    Each unmasked non-tree edge of search_forest joins a vertex to an
-    ancestor and covers the tree path between them: it adds +1 at its
+    Each unmasked non-tree edge of a depth-first forest joins a vertex to
+    an ancestor and covers the tree path between them: it adds +1 at its
     later end in preorder and -1 at the earlier. One leaf-to-root pass
-    sums these over the subtree below each tree edge, which is the
-    number of edges covering it; a tree edge nothing covers is a bridge.
-    Tree edges are told apart by id, so a parallel edge covers its twin
-    and neither is reported. Self-loops are never bridges.
+    sums these over the subtree below each tree edge. Tree edges are told
+    apart by id, so a parallel edge covers its twin and neither is a
+    bridge. Self-loops cover nothing and are never bridges.
     """
-    if removed is None:
-        removed = g._zero_mask
     order, entry = search_forest(g.vertex_count, g.adjacency, removed)
     pos = [0] * g.vertex_count
     for i, v in enumerate(order):
@@ -245,21 +251,44 @@ def bridge_ids(g: Graph, removed: Sequence[int] | None = None) -> list[int]:
                 out.append(eid)
             e = edges[eid]
             cover[e.u + e.v - v] += cover[v]
-    return out
+    return order, entry, cover, out
+
+
+def bridge_ids(g: Graph, removed: Sequence[int] | None = None) -> list[int]:
+    """Bridges of the graph minus the masked edges, as a list of edge ids,
+    read off the cover counts of one depth-first forest (_forest_bridges)."""
+    if removed is None:
+        removed = g._zero_mask
+    return _forest_bridges(g, removed)[3]
 
 
 def kernel_labels(g: Graph, monitors: Iterable[int]) -> tuple[list[int], list[int]]:
     """The bridges B of G - M, and a component label per vertex of
     G - M - B (first-appearance order, as in component_labels).
 
-    The labels name the kernel vertices; each bridge joins two distinct
-    labels, and the bridges form a forest on them.
+    Both come off the one depth-first forest of G - M that finds B: no
+    edge covers a bridge, so the components of G - M - B are the pieces
+    of the forest cut at the bridges, each named by its top vertex and
+    then numbered by its lowest. The labels name the kernel
+    vertices; each bridge joins two distinct labels, and the bridges
+    form a forest on them.
     """
-    mask = make_mask(g, monitors)
-    exposed = bridge_ids(g, mask)
-    for e in exposed:
-        mask[e] = 1
-    return exposed, component_labels(g, mask)
+    order, entry, cover, exposed = _forest_bridges(g, make_mask(g, monitors))
+    edges = g.edges
+    head = list(range(g.vertex_count))  # the top vertex of each piece
+    for v in order:
+        eid = entry[v]
+        if eid >= 0 and cover[v]:
+            e = edges[eid]
+            head[v] = head[e.u + e.v - v]
+    labels = [-1] * g.vertex_count
+    c = 0
+    for v, h in enumerate(head):
+        if labels[h] < 0:
+            labels[h] = c
+            c += 1
+        labels[v] = labels[h]
+    return exposed, labels
 
 
 def connected_components(g: Graph) -> list[int]:

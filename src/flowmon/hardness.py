@@ -34,7 +34,9 @@ from .graph import (
 
 DECIDE_DEFAULT_BUDGET = 2_000_000
 CLIQUE_MAX_COMBOS = 5_000_000
-LEMMA1_MAX_COMBOS = 5_000_000
+# the partitions of 1..40 (215,307) take 2.5-2.8 s through lemma1_check
+# on one Xeon vCPU; --max-n 41 (259,890) is the first run refused
+LEMMA1_MAX_COMBOS = 250_000
 
 
 class ReductionInfeasible(ValidationError):
@@ -178,6 +180,28 @@ def partitions(n: int, s: int) -> Iterator[tuple[int, ...]]:
         top = min(parts[-1] if parts else rest, rest - left + 1)
         for a in range(max(1, -(-rest // left)), top + 1):
             stack.append((parts + (a,), rest - a))
+
+
+def partition_total(max_n: int, cap: int) -> int:
+    """p(1) + ... + p(max_n), the partitions lemma1_check enumerates for
+    every n <= max_n and s <= n, by Euler's pentagonal number recurrence.
+    Counting stops once the total passes cap, so a huge max_n costs
+    nothing to refuse."""
+    p = [1]
+    total = 0
+    for n in range(1, max_n + 1):
+        pn, k = 0, 1
+        while k * (3 * k - 1) // 2 <= n:
+            sign = 1 if k % 2 else -1
+            pn += sign * p[n - k * (3 * k - 1) // 2]
+            if k * (3 * k + 1) // 2 <= n:
+                pn += sign * p[n - k * (3 * k + 1) // 2]
+            k += 1
+        p.append(pn)
+        total += pn
+        if total > cap:
+            break
+    return total
 
 
 def lemma1_check(n: int, s: int) -> bool:

@@ -5,8 +5,9 @@ Graph format:
     e <u> <v> <w>      (m lines; 0-based endpoints, decimal weight)
     c ...              (comment, anywhere)
 
-Edge ids are assigned in file order. Readings files hold one
-`r <edge_id> <signed-int>` line per monitored edge.
+Edge ids are assigned in file order. The graph parser builds one Weight
+per distinct weight token, with the same checks on every line. Readings
+files hold one `r <edge_id> <signed-int>` line per monitored edge.
 """
 
 from __future__ import annotations
@@ -23,15 +24,21 @@ MAX_VERTICES = 1_000_000
 
 def parse_graph(text: str) -> Graph:
     """Parse the graph format. The running total of weights must fit in
-    MAX_MICROS, so no sum over the graph's weights can overflow later."""
+    MAX_MICROS, so no sum over the graph's weights can overflow later.
+
+    Each line is split once: it is blank when it has no fields and a
+    comment when its first field starts with "c". Each distinct weight
+    token is parsed once per call and its Weight shared by every edge
+    that carries it (a Weight is immutable); only tokens that parsed are
+    cached, so a bad token raises at its own line."""
     n = m = None
     records: list[EdgeRecord] = []
+    weights: dict[str, Weight] = {}
     total = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+        fields = raw.split()
+        if not fields or fields[0][0] == "c":
             continue
-        fields = line.split()
         if n is None:
             if fields[0] != "p" or len(fields) != 4 or fields[1] != "flowmon":
                 raise ParseError(f"line {lineno}: expected header 'p flowmon <n> <m>'")
@@ -46,16 +53,19 @@ def parse_graph(text: str) -> Graph:
             continue
         if fields[0] != "e" or len(fields) != 4:
             raise ParseError(f"line {lineno}: expected 'e <u> <v> <w>'")
+        _, u, v, token = fields
         try:
-            u, v = int(fields[1]), int(fields[2])
+            u, v = int(u), int(v)
         except ValueError:
             raise ParseError(f"line {lineno}: non-integer endpoint") from None
         if not (0 <= u < n and 0 <= v < n):
             raise ParseError(f"line {lineno}: endpoint out of range [0, {n})")
-        try:
-            w = Weight.parse(fields[3])
-        except (ParseError, WeightOverflowError) as exc:
-            raise ParseError(f"line {lineno}: {exc}") from None
+        w = weights.get(token)
+        if w is None:
+            try:
+                w = weights[token] = Weight.parse(token)
+            except (ParseError, WeightOverflowError) as exc:
+                raise ParseError(f"line {lineno}: {exc}") from None
         if len(records) >= m:
             raise ParseError(f"line {lineno}: more than the declared {m} edges")
         total += w.micros

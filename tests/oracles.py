@@ -18,7 +18,12 @@ to the same values, verdicts and violation lists. preprocess_by_stages
 is preprocessing as it was before its single label pass: strip_bridges,
 merge_components and the old contract_groups body, each building its own
 graph, with the three maps composed; it pins preprocess's reduced graph
-and every ReductionMap field.
+and every ReductionMap field. parse_graph_by_lines is the graph parser
+as it was before it split each line once and parsed each distinct
+weight token once, and pins parse_graph to the same Graph or the same
+ParseError text. kernel_labels_by_stages is kernel_labels as it was
+before it read the components off its depth-first forest: bridge_ids,
+then a component_labels flood fill with the bridges masked as well.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from math import comb
 from typing import Iterable
 
 from flowmon import solvers
-from flowmon.errors import CandidateBudgetError, ValidationError
+from flowmon.errors import CandidateBudgetError, ParseError, ValidationError, WeightOverflowError
 from flowmon.flowsim import InferenceResult, Measurements
 from flowmon.graph import (
     EdgeRecord,
@@ -41,7 +46,8 @@ from flowmon.graph import (
 from flowmon.hardness import DecInstance
 from flowmon.reduce import ReductionMap, edge_groups, merge_components, strip_bridges
 from flowmon.solvers import GreedyTrace, Solution, SolverConfig, StepRecord
-from flowmon.weights import Weight
+from flowmon.textio import MAX_VERTICES
+from flowmon.weights import MAX_MICROS, Weight
 
 
 def components_naive(n: int, edge_list: list[tuple[int, int]]) -> list[int]:
@@ -391,3 +397,60 @@ def preprocess_by_stages(g: Graph) -> tuple[Graph, ReductionMap]:
         stripped_bridges=dropped,
     )
     return reduced, rmap
+
+
+def parse_graph_by_lines(text: str) -> Graph:
+    """The graph parser with a strip, a split and a Weight.parse per line."""
+    n = m = None
+    records: list[EdgeRecord] = []
+    total = 0
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        fields = line.split()
+        if n is None:
+            if fields[0] != "p" or len(fields) != 4 or fields[1] != "flowmon":
+                raise ParseError(f"line {lineno}: expected header 'p flowmon <n> <m>'")
+            try:
+                n, m = int(fields[2]), int(fields[3])
+            except ValueError:
+                raise ParseError(f"line {lineno}: non-integer vertex or edge count") from None
+            if n < 0 or m < 0:
+                raise ParseError(f"line {lineno}: counts must be non-negative")
+            if n > MAX_VERTICES:
+                raise ParseError(f"line {lineno}: vertex count {n} exceeds the limit {MAX_VERTICES}")
+            continue
+        if fields[0] != "e" or len(fields) != 4:
+            raise ParseError(f"line {lineno}: expected 'e <u> <v> <w>'")
+        try:
+            u, v = int(fields[1]), int(fields[2])
+        except ValueError:
+            raise ParseError(f"line {lineno}: non-integer endpoint") from None
+        if not (0 <= u < n and 0 <= v < n):
+            raise ParseError(f"line {lineno}: endpoint out of range [0, {n})")
+        try:
+            w = Weight.parse(fields[3])
+        except (ParseError, WeightOverflowError) as exc:
+            raise ParseError(f"line {lineno}: {exc}") from None
+        if len(records) >= m:
+            raise ParseError(f"line {lineno}: more than the declared {m} edges")
+        total += w.micros
+        if total > MAX_MICROS:
+            raise ParseError(f"line {lineno}: total weight exceeds {MAX_MICROS} millionths")
+        records.append(EdgeRecord(len(records), u, v, w))
+    if n is None:
+        raise ParseError("line 1: missing 'p flowmon <n> <m>' header")
+    if len(records) != m:
+        raise ParseError(f"declared {m} edges but found {len(records)}")
+    return Graph(n, records)
+
+
+def kernel_labels_by_stages(g: Graph, monitors: Iterable[int]) -> tuple[list[int], list[int]]:
+    """The bridges B of G - M, then the components of G - M - B by a
+    second traversal with B masked as well."""
+    mask = make_mask(g, monitors)
+    exposed = bridge_ids(g, mask)
+    for e in exposed:
+        mask[e] = 1
+    return exposed, component_labels(g, mask)

@@ -240,9 +240,22 @@ def test_hardness_lemma1_size_guard(capsys, monkeypatch):
         raise AssertionError("lemma1_check ran past the size guard")
 
     monkeypatch.setattr(cli, "lemma1_check", no_check)
+    for max_n in ("41", str(10**9)):
+        code, out = run_cli("hardness", "--lemma1", "--max-n", max_n)
+        assert code == 3 and out == ""
+        assert f"the guard allows {hardness.LEMMA1_MAX_COMBOS}" in capsys.readouterr().err
+    # the partitions of 1..40 fit under the guard
+    monkeypatch.setattr(cli, "lemma1_check", lambda n, s: True)
     code, out = run_cli("hardness", "--lemma1", "--max-n", "40")
-    assert code == 3 and out == ""
-    assert f"the guard allows {hardness.LEMMA1_MAX_COMBOS}" in capsys.readouterr().err
+    assert code == 0 and out.splitlines()[-1] == "OVERALL PASS"
+
+
+def test_hardness_lemma1_runs_past_the_composition_count():
+    # 2^23 - 1 compositions, but only 5,006 partitions to enumerate
+    code, out = run_cli("hardness", "--lemma1", "--max-n", "23")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 23 * 24 // 2 + 1 and lines[-1] == "OVERALL PASS"
 
 
 def test_non_utf8_graph_exits_2(tmp_path, capsys):

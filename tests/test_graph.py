@@ -1,9 +1,10 @@
 from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowmon import graph as graph_mod
 from flowmon.errors import ValidationError
 from flowmon.flowsim import infer
 from flowmon.graph import (
@@ -16,6 +17,7 @@ from flowmon.graph import (
     gain,
     fold_residual,
     is_c_edge_connected,
+    kernel_labels,
     make_mask,
     search_forest,
     span_search,
@@ -28,6 +30,7 @@ from oracles import (
     bridges_by_removal,
     c_edge_connected_naive,
     gain_micros_by_definition,
+    kernel_labels_by_stages,
     label_span,
     two_cut_classes_by_pairs,
 )
@@ -111,6 +114,30 @@ def test_search_forest_is_a_dfs(g, data):
         if mask[e.id] or e.is_loop or e.id in (entry[e.u], entry[e.v]):
             continue
         assert e.u in ancestors(e.v) or e.v in ancestors(e.u)
+
+
+@settings(max_examples=300)
+@given(multigraphs(max_n=10, max_m=16), st.data())
+def test_kernel_labels_match_stages(g, data):
+    # loops, parallel edges, isolated vertices and several components
+    m = len(g.edges)
+    monitors = data.draw(st.sets(st.integers(0, m - 1))) if m else set()
+    assert kernel_labels(g, monitors) == kernel_labels_by_stages(g, monitors)
+
+
+def test_kernel_labels_do_not_flood_fill(monkeypatch):
+    # the components of G - M - B come off the forest that finds B
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return component_labels(*args, **kwargs)
+
+    monkeypatch.setattr(graph_mod, "component_labels", counting)
+    g = Graph.build(7, [(0, 1), (1, 2), (2, 0), (2, 3), (4, 5), (5, 6), (6, 4), (4, 4)])
+    exposed, labels = kernel_labels(g, [0])
+    assert calls == []
+    assert (sorted(exposed), labels) == ([1, 2, 3], [0, 1, 2, 3, 4, 4, 4])
 
 
 def test_tree_passes_do_not_recurse_on_deep_graphs():

@@ -18,6 +18,7 @@ from flowmon.hardness import (
     forward_witness,
     has_clique,
     lemma1_check,
+    partition_total,
     partitions,
     reduce_clique,
     verify_star_canonical,
@@ -150,6 +151,15 @@ def test_partitions_are_the_sorted_compositions():
                 parts = (bounds[i + 1] - bounds[i] for i in range(s))
                 sorted_compositions.add(tuple(sorted(parts, reverse=True)))
             assert set(shapes) == sorted_compositions
+
+
+def test_partition_total_counts_what_lemma1_enumerates():
+    enumerated = 0
+    for n in range(1, 31):
+        enumerated += sum(1 for s in range(1, n + 1) for _ in partitions(n, s))
+        assert partition_total(n, 10**9) == enumerated
+    # counting stops at the first total past the cap
+    assert partition_total(10**18, 100) == 138 == partition_total(10, 100)
 
 
 def test_lemma1_exhaustive_small():

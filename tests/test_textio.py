@@ -1,7 +1,8 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowmon import textio
 from flowmon.errors import ParseError
 from flowmon.graph import Graph
 from flowmon.textio import (
@@ -11,9 +12,10 @@ from flowmon.textio import (
     parse_graph,
     parse_readings,
 )
-from flowmon.weights import Weight
+from flowmon.weights import MAX_MICROS, Weight
 
 from conftest import multigraphs
+from oracles import parse_graph_by_lines
 
 
 def test_parse_simple_file():
@@ -114,3 +116,54 @@ def test_parse_readings_fuzz_returns_dict_or_parse_error(text):
         assert isinstance(parse_readings(text), dict)
     except ParseError:
         pass
+
+
+_micros = st.one_of(
+    st.sampled_from([0, 1, 250_000, 1_000_000, 1_500_000, 2_000_000]),
+    st.integers(0, 10**13),
+    st.integers(0, MAX_MICROS),
+)
+
+
+@st.composite
+def _fractional_graphs(draw):
+    n = draw(st.integers(1, 6))
+    edge = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), _micros.map(Weight))
+    return Graph.build(n, draw(st.lists(edge, max_size=12)))
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
+@settings(max_examples=500)
+@given(st.one_of(st.text(), _graph_texts, _fractional_graphs().map(format_graph)))
+def test_parse_graph_matches_line_by_line_parser(text):
+    assert _parse_outcome(parse_graph, text) == _parse_outcome(parse_graph_by_lines, text)
+
+
+def test_parse_graph_parses_each_token_once_per_call(monkeypatch):
+    # one Weight per distinct token, shared by its edges; nothing is kept
+    # from one call to the next, and a bad token raises at its own line
+    # in every call
+    calls = []
+
+    class CountingWeight(Weight):
+        @classmethod
+        def parse(cls, token):
+            calls.append(token)
+            return Weight.parse(token)
+
+    monkeypatch.setattr(textio, "Weight", CountingWeight)
+    text = "p flowmon 3 4\ne 0 1 1.5\ne 1 2 2\ne 2 0 1.5\ne 0 0 2\n"
+    first, second = parse_graph(text), parse_graph(text)
+    assert calls == ["1.5", "2", "1.5", "2"]
+    assert first == second and first.edges[0].weight is first.edges[2].weight
+    assert first.edges[0].weight is not second.edges[0].weight
+    for lineno in (2, 3):
+        bad = "p flowmon 2 2\n" + "e 0 1 1\n" * (lineno - 2) + "e 0 1 1.x\ne 0 1 1.x\n"
+        with pytest.raises(ParseError, match=f"^line {lineno}: bad weight '1.x'"):
+            parse_graph(bad)

@@ -28,8 +28,6 @@ from .flowsim import (
 from .graph import (
     EdgeRecord,
     Graph,
-    bridges,
-    connected_components,
     gain,
     is_c_edge_connected,
     spanning_forest,
@@ -51,10 +49,8 @@ from .solvers import (
     StepRecord,
     exact,
     full_determination,
-    one_greedy,
     sigma_greedy,
     solve_pipeline,
-    two_greedy,
 )
 from .weights import Weight
 
@@ -78,9 +74,7 @@ __all__ = [
     "ValidationError",
     "Weight",
     "WeightOverflowError",
-    "bridges",
     "check_kernel_bound",
-    "connected_components",
     "conservation_violations",
     "contract_groups",
     "edge_groups",
@@ -93,12 +87,10 @@ __all__ = [
     "lift_monitors",
     "measure",
     "merge_components",
-    "one_greedy",
     "preprocess",
     "random_circulation",
     "sigma_greedy",
     "solve_pipeline",
     "spanning_forest",
     "strip_bridges",
-    "two_greedy",
 ]

@@ -76,6 +76,7 @@ def _cmd_gen(args) -> int:
         weight_hi=hi,
     )
     g = generators.build_instance(spec)
+    g.total_weight()  # refuse a graph the parser would refuse, before writing
     if args.readings_out:
         _, _, readings = generators.gen_fig1()
         _write_text(args.readings_out, format_readings(readings))
@@ -152,11 +153,19 @@ def _cmd_kernel(args) -> int:
 def _cmd_hardness(args) -> int:
     """--lemma1 checks lemma1 for every 1 <= s <= n <= --max-n, one
     enumeration per partition of n; it is refused (exit 3) when the
-    partitions of 1..max_n exceed LEMMA1_MAX_COMBOS, from --max-n 41."""
+    partitions of 1..max_n exceed LEMMA1_MAX_COMBOS, from --max-n 41.
+    --verify-star checks graphs on 3 to min(--max-n, 7) vertices plus
+    --random-instances random ones, and is refused (exit 2) when that
+    leaves nothing to check."""
     if args.max_n < 1:
         raise ValidationError("--max-n must be at least 1")
     if args.random_instances < 0:
         raise ValidationError("--random-instances must be non-negative")
+    if args.verify_star and args.max_n < 3 and not args.random_instances:
+        raise ValidationError(
+            f"--verify-star checks graphs on at least 3 vertices; --max-n {args.max_n}"
+            " leaves none (raise --max-n or add --random-instances)"
+        )
     lines = []
     failed = False
     if args.lemma1:

@@ -9,11 +9,13 @@ the side containing the bridge's tail determines the bridge's flow from
 the monitor readings crossing into that side. Nothing else is forced,
 and nothing else is guessed.
 
-Inference works on the kernel forest: one contraction of the components
-of G - M - bridges(G - M), whose bridges then form a forest, and one
-leaf-to-root pass that sums the net monitor inflow of every subtree.
-Each bridge reads its flow off the side holding its stored tail, so the
-whole inference is linear in the size of the graph.
+Inference works on the depth-first forest of G - M that finds the
+bridges (graph.kernel_labels): each side of a bridge is a subtree of
+that forest or the rest of its tree, so one leaf-to-root pass summing
+the net monitor inflow of every subtree, and one root-to-leaf pass
+carrying each tree's total, read every bridge's flow off the side
+holding its stored tail. The whole inference is linear in the size of
+the graph.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import FlowmonError, ValidationError
-from .graph import Graph, kernel_labels, spanning_forest, subtree_sums
+from .graph import Graph, kernel_labels, search_forest, spanning_forest
 
 Measurements = Mapping[int, int]
 
@@ -62,24 +64,28 @@ def random_circulation(g: Graph, seed: int, flow_range: int = 100) -> Circulatio
         raise ValidationError("flow_range must be positive")
     rng = random.Random(seed)
     forest = spanning_forest(g)
-    n, m = g.vertex_count, len(g.edges)
-    flow = [0] * m
-    resid = [0] * n  # net inflow from the free edges
-    for e in g.edges:
+    edges = g.edges
+    flow = [0] * len(edges)
+    free = bytearray(len(edges))
+    resid = [0] * g.vertex_count  # net inflow from the free edges
+    for e in edges:
         if e.id in forest:
             continue
         f = rng.randint(-flow_range, flow_range)
         flow[e.id] = f
+        free[e.id] = 1
         resid[e.v] += f
         resid[e.u] -= f
 
     # forest edges are forced leaf-inward: the flow into the subtree
     # hanging below an edge must cancel that subtree's residual
-    edges = g.edges
-    _, entry, sub = subtree_sums(n, ((eid, edges[eid].u, edges[eid].v) for eid in forest), resid)
-    for v, eid in enumerate(entry):
+    order, entry = search_forest(g, free)
+    for v in reversed(order):
+        eid = entry[v]
         if eid >= 0:
-            flow[eid] = -sub[v] if edges[eid].v == v else sub[v]
+            _, x, y, _ = edges[eid]
+            flow[eid] = -resid[v] if y == v else resid[v]
+            resid[x + y - v] += resid[v]
     circ = Circulation(tuple(flow))
     if conservation_violations(g, circ):
         raise FlowmonError("random circulation violates conservation")
@@ -94,22 +100,23 @@ def measure(circ: Circulation, monitors: Iterable[int]) -> dict[int, int]:
 def infer(g: Graph, monitors: Iterable[int], readings: Measurements) -> InferenceResult:
     """Determine every edge forced by the readings and validate them.
 
-    One contraction and one forest pass, O(n + m). Each component of
-    G - M - B, where B is the bridges of G - M, becomes a kernel vertex
-    holding its net monitor inflow; B is a forest on these vertices.
-    Summing conservation over the side of bridge b that holds b's stored
-    tail u, the flow on b equals that side's net monitor inflow. One
-    leaf-to-root pass gives sub[c], the inflow into the subtree hanging
-    from kernel vertex c; with c the lower end of b,
+    O(n + m), on the depth-first forest F of G - M that finds B, the
+    bridges of G - M (graph.kernel_labels). Summing conservation over
+    the side of bridge b that holds b's stored tail u, the flow on b
+    equals that side's net monitor inflow. Each bridge b is the entry
+    edge of one vertex c, and its two sides are the subtree of F below
+    c and the rest of c's tree. One leaf-to-root pass gives sub[c], the
+    monitor inflow into the subtree below c, and one root-to-leaf pass
+    carries total[c], the inflow into c's whole tree:
 
-        flow(b) = sub[c]             if u lies in c's subtree,
-        flow(b) = sub[root] - sub[c] otherwise.
+        flow(b) = sub[c]              if u == c,
+        flow(b) = total[c] - sub[c]   otherwise.
 
-    Consistent readings make sub[root] zero on every tree; inconsistent
-    ones still get values by this tail-side rule. Afterwards every
-    kernel vertex is audited: the net determined flow across its
-    boundary must be zero, otherwise the readings are inconsistent and
-    the component's vertices are reported, by component label. Loops
+    Consistent readings make every tree's total zero; inconsistent ones
+    still get values by this tail-side rule. Afterwards every component
+    of G - M - B is audited: the net determined flow across its boundary
+    must be zero, otherwise the readings are inconsistent and the
+    component's vertices are reported, by component label. Loops
     outside M stay undetermined.
     """
     mon = frozenset(monitors)
@@ -122,35 +129,34 @@ def infer(g: Graph, monitors: Iterable[int], readings: Measurements) -> Inferenc
             raise ValidationError(f"missing reading for monitor edge {e}")
 
     edges = g.edges
-    exposed, labels = kernel_labels(g, mon)
-    ncomp = max(labels) + 1 if labels else 0
-    inflow = [0] * ncomp  # net monitor inflow per kernel vertex
+    order, entry, exposed, labels = kernel_labels(g, mon)
+    # net monitor inflow per vertex; a loop, or a monitor inside one
+    # component of G - M - B, cancels on every side of every bridge
+    sub = [0] * g.vertex_count
     for e in mon:
-        rec = edges[e]
-        cu, cv = labels[rec.u], labels[rec.v]
-        if cu != cv:
-            inflow[cu] -= readings[e]
-            inflow[cv] += readings[e]
-    forest = ((b, labels[edges[b].u], labels[edges[b].v]) for b in exposed)
-    order, entry, sub = subtree_sums(ncomp, forest, inflow)
-    tree_total = [0] * ncomp
-    flow: dict[int, int] = {}
-    for c in order:
-        b = entry[c]
-        if b < 0:
-            tree_total[c] = sub[c]
-            continue
-        rec = edges[b]
-        tail = labels[rec.u]
-        tree_total[c] = tree_total[tail + labels[rec.v] - c]
-        flow[b] = sub[c] if tail == c else tree_total[c] - sub[c]
+        _, u, v, _ = edges[e]
+        sub[u] -= readings[e]
+        sub[v] += readings[e]
+    for v in reversed(order):
+        eid = entry[v]
+        if eid >= 0:
+            _, x, y, _ = edges[eid]
+            sub[x + y - v] += sub[v]
+    total = sub[:]  # a root's subtree is its whole tree
+    for v in order:
+        eid = entry[v]
+        if eid >= 0:
+            _, x, y, _ = edges[eid]
+            total[v] = total[x + y - v]
 
     determined: dict[int, int] = {e: readings[e] for e in sorted(mon)}
     for b in sorted(exposed):
-        determined[b] = flow[b]
+        _, u, v, _ = edges[b]
+        determined[b] = sub[u] if entry[u] == b else total[v] - sub[v]
     undetermined = frozenset(range(len(edges))) - determined.keys()
 
     # audit: net determined flow across each kernel-component boundary is zero
+    ncomp = max(labels) + 1 if labels else 0
     net = [0] * ncomp
     for e, f in determined.items():
         rec = edges[e]

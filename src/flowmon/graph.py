@@ -5,7 +5,8 @@ its dense integer id, never by its endpoints. Graphs are immutable once
 built. There are two traversals, and both take a removal mask rather
 than copying the graph: component_labels is a flood fill, and
 search_forest grows the one depth-first forest that every tree pass
-(bridge_ids, kernel_labels, cut_labels, subtree_sums) reads.
+reads: bridge_ids, kernel_labels (whose forest flowsim.infer and
+random_circulation also walk) and cut_labels.
 
 The question "which edges does a monitor set M determine?" is answered by
 cut-space labels (Pritchard & Thurimella, "Fast computation of small
@@ -179,12 +180,9 @@ def reachable_from(g: Graph, start: int, removed: Sequence[int]) -> list[bool]:
     return [c == labels[start] for c in labels]
 
 
-def search_forest(
-    n: int,
-    adjacency: Sequence[Sequence[tuple[int, int]]],
-    removed: Sequence[int] | None = None,
-) -> tuple[list[int], list[int]]:
-    """Depth-first forest, grown from each unvisited vertex in index order.
+def search_forest(g: Graph, removed: Sequence[int] | None = None) -> tuple[list[int], list[int]]:
+    """Depth-first forest of g minus the masked edges, grown from each
+    unvisited vertex in index order.
 
     Returns the vertices in preorder (every vertex after its parent) and
     each vertex's entry edge id (-1 for roots); masked edges are never
@@ -192,8 +190,10 @@ def search_forest(
     its parent. The search is depth-first, so every unmasked edge outside
     the forest that is not a loop joins a vertex to one of its
     ancestors. An explicit stack of adjacency iterators replaces
-    recursion, so path-shaped graphs of any depth are fine.
+    recursion, so path-shaped graphs of any depth are fine. With no
+    mask every edge is followed, without a lookup per edge.
     """
+    n, adjacency = g.vertex_count, g.adjacency
     entry = [-1] * n
     seen = [False] * n
     order: list[int] = []
@@ -230,7 +230,7 @@ def _forest_bridges(
     apart by id, so a parallel edge covers its twin and neither is a
     bridge. Self-loops cover nothing and are never bridges.
     """
-    order, entry = search_forest(g.vertex_count, g.adjacency, removed)
+    order, entry = search_forest(g, removed)
     pos = [0] * g.vertex_count
     for i, v in enumerate(order):
         pos[v] = i
@@ -262,16 +262,20 @@ def bridge_ids(g: Graph, removed: Sequence[int] | None = None) -> list[int]:
     return _forest_bridges(g, removed)[3]
 
 
-def kernel_labels(g: Graph, monitors: Iterable[int]) -> tuple[list[int], list[int]]:
-    """The bridges B of G - M, and a component label per vertex of
-    G - M - B (first-appearance order, as in component_labels).
+def kernel_labels(
+    g: Graph, monitors: Iterable[int]
+) -> tuple[list[int], list[int], list[int], list[int]]:
+    """search_forest's order and entry edges on G - M, the bridges B of
+    G - M, and a component label per vertex of G - M - B
+    (first-appearance order, as in component_labels).
 
-    Both come off the one depth-first forest of G - M that finds B: no
+    All come off the one depth-first forest of G - M that finds B: no
     edge covers a bridge, so the components of G - M - B are the pieces
     of the forest cut at the bridges, each named by its top vertex and
     then numbered by its lowest. The labels name the kernel
     vertices; each bridge joins two distinct labels, and the bridges
-    form a forest on them.
+    form a forest on them. The two sides of a bridge in G - M are the
+    forest's subtree below it and the rest of that tree.
     """
     order, entry, cover, exposed = _forest_bridges(g, make_mask(g, monitors))
     edges = g.edges
@@ -288,18 +292,7 @@ def kernel_labels(g: Graph, monitors: Iterable[int]) -> tuple[list[int], list[in
             labels[h] = c
             c += 1
         labels[v] = labels[h]
-    return exposed, labels
-
-
-def connected_components(g: Graph) -> list[int]:
-    """Component label per vertex; labels assigned in order of first
-    appearance by vertex index."""
-    return component_labels(g)
-
-
-def bridges(g: Graph) -> frozenset[int]:
-    """Edges whose removal increases the number of connected components."""
-    return frozenset(bridge_ids(g))
+    return order, entry, exposed, labels
 
 
 def gain(g: Graph, monitors: Iterable[int]) -> Weight:
@@ -338,30 +331,6 @@ def is_c_edge_connected(g: Graph, c: int) -> bool:
     return c == 2 or len(set(labels)) == len(labels)
 
 
-def subtree_sums(
-    n: int, forest: Iterable[tuple[int, int, int]], values: Sequence[int]
-) -> tuple[list[int], list[int], list[int]]:
-    """Sum `values` over every subtree of a forest on vertices 0..n-1.
-
-    `forest` yields (edge_id, a, b) with a != b. Returns search_forest's
-    order and entry edges, and sums[v], the total of values over the
-    subtree hanging from v; a root's sum covers its whole tree.
-    """
-    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    ends: dict[int, int] = {}
-    for eid, a, b in forest:
-        adjacency[a].append((b, eid))
-        adjacency[b].append((a, eid))
-        ends[eid] = a + b  # the end other than v is ends[eid] - v
-    order, entry = search_forest(n, adjacency)
-    sums = list(values)
-    for v in reversed(order):
-        eid = entry[v]
-        if eid >= 0:
-            sums[ends[eid] - v] += sums[v]
-    return order, entry, sums
-
-
 def cut_labels(g: Graph) -> list[int]:
     """Exact cut-space label of every edge, as a Python int over GF(2).
 
@@ -372,7 +341,7 @@ def cut_labels(g: Graph) -> list[int]:
     get 0 and an edge is determined by a monitor set M iff its label
     lies in span(labels(M)).
     """
-    order, entry = search_forest(g.vertex_count, g.adjacency)
+    order, entry = search_forest(g)
     in_forest = bytearray(len(g.edges))
     for eid in entry:
         if eid >= 0:

@@ -35,7 +35,7 @@ def kernel_graph(g: Graph, monitors: Iterable[int]) -> KernelGraph:
     """
     mon = frozenset(monitors)
     g.check_edge_ids(mon)
-    extra, labels = kernel_labels(g, mon)
+    _, _, extra, labels = kernel_labels(g, mon)
     ncomp = max(labels) + 1 if labels else 0
     kept = sorted(mon.union(extra))
     edges = g.edges

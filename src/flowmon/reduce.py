@@ -21,7 +21,6 @@ from .graph import (
     EdgeRecord,
     Graph,
     bridge_ids,
-    bridges,
     component_count,
     component_labels,
     cut_labels,
@@ -56,7 +55,7 @@ def strip_bridges(g: Graph) -> tuple[Graph, frozenset[int]]:
     raises FlowmonError if the fixed point is not reached anyway.
     Surviving edges are renumbered densely in their original order.
     """
-    dropped = bridges(g)
+    dropped = frozenset(bridge_ids(g))
     kept = [e for e in g.edges if e.id not in dropped]
     out = Graph(
         g.vertex_count,

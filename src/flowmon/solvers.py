@@ -157,14 +157,6 @@ def sigma_greedy(g: Graph, cfg: SolverConfig) -> Solution:
     return Solution(mon, extras, total, GreedyTrace(tuple(steps)))
 
 
-def one_greedy(g: Graph, k: int) -> Solution:
-    return sigma_greedy(g, SolverConfig(k=k, sigma=1))
-
-
-def two_greedy(g: Graph, k: int) -> Solution:
-    return sigma_greedy(g, SolverConfig(k=k, sigma=2))
-
-
 def exact(g: Graph, k: int) -> Solution:
     """Maximum-gain monitor set: sigma_greedy with one batch of size k.
 

@@ -12,8 +12,8 @@ bridges_by_removal). They pin the label-based solvers to the same
 monitors, extras, gains and traces, ties included. decide_by_traversal
 likewise pins the label-counting decision, and label_span (the span as
 an explicit set) is the reference for the folded residuals. Likewise
-infer_by_traversal is inference as it was before the kernel-forest
-pass: one reachable_from traversal per bridge of G - M, pinning infer
+infer_by_traversal is inference as it was before the forest
+passes: one reachable_from traversal per bridge of G - M, pinning infer
 to the same values, verdicts and violation lists. preprocess_by_stages
 is preprocessing as it was before its single label pass: strip_bridges,
 merge_components and the old contract_groups body, each building its own
@@ -21,9 +21,10 @@ graph, with the three maps composed; it pins preprocess's reduced graph
 and every ReductionMap field. parse_graph_by_lines is the graph parser
 as it was before it split each line once and parsed each distinct
 weight token once, and pins parse_graph to the same Graph or the same
-ParseError text. kernel_labels_by_stages is kernel_labels as it was
-before it read the components off its depth-first forest: bridge_ids,
-then a component_labels flood fill with the bridges masked as well.
+ParseError text. kernel_labels_by_stages is kernel_labels' bridges and
+labels as they were before it read the components off its depth-first
+forest: bridge_ids, then a component_labels flood fill with the bridges
+masked as well.
 """
 
 from __future__ import annotations

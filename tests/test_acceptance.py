@@ -18,8 +18,7 @@ from flowmon.generators import (
 from flowmon.graph import (
     Graph,
     bridge_ids,
-    bridges,
-    connected_components,
+    component_labels,
     gain,
     is_c_edge_connected,
     make_mask,
@@ -27,10 +26,12 @@ from flowmon.graph import (
 from flowmon.hardness import lemma1_check, verify_star_canonical, verify_star_random
 from flowmon.kernel import check_kernel_bound, kernel_graph
 from flowmon.reduce import lift_monitors, preprocess
-from flowmon.solvers import exact, full_determination, one_greedy, solve_pipeline, two_greedy
+from flowmon.solvers import exact, full_determination, make_solver, solve_pipeline
 from flowmon.weights import Weight
 
 from conftest import seeded_multigraph
+
+greedy1, greedy2 = make_solver("greedy1"), make_solver("greedy2")
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -44,7 +45,7 @@ def ratio(num_micros: int, den_micros: int) -> Fraction:
 
 def test_criterion_01_single_batch_tight_family():
     g = gen_greedy1_tight(5, Weight.parse("0.01"))
-    greedy_gain = one_greedy(g, 5).gain
+    greedy_gain = greedy1(g, 5).gain
     opt_gain = exact(g, 5).gain
     r = ratio(opt_gain.micros, greedy_gain.micros)
     ok = (
@@ -57,13 +58,13 @@ def test_criterion_01_single_batch_tight_family():
 
 def test_criterion_02_two_batch_tight_family():
     g6 = gen_greedy2_tight(6, Weight.parse("0.01"))
-    greedy6 = two_greedy(g6, 6).gain
+    greedy6 = greedy2(g6, 6).gain
     opt6 = exact(g6, 6).gain
     r6 = ratio(opt6.micros, greedy6.micros)
     ratios = [r6]
     for k in (8, 10):
         gk = gen_greedy2_tight(k, Weight.parse("0.01"))
-        greedy_k = two_greedy(gk, k).gain
+        greedy_k = greedy2(gk, k).gain
         closed_form = Weight.from_units(3 * k - 3)
         ratios.append(ratio(closed_form.micros, greedy_k.micros))
     ok = (
@@ -83,7 +84,7 @@ def test_criterion_03_approximation_bounds_on_corpus():
         graphs += 1
         for k in (1, 2, 3, 4):
             opt = exact(g, k).gain.micros
-            for algo, factor in ((one_greedy, 3), (two_greedy, 2)):
+            for algo, factor in ((greedy1, 3), (greedy2, 2)):
                 sol = solve_pipeline(g, k, algo)
                 zb = sum(g.weights_micros[e] for e in sol.zero_flow)
                 determined_weight = sol.gain.micros + zb
@@ -97,7 +98,7 @@ def test_criterion_04_reduction_soundness():
     bad = 0
     for seed in range(500):
         g = seeded_multigraph(seed)
-        if bridges(g) or max(connected_components(g), default=0) != 0:
+        if bridge_ids(g) or max(component_labels(g), default=0) != 0:
             continue
         reduced, rmap = preprocess(g)
         for k in (1, 2, 3, 4):

@@ -162,6 +162,13 @@ def test_hardness_tables():
     code, out = run_cli("hardness", "--verify-star", "--max-n", "4")
     assert code == 0
     assert "STAR canonical n=4" in out
+    # random instances still run when --max-n leaves no canonical graph
+    code, out = run_cli("hardness", "--verify-star", "--max-n", "2", "--random-instances", "5")
+    assert code == 0
+    assert out.splitlines() == [
+        "STAR random n in [7, 8] instances=5 checks=11 mismatches=0 PASS",
+        "OVERALL PASS",
+    ]
 
 
 def test_bench_counts_candidates():
@@ -362,3 +369,30 @@ PINNED_CLI_DIGEST = "163721079327264b1ce2961a50742246eeb507d3e52d1db0b1e764c2b7b
 def test_cli_output_bytes_are_pinned(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert cli_digest(seeded_cli_runs(200, seed=0)) == PINNED_CLI_DIGEST
+
+
+@pytest.mark.parametrize("extra", [(), ("--lemma1",)])
+def test_hardness_verify_star_refuses_an_empty_check(capsys, extra):
+    # below 3 vertices there is no canonical graph to check, so the
+    # star check would vanish without a word
+    code, out = run_cli("hardness", "--verify-star", "--max-n", "2", *extra)
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert "--verify-star checks graphs on at least 3 vertices; --max-n 2 leaves none" in err
+
+
+def test_gen_refuses_a_total_weight_the_parser_refuses(tmp_path, capsys):
+    graph = tmp_path / "heavy.graph"
+    code, out = run_cli("gen", "random", "-n", "5", "-m", "10",
+                        "--weights", "1000000000000:1000000000000", "-o", str(graph))
+    assert code == 2 and out == "" and not graph.exists()
+    assert "weight exceeds" in capsys.readouterr().err
+
+
+def test_gen_writes_no_readings_for_an_overweight_graph(tmp_path, monkeypatch):
+    heavy = Graph.build(2, [(0, 1, 9_000_000_000_000)] * 2)
+    monkeypatch.setattr(generators, "gen_fig1", lambda: (heavy, frozenset({0}), {0: 1}))
+    graph, readings = tmp_path / "f.graph", tmp_path / "f.readings"
+    code, out = run_cli("gen", "fig1", "-o", str(graph), "--readings-out", str(readings))
+    assert code == 2 and out == ""
+    assert not graph.exists() and not readings.exists()

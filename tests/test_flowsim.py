@@ -1,7 +1,10 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowmon import graph as graph_mod
 from flowmon.errors import ValidationError
 from flowmon.flowsim import (
     conservation_violations,
@@ -9,8 +12,8 @@ from flowmon.flowsim import (
     measure,
     random_circulation,
 )
-from flowmon.generators import gen_cycle, gen_fig1
-from flowmon.graph import Graph, gain, make_mask, bridge_ids
+from flowmon.generators import gen_cycle, gen_fig1, gen_random, random_connected_multigraph
+from flowmon.graph import Graph, gain, make_mask, bridge_ids, component_labels, search_forest
 from flowmon.solvers import full_determination
 
 from conftest import multigraphs
@@ -36,6 +39,31 @@ def test_random_circulation_cycle_constant():
 def test_random_circulation_conserves(g, seed):
     circ = random_circulation(g, seed)
     assert conservation_violations(g, circ) == []
+
+
+def test_random_circulation_flows_are_pinned():
+    # 400 seeded graphs: gen_random ones with loops, parallel edges and
+    # several components, and connected ones with the same extras; the
+    # digest covers every flow, so a change in the draws or in how the
+    # forest edges are solved shows here
+    digest = hashlib.sha256()
+    loops = parallels = split = 0
+    for seed in range(200):
+        n = 1 + seed % 17
+        for i, g in enumerate((
+            gen_random(n, seed % 23, seed),
+            random_connected_multigraph(n, n - 1 + seed % 9, seed),
+        )):
+            flow = random_circulation(g, 2 * seed + i, 1 + (2 * seed + i) % 50).flow
+            digest.update(repr(flow).encode() + b"\n")
+            pairs = [tuple(sorted((e.u, e.v))) for e in g.edges if not e.is_loop]
+            loops += any(e.is_loop for e in g.edges)
+            parallels += len(pairs) != len(set(pairs))
+            split += max(component_labels(g), default=0) > 0
+    assert (loops, parallels, split) == (212, 219, 124)
+    assert digest.hexdigest() == (
+        "ca1a275165fdbec68ba20e1794aba3dce9359120f13a8e404cc75d853aee8b93"
+    )
 
 
 def test_random_circulation_deterministic():
@@ -159,7 +187,7 @@ def test_perturbed_reading_breaks_consistency():
 @given(multigraphs(max_n=8, max_m=14), st.data())
 def test_infer_matches_traversal_oracle(g, data):
     # readings drawn freely, not from a circulation, so most trees of the
-    # kernel forest have a non-zero inflow total
+    # forest have a non-zero inflow total
     m = len(g.edges)
     mon = data.draw(st.frozensets(st.integers(0, m - 1), max_size=m)) if m else frozenset()
     readings = {e: data.draw(st.integers(-9, 9)) for e in sorted(mon)}
@@ -170,3 +198,18 @@ def test_infer_matches_traversal_oracle(g, data):
     assert got.undetermined == want.undetermined
     assert got.consistent == want.consistent
     assert got.violations == want.violations
+
+
+def test_infer_grows_one_forest(monkeypatch):
+    # every forced flow is read off the forest that finds the bridges
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return search_forest(*args, **kwargs)
+
+    monkeypatch.setattr(graph_mod, "search_forest", counting)
+    g, monitors, readings = gen_fig1()
+    res = infer(g, monitors, readings)
+    assert len(calls) == 1
+    assert res.determined == {0: 1, 1: 4, 2: 2, 3: 7, 4: 2, 5: 2, 6: 3, 7: 5}

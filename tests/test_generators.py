@@ -13,7 +13,7 @@ from flowmon.generators import (
     gen_random,
     random_connected_multigraph,
 )
-from flowmon.graph import bridges, connected_components, gain, is_c_edge_connected
+from flowmon.graph import bridge_ids, component_labels, gain, is_c_edge_connected
 from flowmon.textio import format_graph, parse_graph
 from flowmon.weights import Weight
 
@@ -62,10 +62,10 @@ def test_tight_needs_k_at_least_four():
 def test_fig1_instance_basics():
     g, monitors, readings = gen_fig1()
     assert g.vertex_count == 8 and len(g.edges) == 12
-    assert max(connected_components(g)) == 0
+    assert max(component_labels(g)) == 0
     assert monitors == frozenset(readings) == {0, 1, 2, 3}
     assert gain(g, monitors) == Weight.from_units(8)
-    assert bridges(g) == frozenset()
+    assert bridge_ids(g) == []
 
 
 def test_cycle_and_ladder():
@@ -119,7 +119,7 @@ def test_gen_random_simple_flag():
 def test_random_connected_multigraph_is_connected():
     for seed in range(10):
         g = random_connected_multigraph(6, 11, seed)
-        assert max(connected_components(g)) == 0
+        assert max(component_labels(g)) == 0
 
 
 def test_generator_spec_validation():
@@ -170,7 +170,7 @@ def test_random_connected_simple_mode():
         g = random_connected_multigraph(7, 12, seed, simple=True)
         pairs = {(min(e.u, e.v), max(e.u, e.v)) for e in g.edges if e.u != e.v}
         assert len(pairs) == len(g.edges) == 12
-        assert max(connected_components(g)) == 0
+        assert max(component_labels(g)) == 0
     assert len(random_connected_multigraph(5, 10, 3, simple=True).edges) == 10
     with pytest.raises(ValidationError, match="at most 10 edges"):
         random_connected_multigraph(5, 11, 3, simple=True)

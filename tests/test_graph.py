@@ -10,9 +10,7 @@ from flowmon.flowsim import infer
 from flowmon.graph import (
     Graph,
     bridge_ids,
-    bridges,
     component_labels,
-    connected_components,
     cut_labels,
     gain,
     fold_residual,
@@ -45,53 +43,52 @@ PARALLEL_PAIR = Graph.build(2, [(0, 1), (0, 1)])
 
 def test_components_isolated_vertices():
     g = Graph.build(3, [])
-    assert connected_components(g) == [0, 1, 2]
+    assert component_labels(g) == [0, 1, 2]
 
 
 def test_components_triangle():
-    assert connected_components(TRIANGLE) == [0, 0, 0]
+    assert component_labels(TRIANGLE) == [0, 0, 0]
 
 
 def test_components_disjoint_union():
     g = Graph.build(4, [(0, 1), (1, 2), (0, 2)])
-    assert connected_components(g) == [0, 0, 0, 1]
+    assert component_labels(g) == [0, 0, 0, 1]
 
 
 def test_bridges_path():
     g = Graph.build(3, [(0, 1), (1, 2)])
-    assert bridges(g) == {0, 1}
+    assert set(bridge_ids(g)) == {0, 1}
 
 
 def test_bridges_triangle_empty():
-    assert bridges(TRIANGLE) == frozenset()
+    assert bridge_ids(TRIANGLE) == []
 
 
 def test_bridges_joining_edge_only():
-    assert bridges(TWO_TRIANGLES_JOINED) == {6}
+    assert set(bridge_ids(TWO_TRIANGLES_JOINED)) == {6}
 
 
 def test_parallel_edges_never_bridges():
-    assert bridges(PARALLEL_PAIR) == frozenset()
+    assert bridge_ids(PARALLEL_PAIR) == []
 
 
 def test_self_loop_never_bridge():
     g = Graph.build(2, [(0, 1), (1, 1)])
-    assert bridges(g) == {0}
+    assert set(bridge_ids(g)) == {0}
 
 
 @given(multigraphs(max_n=7, max_m=14), st.data())
 def test_bridges_match_removal_oracle(g, data):
     m = len(g.edges)
     removed = frozenset(data.draw(st.sets(st.integers(0, m - 1)))) if m else frozenset()
-    assert bridges(g) == bridges_by_removal(g)
+    assert set(bridge_ids(g)) == bridges_by_removal(g)
     assert frozenset(bridge_ids(g, make_mask(g, removed))) == bridges_by_removal(g, removed)
 
 
-@given(multigraphs(max_n=8, max_m=16), st.data())
-def test_search_forest_is_a_dfs(g, data):
-    m = len(g.edges)
-    mask = make_mask(g, data.draw(st.sets(st.integers(0, m - 1))) if m else ())
-    order, entry = search_forest(g.vertex_count, g.adjacency, mask)
+def assert_dfs_forest(g, mask, order, entry):
+    """order and entry are a depth-first forest of g minus the masked
+    edges, as search_forest grows it: preorder, roots in index order,
+    and every other unmasked non-loop edge joins a vertex to an ancestor."""
     assert sorted(order) == list(range(g.vertex_count))
     parent = [-1] * g.vertex_count
     for v, eid in enumerate(entry):
@@ -116,13 +113,26 @@ def test_search_forest_is_a_dfs(g, data):
         assert e.u in ancestors(e.v) or e.v in ancestors(e.u)
 
 
+@given(multigraphs(max_n=8, max_m=16), st.data())
+def test_search_forest_is_a_dfs(g, data):
+    m = len(g.edges)
+    mask = make_mask(g, data.draw(st.sets(st.integers(0, m - 1))) if m else ())
+    order, entry = search_forest(g, mask)
+    assert_dfs_forest(g, mask, order, entry)
+    # no mask follows every edge, as an all-zero mask does
+    assert search_forest(g) == search_forest(g, bytes(m))
+
+
 @settings(max_examples=300)
 @given(multigraphs(max_n=10, max_m=16), st.data())
 def test_kernel_labels_match_stages(g, data):
     # loops, parallel edges, isolated vertices and several components
     m = len(g.edges)
     monitors = data.draw(st.sets(st.integers(0, m - 1))) if m else set()
-    assert kernel_labels(g, monitors) == kernel_labels_by_stages(g, monitors)
+    order, entry, exposed, labels = kernel_labels(g, monitors)
+    assert (exposed, labels) == kernel_labels_by_stages(g, monitors)
+    # the forest it returns is the depth-first forest of G - M
+    assert_dfs_forest(g, make_mask(g, monitors), order, entry)
 
 
 def test_kernel_labels_do_not_flood_fill(monkeypatch):
@@ -135,7 +145,7 @@ def test_kernel_labels_do_not_flood_fill(monkeypatch):
 
     monkeypatch.setattr(graph_mod, "component_labels", counting)
     g = Graph.build(7, [(0, 1), (1, 2), (2, 0), (2, 3), (4, 5), (5, 6), (6, 4), (4, 4)])
-    exposed, labels = kernel_labels(g, [0])
+    _, _, exposed, labels = kernel_labels(g, [0])
     assert calls == []
     assert (sorted(exposed), labels) == ([1, 2, 3], [0, 1, 2, 3, 4, 4, 4])
 
@@ -189,7 +199,7 @@ def test_gain_matches_definition_and_grows(g, data):
 @given(multigraphs(max_n=6, max_m=10))
 def test_gain_of_empty_set_is_bridge_weight(g):
     w = g.weights_micros
-    assert gain(g, frozenset()).micros == sum(w[e] for e in bridges(g))
+    assert gain(g, frozenset()).micros == sum(w[e] for e in bridge_ids(g))
 
 
 def test_c_edge_connected_cycle():
@@ -306,7 +316,7 @@ def test_spanning_forest_parallel_rejected():
 @given(multigraphs(max_n=7, max_m=12))
 def test_spanning_forest_size_and_acyclicity(g):
     forest = spanning_forest(g)
-    comps = max(connected_components(g), default=-1) + 1
+    comps = max(component_labels(g), default=-1) + 1
     assert len(forest) == g.vertex_count - comps
     # acyclic: adding edges one by one must always join two components
     parent = list(range(g.vertex_count))

@@ -9,10 +9,9 @@ from flowmon.solvers import (
     SolverConfig,
     exact,
     full_determination,
-    one_greedy,
+    make_solver,
     sigma_greedy,
     solve_pipeline,
-    two_greedy,
 )
 from flowmon.weights import Weight
 
@@ -24,25 +23,27 @@ from oracles import (
     sigma_greedy_by_traversal,
 )
 
+greedy1, greedy2 = make_solver("greedy1"), make_solver("greedy2")
+
 TRIANGLE = Graph.build(3, [(0, 1), (1, 2), (0, 2)])
 
 
 def test_greedy_single_loop():
     g = Graph.build(1, [(0, 0, 7)])
-    sol = one_greedy(g, 1)
+    sol = greedy1(g, 1)
     assert sol.monitors == {0}
     assert sol.gain == Weight.from_units(7)
 
 
 def test_greedy_triangle():
-    sol = one_greedy(TRIANGLE, 1)
+    sol = greedy1(TRIANGLE, 1)
     assert sol.gain == Weight.from_units(3)
     assert sol.monitors == {0}  # tie broken toward the lowest id
     assert sol.determined_extras == {1, 2}
 
 
 def test_one_greedy_tight_family_value():
-    sol = one_greedy(gen_greedy1_tight(5), 5)
+    sol = greedy1(gen_greedy1_tight(5), 5)
     assert sol.gain == Weight.parse("5.05")
     assert len(sol.monitors) == 5
     assert all(e < 7 for e in sol.monitors)  # stays inside the parallel bundle
@@ -50,35 +51,35 @@ def test_one_greedy_tight_family_value():
 
 def test_two_greedy_tight_family_values():
     for k in (4, 6, 8):
-        sol = two_greedy(gen_greedy2_tight(k), k)
+        sol = greedy2(gen_greedy2_tight(k), k)
         assert sol.gain == k * Weight.parse("1.51")
 
 
 def test_two_greedy_never_trails_one_greedy_on_tight_families():
     for k in (4, 6):
         g2 = gen_greedy2_tight(k)
-        assert two_greedy(g2, k).gain >= one_greedy(g2, k).gain
+        assert greedy2(g2, k).gain >= greedy1(g2, k).gain
     for k in (4, 5, 6):
         # with light parallels the pair solver escapes into the cubic part
         # and collects the whole optimum
         g1 = gen_greedy1_tight(k)
-        assert one_greedy(g1, k).gain == k * Weight.parse("1.01")
-        assert two_greedy(g1, k).gain == Weight.from_units(3 * k - 3)
+        assert greedy1(g1, k).gain == k * Weight.parse("1.01")
+        assert greedy2(g1, k).gain == Weight.from_units(3 * k - 3)
 
 
 def test_two_greedy_on_cubic_graph_gains_three_per_pair():
     # two monitors at a degree-3 vertex always expose its third edge
     g = gen_ladder(8)  # unit 3-regular, 12 edges
     for k in (2, 3, 4, 6):
-        sol = two_greedy(g, k)
+        sol = greedy2(g, k)
         assert sol.gain.micros >= 3 * (k // 2) * 10**6
 
 
 def test_greedy_takes_everything_when_budget_covers():
-    sol = one_greedy(TRIANGLE, 3)
+    sol = greedy1(TRIANGLE, 3)
     assert sol.monitors == {0, 1, 2}
     assert sol.gain == TRIANGLE.total_weight()
-    sol = one_greedy(TRIANGLE, 99)
+    sol = greedy1(TRIANGLE, 99)
     assert sol.monitors == {0, 1, 2}
 
 
@@ -119,7 +120,7 @@ def test_greedy_residuals_are_canonical():
     g = Graph.build(
         4, [(1, 3, 5), (2, 2, 4), (2, 0, 4), (1, 1, 4), (0, 3, 3), (1, 3, 4), (2, 3, 3), (0, 2, 4)]
     )
-    steps = one_greedy(g, 3).trace.steps
+    steps = greedy1(g, 3).trace.steps
     assert [s.monitors_placed for s in steps] == [{0}, {4}, {2}]
     assert steps[2].collected == {2, 7}
 
@@ -159,17 +160,17 @@ def test_greedy_deep_batch_of_independent_loops():
 
 @given(multigraphs(max_n=6, max_m=10), st.integers(1, 4))
 def test_one_greedy_is_sigma_one(g, k):
-    assert one_greedy(g, k).gain == sigma_greedy(g, SolverConfig(k=k, sigma=1)).gain
+    assert greedy1(g, k).gain == sigma_greedy(g, SolverConfig(k=k, sigma=1)).gain
 
 
 @given(multigraphs(max_n=6, max_m=10), st.integers(1, 3))
 def test_greedy_gain_nondecreasing_in_k(g, k):
-    assert one_greedy(g, k + 1).gain >= one_greedy(g, k).gain
+    assert greedy1(g, k + 1).gain >= greedy1(g, k).gain
 
 
 @given(multigraphs(max_n=6, max_m=10), st.integers(1, 4))
 def test_greedy_trace_invariants(g, k):
-    sol = one_greedy(g, k)
+    sol = greedy1(g, k)
     seen = set()
     total = 0
     placed = 0
@@ -189,7 +190,7 @@ def test_greedy_trace_invariants(g, k):
 def test_one_greedy_steps_are_locally_maximal(g, k):
     from oracles import bridges_by_removal
 
-    sol = one_greedy(g, k)
+    sol = greedy1(g, k)
     w = g.weights_micros
     removed: frozenset[int] = frozenset()
     for s in sol.trace.steps:
@@ -249,8 +250,8 @@ def test_exact_matches_traversal_solver(g, k):
 @given(multigraphs(max_n=6, max_m=10), st.integers(1, 3))
 def test_exact_dominates_heuristics(g, k):
     opt = exact(g, k).gain
-    assert opt >= one_greedy(g, k).gain
-    assert opt >= two_greedy(g, k).gain
+    assert opt >= greedy1(g, k).gain
+    assert opt >= greedy2(g, k).gain
 
 
 def test_candidate_budget_guard():
@@ -281,13 +282,13 @@ def test_full_determination_size_and_round_trip():
 
 def test_pipeline_budget_covers_graph():
     g = Graph.build(3, [(0, 1, 2), (1, 2, 3), (0, 2, 4)])
-    sol = solve_pipeline(g, 3, one_greedy)
+    sol = solve_pipeline(g, 3, greedy1)
     assert sol.monitors == {0, 1, 2}
     assert sol.gain == g.total_weight()
 
 
 def test_pipeline_cycle_collapses_to_loop():
-    sol = solve_pipeline(gen_cycle(6), 1, one_greedy)
+    sol = solve_pipeline(gen_cycle(6), 1, greedy1)
     assert sol.monitors == {5}
     assert sol.gain == Weight.from_units(6)
     assert sol.determined_extras == {0, 1, 2, 3, 4}
@@ -297,7 +298,7 @@ def test_pipeline_cycle_collapses_to_loop():
 def test_pipeline_reports_stripped_bridges():
     # two triangles joined by a heavy bridge
     g = Graph.build(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3, 9)])
-    sol = solve_pipeline(g, 1, one_greedy)
+    sol = solve_pipeline(g, 1, greedy1)
     assert sol.zero_flow == {6}
     assert 6 not in sol.monitors and 6 not in sol.determined_extras
     assert sol.gain == Weight.from_units(3)  # one triangle collapses to a loop of 3
@@ -308,7 +309,7 @@ def test_pipeline_reports_stripped_bridges():
 def test_pipeline_two_greedy_half_of_optimum(g, k):
     if k >= len(g.edges):
         return
-    sol = solve_pipeline(g, k, two_greedy)
+    sol = solve_pipeline(g, k, greedy2)
     zb = sum(g.weights_micros[e] for e in sol.zero_flow)
     assert 2 * (sol.gain.micros + zb) >= exact(g, k).gain.micros
 
@@ -321,18 +322,18 @@ def test_pipeline_gain_equals_solver_gain_on_reduced(g, k):
     if k >= len(g.edges):
         return
     reduced, _ = preprocess(g)
-    assert solve_pipeline(g, k, two_greedy).gain == two_greedy(reduced, k).gain
+    assert solve_pipeline(g, k, greedy2).gain == greedy2(reduced, k).gain
 
 
 def test_pipeline_trace_speaks_original_ids():
-    sol = solve_pipeline(gen_cycle(6), 1, one_greedy)
+    sol = solve_pipeline(gen_cycle(6), 1, greedy1)
     assert sol.trace is not None
     assert sol.trace.steps[0].monitors_placed == {5}
 
 
 def test_pipeline_when_everything_is_a_bridge():
     g = Graph.build(4, [(0, 1), (1, 2), (2, 3)])
-    sol = solve_pipeline(g, 1, one_greedy)
+    sol = solve_pipeline(g, 1, greedy1)
     assert sol.monitors == frozenset()
     assert sol.zero_flow == {0, 1, 2}
     assert sol.gain == Weight.zero()
@@ -340,6 +341,6 @@ def test_pipeline_when_everything_is_a_bridge():
 
 def test_greedy_on_empty_graph():
     g = Graph.build(3, [])
-    sol = one_greedy(g, 2)
+    sol = greedy1(g, 2)
     assert sol.monitors == frozenset() and sol.gain == Weight.zero()
     assert sol.trace.steps == ()

@@ -16,10 +16,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
+from math import comb, isqrt
 
 from .errors import ValidationError
 from .graph import Graph
+from .textio import MAX_VERTICES
 from .weights import Weight
 
 DEFAULT_EPSILON = Weight.parse("0.01")
@@ -134,7 +135,8 @@ def gen_random(
 
     Multigraph mode allows parallels and loops (a loop adds 2 to its
     vertex's degree); simple mode samples distinct non-loop pairs without
-    replacement.
+    replacement, as indices into the pairs in combinations order, so it
+    never lists them all.
     """
     if n < 0 or m < 0:
         raise ValidationError("n and m must be non-negative")
@@ -145,12 +147,12 @@ def gen_random(
     rng = random.Random(seed)
     edges: list[tuple[int, int]] = []
     if simple:
-        pairs = list(combinations(range(n), 2))
-        if m > len(pairs):
-            raise ValidationError(f"a simple graph on {n} vertices holds at most {len(pairs)} edges")
+        pairs = comb(n, 2)
+        if m > pairs:
+            raise ValidationError(f"a simple graph on {n} vertices holds at most {pairs} edges")
         if min_degree > max(n - 1, 0):
             raise ValidationError("min_degree out of reach for a simple graph")
-        edges.extend(rng.sample(pairs, m))
+        edges.extend(_unrank_pair(n, i) for i in rng.sample(range(pairs), m))
     else:
         for _ in range(m):
             edges.append((rng.randrange(n), rng.randrange(n)))
@@ -179,6 +181,17 @@ def gen_random(
     return Graph.build(n, weighted)
 
 
+def _unrank_pair(n: int, i: int) -> tuple[int, int]:
+    """The pair at index i of combinations(range(n), 2). The pairs
+    (a, .) start at index a * (2n - a - 1) / 2, so a is the smaller root
+    of a quadratic, rounded down; isqrt rounds the square root down, which
+    leaves a at most one too high."""
+    a = (2 * n - 1 - isqrt((2 * n - 1) ** 2 - 8 * i)) // 2
+    if a * (2 * n - a - 1) // 2 > i:
+        a -= 1
+    return a, i - a * (2 * n - a - 1) // 2 + a + 1
+
+
 def _required(spec: GeneratorSpec, field: str) -> int:
     value = getattr(spec, field)
     if value is None:
@@ -187,8 +200,16 @@ def _required(spec: GeneratorSpec, field: str) -> int:
 
 
 def build_instance(spec: GeneratorSpec) -> Graph:
-    """Dispatch a parameter set to its family's generator."""
+    """Dispatch a parameter set to its family's generator. A vertex
+    count the graph parser would refuse (above MAX_VERTICES; 2k for the
+    tight families) is refused before anything is built."""
     fam = spec.family
+    if fam in ("greedy1-tight", "greedy2-tight"):
+        n = 2 * _required(spec, "k")
+    else:
+        n = 8 if fam == "fig1" else _required(spec, "n")
+    if n > MAX_VERTICES:
+        raise ValidationError(f"vertex count {n} exceeds the limit {MAX_VERTICES}")
     if fam == "greedy1-tight":
         return gen_greedy1_tight(_required(spec, "k"), spec.epsilon)
     if fam == "greedy2-tight":

@@ -17,7 +17,10 @@ bridgeless graph form a 2-cut iff their labels are equal. One linear
 pass builds the labels, and span_search is the one evaluator over them:
 every exhaustive step (each sigma_greedy batch, exact, and the hardness
 decision) is one search over label residuals folded incrementally,
-instead of a masked traversal per candidate.
+instead of a masked traversal per candidate. The search is a branch and
+bound (Land & Doig, 1960): a prefix whose weight bound cannot beat the
+best subset found so far is skipped, and the answer is the one the full
+enumeration gives.
 
 The adjacency lists deliberately omit self-loops: a loop never affects
 connectivity, components, or bridges, so traversals can skip it. Code
@@ -27,6 +30,7 @@ edge list directly.
 
 from __future__ import annotations
 
+from heapq import nlargest
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ValidationError
@@ -379,6 +383,26 @@ def fold_residual(residuals: Sequence[int], r: int) -> list[int]:
     return [x ^ r if x >> b & 1 else x for x in residuals]
 
 
+def _caps(coset: dict[int, int], val: int, need: int, total: int) -> tuple[int, int, int]:
+    """Upper bounds for a prefix worth val, with `need` picks to go,
+    whose cosets outside its span weigh coset[...] (val plus their sum
+    is total): the most any completion reaches, the most after a
+    nonzero pick r less coset[r], and the most after a zero pick.
+
+    need more picks bring at most 2^need - 1 cosets into the span, r's
+    own among them for a nonzero r, and a zero pick leaves need - 1
+    picks, so each bound is val plus the largest 2^need - 1, 2^need - 2
+    or 2^(need-1) - 1 table weights. Only a heap of that many is kept,
+    never a sorted copy of the table, and when even the smallest count
+    covers the table, every bound is the total and nothing is selected.
+    """
+    half = (1 << need - 1) - 1
+    if half >= len(coset):
+        return total, total, total
+    top = nlargest(2 * half + 1, coset.values())
+    return val + sum(top), val + sum(top[: 2 * half]), val + sum(top[:half])
+
+
 def span_search(
     residuals: Sequence[int], weights: Sequence[int], size: int, stop: int
 ) -> tuple[int, tuple[int, ...], list[int]]:
@@ -388,7 +412,7 @@ def span_search(
     lies in the span of its own residuals. Returns the best value, the
     subset and the residuals folded modulo its span (the positions it
     collects read 0). The search ends at the first value that reaches
-    `stop`; needs size <= len(residuals).
+    `stop`; needs size <= len(residuals) and weights >= 0.
 
     Depth-first over prefixes with an explicit stack, so any size is
     fine. Each prefix keeps the residuals after its last position folded
@@ -399,6 +423,18 @@ def span_search(
     maximum over z completes the prefix. A prefix that spans everything
     takes the next contiguous positions, since every completion is worth
     the same.
+
+    Branch and bound: each prefix keeps two bounds from _caps, computed
+    once a completed subset gives a value to beat. A pick is skipped,
+    with no fold and no pair read, when its bound is at most the best
+    value so far; for the last two picks r, z that bound is value +
+    table[r] + the two largest weights, or value + the largest if r is
+    0. A folded prefix is pushed only when its own bound beats the best
+    value. The bounds hold because the weights are non-negative. A
+    skipped subset is worth at most the best value, and only a strictly
+    greater value replaces the best, so the value, the subset (still the
+    first best in combinations order) and the stop are those of the full
+    enumeration.
     """
     n = len(residuals)
     coset: dict[int, int] = {}
@@ -413,32 +449,44 @@ def span_search(
         best, best_pick, frames = val, (*range(size),), []
     else:
         best, best_pick = -1, ()
-        # frames[d]: a prefix of d picks, [value, table, tail, base, offset]
-        frames = [[val, coset, list(residuals), 0, 0]]
+        total = sum(weights)
+        # frames[d]: a prefix of d picks, [value, table, tail, offset, bound
+        # after a nonzero pick less its table weight, bound after a zero
+        # pick]; the tail holds the last len(tail) positions. A prefix
+        # pushed before the first subset completes, when there is nothing
+        # to beat, has None for bounds until its next pick is checked.
+        frames = [[val, coset, list(residuals), 0, None, None]]
     picks: list[int] = []
     while frames:
         frame = frames[-1]
-        val, coset, tail, base, off = frame
+        val, coset, tail, off, pair, lone = frame
         need = size - len(picks)
-        j = base + off
+        j = n - len(tail) + off
         if j > n - need:
             frames.pop()
             if picks:
                 picks.pop()
             continue
-        frame[4] = off + 1
+        frame[3] = off + 1
         r = tail[off]
-        rest = tail[off + 1:]
+        if best >= 0:
+            if pair is None:
+                frame[4:] = pair, lone = _caps(coset, val, need, total)[1:]
+            if (pair + coset[r] if r else lone) <= best:
+                continue
         if need == 2:
             if r:
                 val += coset[r]
                 gains = [
-                    coset.get(z, 0) + coset.get(z ^ r, 0) if z and z != r else 0 for z in rest
+                    coset.get(z, 0) + coset.get(z ^ r, 0) if z and z != r else 0
+                    for z in tail[off + 1:]
                 ]
             else:
-                gains = [coset.get(z, 0) for z in rest]
+                gains = [coset.get(z, 0) for z in tail[off + 1:]]
             top = max(gains)
-            value, pick = val + top, (*picks, j, j + 1 + gains.index(top))
+            if val + top <= best:
+                continue
+            best, best_pick = val + top, (*picks, j, j + 1 + gains.index(top))
         else:
             if r:
                 b = r.bit_length() - 1
@@ -449,16 +497,20 @@ def span_search(
                     folded[y] = folded.get(y, 0) + wt
                 coset = folded
                 val += coset.pop(0)
-                rest = fold_residual(rest, r)
             if coset:
-                picks.append(j)
-                frames.append([val, coset, rest, j + 1, 0])
+                cap, pair, lone = (
+                    _caps(coset, val, need - 1, total) if best >= 0 else (total, None, None)
+                )
+                if cap > best:
+                    rest = fold_residual(tail[off + 1:], r) if r else tail[off + 1:]
+                    picks.append(j)
+                    frames.append([val, coset, rest, 0, pair, lone])
                 continue
-            value, pick = val, (*picks, *range(j, j + need))
-        if value > best:
-            best, best_pick = value, pick
-            if best >= stop:
-                break
+            if val <= best:
+                continue
+            best, best_pick = val, (*picks, *range(j, j + need))
+        if best >= stop:
+            break
     folded_res = list(residuals)
     for j in best_pick:
         if folded_res[j]:

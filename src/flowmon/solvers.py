@@ -11,12 +11,16 @@ labels. graph.span_search walks the candidates prefix by prefix with the
 residuals folded modulo each prefix's span: a prefix costs one pass over
 the live residuals and its table of weight per coset, and the last two
 monitors are read off that table with at most two lookups per
-candidate, instead of a bridge traversal per candidate. Each step's
-folded residuals are the next step's live labels. The enumeration
-budgets are fixed constants; a run that would exceed one is refused
-before it enumerates (CLI exit 3). solve_pipeline wires preprocessing,
-a solver (make_solver maps CLI names to solvers), and the lift back to
-original edge ids into the end-to-end path the CLI uses.
+candidate, instead of a bridge traversal per candidate. It skips every
+prefix whose weight bound cannot beat the best batch found so far, and
+still returns the first best batch (weights are non-negative). Each
+step's folded residuals are the next step's live labels. The
+enumeration budgets are fixed constants and count every candidate, read
+or skipped, as the trace's candidates field does; a run that would
+exceed one is refused before it enumerates (CLI exit 3). solve_pipeline
+wires preprocessing, a solver (make_solver maps CLI names to solvers),
+and the lift back to original edge ids into the end-to-end path the CLI
+uses.
 
 Determinism: among equal-gain candidate sets the lexicographically
 smallest sorted id tuple wins, so traces are reproducible and tests can
@@ -223,13 +227,16 @@ def _translate_trace(trace: GreedyTrace | None, rmap: ReductionMap) -> GreedyTra
 def solve_pipeline(g: Graph, k: int, algo: Callable[[Graph, int], Solution]) -> Solution:
     """Preprocess, solve on the reduced graph, lift back.
 
-    With k >= m the answer is trivially all edges. Otherwise monitors are
+    k must be at least 1, even on a graph with no edges. With k >= m the
+    answer is trivially all edges. Otherwise monitors are
     chosen on the reduced graph and lifted to original ids; gain and
     extras are recomputed on the bridge-stripped merged graph, which by
     construction equals the reduced-graph gain. Stripped bridges come
     back in zero_flow: their flow is known (zero) without spending
     monitors, and they never count toward gain.
     """
+    if k < 1:
+        raise ValidationError("monitor budget k must be at least 1")
     m = len(g.edges)
     if k >= m:
         return Solution(frozenset(range(m)), frozenset(), g.total_weight())

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
+import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
+import oracles
+from flowmon import graph
 from flowmon.graph import Graph
 
 settings.register_profile(
@@ -58,3 +62,26 @@ def seeded_multigraph(seed: int, max_n=8, max_m=12, min_w=1, max_w=5) -> Graph:
         for _ in range(m)
     ]
     return Graph.build(n, edges)
+
+
+@pytest.fixture()
+def search_counts(monkeypatch):
+    """Pair reads and fold_residual calls made by graph.span_search and
+    by oracles.span_search_exhaustive, counted per (module, kind). With
+    size >= 2 both searches call max once per pair read, and the solvers
+    reach no other max in those modules, so a counting max shadows the
+    builtin in each module's globals."""
+    counts = Counter()
+    fold = graph.fold_residual
+    for name, module in (("graph", graph), ("oracles", oracles)):
+        def counting_max(*args, name=name):
+            counts[name, "pair reads"] += 1
+            return max(*args)
+
+        def counting_fold(residuals, r, name=name):
+            counts[name, "folds"] += 1
+            return fold(residuals, r)
+
+        monkeypatch.setattr(module, "max", counting_max, raising=False)
+        monkeypatch.setattr(module, "fold_residual", counting_fold)
+    return counts

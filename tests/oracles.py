@@ -24,14 +24,20 @@ weight token once, and pins parse_graph to the same Graph or the same
 ParseError text. kernel_labels_by_stages is kernel_labels' bridges and
 labels as they were before it read the components off its depth-first
 forest: bridge_ids, then a component_labels flood fill with the bridges
-masked as well.
+masked as well. span_search_exhaustive is span_search as it was before
+its branch and bound: every prefix read to the end; it pins
+span_search, and through it the solvers and the hardness decision, to
+the same value, subset and folded residuals. simple_pairs_by_list is
+gen_random's simple draw as it was when it listed all C(n, 2) pairs,
+and pins the unranked draw to the same pairs for every seed.
 """
 
 from __future__ import annotations
 
+import random
 from itertools import combinations
 from math import comb
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from flowmon import solvers
 from flowmon.errors import CandidateBudgetError, ParseError, ValidationError, WeightOverflowError
@@ -41,6 +47,7 @@ from flowmon.graph import (
     Graph,
     bridge_ids,
     component_labels,
+    fold_residual,
     make_mask,
     reachable_from,
 )
@@ -455,3 +462,99 @@ def kernel_labels_by_stages(g: Graph, monitors: Iterable[int]) -> tuple[list[int
     for e in exposed:
         mask[e] = 1
     return exposed, component_labels(g, mask)
+
+
+def span_search_exhaustive(
+    residuals: Sequence[int], weights: Sequence[int], size: int, stop: int
+) -> tuple[int, tuple[int, ...], list[int]]:
+    """span_search without its bounds: every prefix is read to the end.
+
+    The best subset of `size` positions, first in combinations order.
+
+    A subset is worth the total weight of the positions whose residual
+    lies in the span of its own residuals. Returns the best value, the
+    subset and the residuals folded modulo its span (the positions it
+    collects read 0). The search ends at the first value that reaches
+    `stop`; needs size <= len(residuals).
+
+    Depth-first over prefixes with an explicit stack, so any size is
+    fine. Each prefix keeps the residuals after its last position folded
+    modulo its span, and a table of summed weight per residual outside
+    the span: adding a pick r is worth table[r], and nothing if r is 0.
+    The last two picks r, z are read off the table without folding: z
+    adds table[z] + table[z ^ r] unless it is 0 or r, and the first
+    maximum over z completes the prefix. A prefix that spans everything
+    takes the next contiguous positions, since every completion is worth
+    the same.
+    """
+    n = len(residuals)
+    coset: dict[int, int] = {}
+    for x, wt in zip(residuals, weights):
+        coset[x] = coset.get(x, 0) + wt
+    val = coset.pop(0, 0)
+    if size == 1 and coset:
+        gains = [coset.get(x, 0) for x in residuals]
+        top = max(gains)
+        best, best_pick, frames = val + top, (gains.index(top),), []
+    elif size < 2 or not coset:
+        best, best_pick, frames = val, (*range(size),), []
+    else:
+        best, best_pick = -1, ()
+        # frames[d]: a prefix of d picks, [value, table, tail, base, offset]
+        frames = [[val, coset, list(residuals), 0, 0]]
+    picks: list[int] = []
+    while frames:
+        frame = frames[-1]
+        val, coset, tail, base, off = frame
+        need = size - len(picks)
+        j = base + off
+        if j > n - need:
+            frames.pop()
+            if picks:
+                picks.pop()
+            continue
+        frame[4] = off + 1
+        r = tail[off]
+        rest = tail[off + 1:]
+        if need == 2:
+            if r:
+                val += coset[r]
+                gains = [
+                    coset.get(z, 0) + coset.get(z ^ r, 0) if z and z != r else 0 for z in rest
+                ]
+            else:
+                gains = [coset.get(z, 0) for z in rest]
+            top = max(gains)
+            value, pick = val + top, (*picks, j, j + 1 + gains.index(top))
+        else:
+            if r:
+                b = r.bit_length() - 1
+                folded: dict[int, int] = {}
+                for y, wt in coset.items():
+                    if y >> b & 1:
+                        y ^= r
+                    folded[y] = folded.get(y, 0) + wt
+                coset = folded
+                val += coset.pop(0)
+                rest = fold_residual(rest, r)
+            if coset:
+                picks.append(j)
+                frames.append([val, coset, rest, j + 1, 0])
+                continue
+            value, pick = val, (*picks, *range(j, j + need))
+        if value > best:
+            best, best_pick = value, pick
+            if best >= stop:
+                break
+    folded_res = list(residuals)
+    for j in best_pick:
+        if folded_res[j]:
+            folded_res = fold_residual(folded_res, folded_res[j])
+    return best, best_pick, folded_res
+
+
+def simple_pairs_by_list(n: int, m: int, seed: int) -> list[tuple[int, int]]:
+    """The first draw of gen_random(n, m, seed, simple=True) as it was
+    before it unranked sampled indices: m pairs sampled from the list of
+    all C(n, 2) vertex pairs."""
+    return random.Random(seed).sample(list(combinations(range(n), 2)), m)

@@ -389,6 +389,23 @@ def test_gen_refuses_a_total_weight_the_parser_refuses(tmp_path, capsys):
     assert "weight exceeds" in capsys.readouterr().err
 
 
+def test_gen_refuses_a_vertex_count_the_parser_refuses(tmp_path, capsys):
+    graph = tmp_path / "wide.graph"
+    for argv in (["random", "-n", str(textio.MAX_VERTICES + 1), "-m", "1"],
+                 ["greedy2-tight", "-k", "1000000000"]):
+        code, out = run_cli("gen", *argv, "-o", str(graph))
+        assert code == 2 and out == "" and not graph.exists()
+        assert "exceeds the limit" in capsys.readouterr().err
+
+
+def test_solve_refuses_k_below_one_on_an_empty_graph(tmp_path):
+    path = tmp_path / "empty.graph"
+    path.write_text("p flowmon 3 0\n")
+    for algo in ("greedy1", "greedy2", "exact"):
+        assert run_cli("solve", str(path), "--algo", algo, "-k", "0")[0] == 2
+        assert run_cli("solve", str(path), "--algo", algo, "-k", "1") == (0, "GAIN 0\n")
+
+
 def test_gen_writes_no_readings_for_an_overweight_graph(tmp_path, monkeypatch):
     heavy = Graph.build(2, [(0, 1, 9_000_000_000_000)] * 2)
     monkeypatch.setattr(generators, "gen_fig1", lambda: (heavy, frozenset({0}), {0: 1}))

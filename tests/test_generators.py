@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from flowmon.errors import ValidationError
 from flowmon.generators import (
     GeneratorSpec,
+    build_instance,
     gen_cycle,
     gen_fig1,
     gen_greedy1_tight,
@@ -14,8 +17,10 @@ from flowmon.generators import (
     random_connected_multigraph,
 )
 from flowmon.graph import bridge_ids, component_labels, gain, is_c_edge_connected
-from flowmon.textio import format_graph, parse_graph
+from flowmon.textio import MAX_VERTICES, format_graph, parse_graph
 from flowmon.weights import Weight
+
+from oracles import simple_pairs_by_list
 
 
 def test_greedy1_tight_shape():
@@ -116,6 +121,37 @@ def test_gen_random_simple_flag():
         seen.add(key)
 
 
+def test_gen_random_simple_draws_the_listed_pairs():
+    # random.sample draws the same indices from range(C(n, 2)) as from the
+    # list of all pairs, so unranking them keeps every seed's graph
+    for seed in range(40):
+        for n, m in ((2, 1), (5, 10), (9, 4), (30, 60), (200, 150)):
+            g = gen_random(n, m, seed, simple=True, weight_lo=1, weight_hi=3)
+            assert [(e.u, e.v) for e in g.edges] == simple_pairs_by_list(n, m, seed)
+
+
+def test_gen_random_simple_never_lists_the_pairs():
+    start = time.perf_counter()
+    g = gen_random(200_000, 10, seed=5, simple=True)
+    assert time.perf_counter() - start < 5
+    assert len({(e.u, e.v) for e in g.edges}) == 10
+    assert all(e.u < e.v for e in g.edges)
+
+
+def test_build_instance_refuses_more_vertices_than_the_parser():
+    too_many = [
+        GeneratorSpec(family="greedy1-tight", k=MAX_VERTICES // 2 + 1),
+        GeneratorSpec(family="greedy2-tight", k=10**9),
+        GeneratorSpec(family="random", n=MAX_VERTICES + 1, m=1),
+        GeneratorSpec(family="cycle", n=MAX_VERTICES + 1),
+        GeneratorSpec(family="ladder", n=MAX_VERTICES + 2),
+    ]
+    for spec in too_many:
+        with pytest.raises(ValidationError, match="exceeds the limit"):
+            build_instance(spec)
+    assert build_instance(GeneratorSpec(family="random", n=MAX_VERTICES, m=0)).vertex_count == MAX_VERTICES
+
+
 def test_random_connected_multigraph_is_connected():
     for seed in range(10):
         g = random_connected_multigraph(6, 11, seed)
@@ -130,8 +166,6 @@ def test_generator_spec_validation():
 
 
 def test_build_instance_dispatch():
-    from flowmon.generators import build_instance
-
     assert build_instance(GeneratorSpec(family="cycle", n=5)) == gen_cycle(5)
     assert build_instance(GeneratorSpec(family="greedy1-tight", k=5)) == gen_greedy1_tight(5)
     assert build_instance(GeneratorSpec(family="fig1")) == gen_fig1()[0]

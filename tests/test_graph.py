@@ -30,6 +30,7 @@ from oracles import (
     gain_micros_by_definition,
     kernel_labels_by_stages,
     label_span,
+    span_search_exhaustive,
     two_cut_classes_by_pairs,
 )
 
@@ -297,6 +298,34 @@ def test_span_search_is_the_first_best_subset(items, data):
     stop = data.draw(st.integers(0, best))
     val, p, _ = span_search(res, wts, size, stop)
     assert val >= stop and val == _subset_value(res, wts, p) and len(p) == size
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(st.tuples(st.integers(0, 15) | st.just(0), st.integers(0, 2)), max_size=10),
+    st.data(),
+)
+def test_span_search_matches_the_exhaustive_search(items, data):
+    # few distinct residuals (zeros among them) and weights 0..2 make
+    # ties everywhere, so equal bounds and equal subsets both occur
+    res = [x for x, _ in items]
+    wts = [wt for _, wt in items]
+    size = data.draw(st.integers(0, len(res)))
+    best = span_search_exhaustive(res, wts, size, sum(wts) + 1)[0]
+    stop = data.draw(st.sampled_from([best - 1, best, best + 1, 0, sum(wts) + 1]))
+    assert span_search(res, wts, size, stop) == span_search_exhaustive(res, wts, size, stop)
+
+
+def test_span_search_keeps_the_first_of_tied_subsets(search_counts):
+    # 6, 4 and 2 each lie in the span of the other two, so the pairs
+    # (0, 1), (0, 2) and (1, 2) all collect positions 0-2 and tie at 3.
+    # Once (0, 1) is read, the picks 4 and 2 are bounded by 0 + 1 + 1 + 1,
+    # which equals the best value, so their pair reads are skipped.
+    res, wts = [6, 4, 2, 5], [1, 1, 1, 1]
+    assert span_search(res, wts, 2, 5) == (3, (0, 1), [0, 0, 0, 1])
+    assert span_search_exhaustive(res, wts, 2, 5) == (3, (0, 1), [0, 0, 0, 1])
+    assert search_counts["graph", "pair reads"] == 1
+    assert search_counts["oracles", "pair reads"] == 3
 
 
 def test_spanning_forest_triangle_lowest_ids():

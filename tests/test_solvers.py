@@ -1,7 +1,10 @@
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowmon import solvers
 from flowmon.errors import CandidateBudgetError, SizeGuardError
 from flowmon.generators import gen_cycle, gen_fig1, gen_greedy1_tight, gen_greedy2_tight, gen_ladder
 from flowmon.graph import Graph, make_mask, bridge_ids
@@ -21,6 +24,7 @@ from oracles import (
     exact_reference,
     greedy_reference,
     sigma_greedy_by_traversal,
+    span_search_exhaustive,
 )
 
 greedy1, greedy2 = make_solver("greedy1"), make_solver("greedy2")
@@ -156,6 +160,32 @@ def test_greedy_deep_batch_of_independent_loops():
     assert sol.monitors == frozenset(range(1099))
     assert sol.determined_extras == frozenset()
     assert sol.gain == Weight.from_units(1099)
+
+
+@settings(max_examples=150)
+@given(multigraphs(max_n=7, max_m=13, min_w=0, max_w=2), st.integers(1, 5))
+def test_solvers_match_with_the_exhaustive_search(g, k):
+    # weights 0..2 tie many candidate sets, so the tie-break is exercised
+    runs = [
+        lambda: sigma_greedy(g, SolverConfig(k=k, sigma=2)),
+        lambda: sigma_greedy(g, SolverConfig(k=k, sigma=3)),
+        lambda: exact(g, k),
+    ]
+    bounded = [run() for run in runs]
+    with mock.patch.object(solvers, "span_search", span_search_exhaustive):
+        assert [run() for run in runs] == bounded
+
+
+def test_exact_skips_most_pair_reads_and_folds(search_counts):
+    # greedy1-tight(6) has 23 edges; the optimum sits in the prism, last
+    # in combinations order, so the bounds prune against weaker subsets
+    g = gen_greedy1_tight(6)
+    bounded = exact(g, 6)
+    with mock.patch.object(solvers, "span_search", span_search_exhaustive):
+        assert exact(g, 6) == bounded
+    assert 0 < search_counts["graph", "pair reads"] * 2 <= search_counts["oracles", "pair reads"]
+    # a folded prefix whose bound cannot beat the best is never pushed
+    assert 0 < search_counts["graph", "folds"] * 3 <= search_counts["oracles", "folds"] * 2
 
 
 @given(multigraphs(max_n=6, max_m=10), st.integers(1, 4))

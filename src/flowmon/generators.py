@@ -136,7 +136,8 @@ def gen_random(
     Multigraph mode allows parallels and loops (a loop adds 2 to its
     vertex's degree); simple mode samples distinct non-loop pairs without
     replacement, as indices into the pairs in combinations order, so it
-    never lists them all.
+    never lists them all, and its repair keeps each vertex's neighbours,
+    so a repair edge costs O(degree log degree), not O(n).
     """
     if n < 0 or m < 0:
         raise ValidationError("n and m must be non-negative")
@@ -162,16 +163,29 @@ def gen_random(
         for u, v in edges:
             degree[u] += 1 + (u == v)
             degree[v] += u != v
-        present = {tuple(sorted(e)) for e in edges}
+        # a simple graph repeats no pair, so lists hold distinct neighbours
+        neighbours: dict[int, list[int]] = {}
+        if simple:
+            for u, v in edges:
+                neighbours.setdefault(u, []).append(v)
+                neighbours.setdefault(v, []).append(u)
         for v in range(n):
             while degree[v] < min_degree:
                 if simple:
-                    options = [u for u in range(n)
-                               if u != v and tuple(sorted((u, v))) not in present]
-                    if not options:
+                    # the k-th vertex, in index order, that is neither v
+                    # nor a neighbour: randrange(count) makes the draw that
+                    # rng.choice would make from the list of them
+                    taken = neighbours.setdefault(v, [])
+                    count = n - 1 - len(taken)
+                    if count <= 0:
                         raise ValidationError(f"cannot reach min_degree at vertex {v}")
-                    u = rng.choice(options)
-                    present.add(tuple(sorted((u, v))))
+                    u = rng.randrange(count)
+                    for x in sorted([v, *taken]):
+                        if x > u:
+                            break
+                        u += 1
+                    taken.append(u)
+                    neighbours.setdefault(u, []).append(v)
                 else:
                     u = rng.randrange(n)
                 edges.append((v, u))

@@ -19,8 +19,9 @@ every exhaustive step (each sigma_greedy batch, exact, and the hardness
 decision) is one search over label residuals folded incrementally,
 instead of a masked traversal per candidate. The search is a branch and
 bound (Land & Doig, 1960): a prefix whose weight bound cannot beat the
-best subset found so far is skipped, and the answer is the one the full
-enumeration gives.
+best subset found so far is skipped, each prefix tries each distinct
+folded residual once, and the answer is the one the full enumeration
+gives.
 
 The adjacency lists deliberately omit self-loops: a loop never affects
 connectivity, components, or bridges, so traversals can skip it. Code
@@ -30,7 +31,6 @@ edge list directly.
 
 from __future__ import annotations
 
-from heapq import nlargest
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ValidationError
@@ -392,14 +392,15 @@ def _caps(coset: dict[int, int], val: int, need: int, total: int) -> tuple[int, 
     need more picks bring at most 2^need - 1 cosets into the span, r's
     own among them for a nonzero r, and a zero pick leaves need - 1
     picks, so each bound is val plus the largest 2^need - 1, 2^need - 2
-    or 2^(need-1) - 1 table weights. Only a heap of that many is kept,
-    never a sorted copy of the table, and when even the smallest count
-    covers the table, every bound is the total and nothing is selected.
+    or 2^(need-1) - 1 table weights. They are read off one sorted copy
+    of the table's weights, a sort that stays in C; when even the
+    smallest count covers the table, every bound is the total and
+    nothing is sorted.
     """
     half = (1 << need - 1) - 1
     if half >= len(coset):
         return total, total, total
-    top = nlargest(2 * half + 1, coset.values())
+    top = sorted(coset.values(), reverse=True)[: 2 * half + 1]
     return val + sum(top), val + sum(top[: 2 * half]), val + sum(top[:half])
 
 
@@ -435,6 +436,15 @@ def span_search(
     greater value replaces the best, so the value, the subset (still the
     first best in combinations order) and the stop are those of the full
     enumeration.
+
+    Each prefix also tries each distinct residual once: a position whose
+    residual (zero included) equals one an earlier position of the same
+    prefix already tried is skipped with no bound check, fold or pair
+    read. Swapping it for that earlier position q leaves the span alone,
+    so every subset P + {p} + R is worth exactly P + {q} + R, which
+    comes earlier in combinations order and was already read or skipped
+    by a bound. The value, the subset and the stop are again those of
+    the full enumeration.
     """
     n = len(residuals)
     coset: dict[int, int] = {}
@@ -452,14 +462,15 @@ def span_search(
         total = sum(weights)
         # frames[d]: a prefix of d picks, [value, table, tail, offset, bound
         # after a nonzero pick less its table weight, bound after a zero
-        # pick]; the tail holds the last len(tail) positions. A prefix
-        # pushed before the first subset completes, when there is nothing
-        # to beat, has None for bounds until its next pick is checked.
-        frames = [[val, coset, list(residuals), 0, None, None]]
+        # pick, residuals tried]; the tail holds the last len(tail)
+        # positions. A prefix pushed before the first subset completes,
+        # when there is nothing to beat, has None for bounds until its
+        # next pick is checked.
+        frames = [[val, coset, list(residuals), 0, None, None, set()]]
     picks: list[int] = []
     while frames:
         frame = frames[-1]
-        val, coset, tail, off, pair, lone = frame
+        val, coset, tail, off, pair, lone, tried = frame
         need = size - len(picks)
         j = n - len(tail) + off
         if j > n - need:
@@ -469,9 +480,12 @@ def span_search(
             continue
         frame[3] = off + 1
         r = tail[off]
+        if r in tried:
+            continue
+        tried.add(r)
         if best >= 0:
             if pair is None:
-                frame[4:] = pair, lone = _caps(coset, val, need, total)[1:]
+                frame[4:6] = pair, lone = _caps(coset, val, need, total)[1:]
             if (pair + coset[r] if r else lone) <= best:
                 continue
         if need == 2:
@@ -504,7 +518,7 @@ def span_search(
                 if cap > best:
                     rest = fold_residual(tail[off + 1:], r) if r else tail[off + 1:]
                     picks.append(j)
-                    frames.append([val, coset, rest, 0, pair, lone])
+                    frames.append([val, coset, rest, 0, pair, lone, set()])
                 continue
             if val <= best:
                 continue

@@ -13,7 +13,8 @@ the live residuals and its table of weight per coset, and the last two
 monitors are read off that table with at most two lookups per
 candidate, instead of a bridge traversal per candidate. It skips every
 prefix whose weight bound cannot beat the best batch found so far, and
-still returns the first best batch (weights are non-negative). Each
+every monitor whose residual repeats one already tried at its prefix,
+and still returns the first best batch (weights are non-negative). Each
 step's folded residuals are the next step's live labels. The
 enumeration budgets are fixed constants and count every candidate, read
 or skipped, as the trace's candidates field does; a run that would
@@ -184,7 +185,8 @@ def exact(g: Graph, k: int) -> Solution:
 
 
 def make_solver(name: str) -> Callable[[Graph, int], Solution]:
-    """The solver named greedy1, greedy2, greedy:<sigma> or exact."""
+    """The solver named greedy1, greedy2, greedy:<sigma> (sigma >= 1)
+    or exact."""
     if name == "exact":
         return exact
     if name == "greedy1":
@@ -198,6 +200,10 @@ def make_solver(name: str) -> Callable[[Graph, int], Solution]:
             raise ValidationError(f"bad solver name {name!r}") from None
     else:
         raise ValidationError(f"unknown solver {name!r}")
+    # checked here as well as in SolverConfig, because solve_pipeline
+    # answers k >= m without calling the solver
+    if sigma < 1:
+        raise ValidationError("batch size sigma must be at least 1")
     return lambda g, k: sigma_greedy(g, SolverConfig(k=k, sigma=sigma))
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 import random
 from collections import Counter
 
@@ -18,7 +19,15 @@ settings.register_profile(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-settings.load_profile("suite")
+# HYPOTHESIS_PROFILE=explore draws fresh examples on every run, where the
+# derandomized suite profile replays the same ones
+settings.register_profile(
+    "explore",
+    derandomize=False,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "suite"))
 
 
 @st.composite

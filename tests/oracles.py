@@ -25,11 +25,15 @@ ParseError text. kernel_labels_by_stages is kernel_labels' bridges and
 labels as they were before it read the components off its depth-first
 forest: bridge_ids, then a component_labels flood fill with the bridges
 masked as well. span_search_exhaustive is span_search as it was before
-its branch and bound: every prefix read to the end; it pins
+its branch and bound and before it tried each distinct residual once
+per prefix: every position of every prefix read to the end; it pins
 span_search, and through it the solvers and the hardness decision, to
 the same value, subset and folded residuals. simple_pairs_by_list is
 gen_random's simple draw as it was when it listed all C(n, 2) pairs,
 and pins the unranked draw to the same pairs for every seed.
+gen_random_simple_by_option_lists is gen_random(simple=True) as it was
+when each min-degree repair edge listed every vertex it could join, and
+pins the neighbour-list repair to the same graph for every seed.
 """
 
 from __future__ import annotations
@@ -558,3 +562,32 @@ def simple_pairs_by_list(n: int, m: int, seed: int) -> list[tuple[int, int]]:
     before it unranked sampled indices: m pairs sampled from the list of
     all C(n, 2) vertex pairs."""
     return random.Random(seed).sample(list(combinations(range(n), 2)), m)
+
+
+def gen_random_simple_by_option_lists(
+    n: int, m: int, seed: int, min_degree: int, weight_lo: int = 1, weight_hi: int = 1
+) -> Graph:
+    """gen_random(n, m, seed, min_degree, simple=True) as it was when its
+    repair built, for every added edge, the list of all vertices not yet
+    joined to v and drew one with rng.choice. The first draw is the
+    listed-pairs sample of simple_pairs_by_list."""
+    rng = random.Random(seed)
+    edges = rng.sample(list(combinations(range(n), 2)), m)
+    degree = [0] * n
+    for u, v in edges:
+        degree[u] += 1
+        degree[v] += 1
+    present = {tuple(sorted(e)) for e in edges}
+    for v in range(n):
+        while degree[v] < min_degree:
+            options = [u for u in range(n)
+                       if u != v and tuple(sorted((u, v))) not in present]
+            if not options:
+                raise ValidationError(f"cannot reach min_degree at vertex {v}")
+            u = rng.choice(options)
+            present.add(tuple(sorted((u, v))))
+            edges.append((v, u))
+            degree[v] += 1
+            degree[u] += 1
+    weighted = [(u, v, rng.randint(weight_lo, weight_hi)) for u, v in edges]
+    return Graph.build(n, weighted)

@@ -406,6 +406,22 @@ def test_solve_refuses_k_below_one_on_an_empty_graph(tmp_path):
         assert run_cli("solve", str(path), "--algo", algo, "-k", "1") == (0, "GAIN 0\n")
 
 
+@pytest.mark.parametrize("algo", ["greedy:0", "greedy:-2"])
+@pytest.mark.parametrize("k", ["1", "3", "5"])
+def test_solve_refuses_sigma_below_one_for_every_k(tmp_path, capsys, algo, k):
+    # a triangle: k = 3 and k = 5 reach the k >= m answer without a solver
+    path = tmp_path / "t.graph"
+    path.write_text("p flowmon 3 3\ne 0 1 1\ne 1 2 1\ne 0 2 1\n")
+    assert run_cli("solve", str(path), "--algo", algo, "-k", k) == (2, "")
+    assert "batch size sigma must be at least 1" in capsys.readouterr().err
+
+
+def test_bench_refuses_sigma_below_one(capsys):
+    # -k 4 covers all 4 edges of circulant(2), so no greedy step runs
+    assert run_cli("bench", "--sizes", "4", "--sigma", "0") == (2, "")
+    assert "batch size sigma must be at least 1" in capsys.readouterr().err
+
+
 def test_gen_writes_no_readings_for_an_overweight_graph(tmp_path, monkeypatch):
     heavy = Graph.build(2, [(0, 1, 9_000_000_000_000)] * 2)
     monkeypatch.setattr(generators, "gen_fig1", lambda: (heavy, frozenset({0}), {0: 1}))

@@ -1,4 +1,6 @@
+import hashlib
 import time
+from math import comb
 
 import pytest
 from hypothesis import given
@@ -20,7 +22,7 @@ from flowmon.graph import bridge_ids, component_labels, gain, is_c_edge_connecte
 from flowmon.textio import MAX_VERTICES, format_graph, parse_graph
 from flowmon.weights import Weight
 
-from oracles import simple_pairs_by_list
+from oracles import gen_random_simple_by_option_lists, simple_pairs_by_list
 
 
 def test_greedy1_tight_shape():
@@ -136,6 +138,52 @@ def test_gen_random_simple_never_lists_the_pairs():
     assert time.perf_counter() - start < 5
     assert len({(e.u, e.v) for e in g.edges}) == 10
     assert all(e.u < e.v for e in g.edges)
+
+
+@given(st.integers(2, 30).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.integers(0, min(comb(n, 2), 40)),
+    st.integers(1, n - 1),
+    st.integers(0, 2**32),
+)))
+def test_gen_random_simple_repair_matches_the_option_lists(params):
+    n, m, min_degree, seed = params
+    g = gen_random(n, m, seed, min_degree=min_degree, simple=True, weight_lo=1, weight_hi=3)
+    assert g == gen_random_simple_by_option_lists(n, m, seed, min_degree, 1, 3)
+
+
+def test_gen_random_min_degree_grid_is_pinned():
+    # the digest was taken before the simple repair kept neighbour lists,
+    # so every seed still gives the graph it gave then
+    digest = hashlib.sha256()
+    for seed in range(6):
+        for n in (2, 3, 4, 6, 9, 15, 40):
+            for m in sorted({0, 1, n // 2, n}):
+                for min_degree in range(1, min(4, n - 1) + 1):
+                    for simple in (True, False):
+                        if simple and m > comb(n, 2):
+                            continue
+                        g = gen_random(n, m, seed, min_degree=min_degree, simple=simple,
+                                       weight_lo=1, weight_hi=4)
+                        digest.update(format_graph(g).encode())
+    assert digest.hexdigest() == (
+        "f0eae41576c55e1b1768716a1c959d88b37c2da2b1fe398a0a66d8f3a3a2dcb9"
+    )
+
+
+def test_gen_random_simple_repair_never_lists_the_vertices():
+    # ~138,000 repair edges; listing all n vertices for each would take hours
+    start = time.perf_counter()
+    g = gen_random(200_000, 10, seed=5, min_degree=1, simple=True)
+    assert time.perf_counter() - start < 20
+    degree = [0] * 200_000
+    pairs = set()
+    for e in g.edges:
+        assert e.u != e.v
+        pairs.add((min(e.u, e.v), max(e.u, e.v)))
+        degree[e.u] += 1
+        degree[e.v] += 1
+    assert len(pairs) == len(g.edges) and min(degree) >= 1
 
 
 def test_build_instance_refuses_more_vertices_than_the_parser():

@@ -328,6 +328,83 @@ def test_span_search_keeps_the_first_of_tied_subsets(search_counts):
     assert search_counts["oracles", "pair reads"] == 3
 
 
+@settings(max_examples=200)
+@given(
+    st.lists(st.integers(1, 63), max_size=3).flatmap(
+        lambda pool: st.lists(
+            st.tuples(st.sampled_from([0, *pool]), st.integers(0, 2)), max_size=14
+        )
+    ),
+    st.data(),
+)
+def test_span_search_matches_the_exhaustive_search_on_repeated_residuals(items, data):
+    # at most four distinct residuals, zero among them, so most positions
+    # repeat a residual an earlier position of the same prefix tried
+    res = [x for x, _ in items]
+    wts = [wt for _, wt in items]
+    size = data.draw(st.integers(0, len(res)))
+    best = span_search_exhaustive(res, wts, size, sum(wts) + 1)[0]
+    stop = data.draw(st.sampled_from([best - 1, best, best + 1, 0, sum(wts) + 1]))
+    assert span_search(res, wts, size, stop) == span_search_exhaustive(res, wts, size, stop)
+
+
+def _caps_by_subsets(coset, val, need):
+    # val plus the heaviest 2^need - 1, 2^need - 2 and 2^(need-1) - 1
+    # table weights, each the best sum over subsets of that many entries
+    weights = list(coset.values())
+    return tuple(
+        val + max(sum(c) for c in combinations(weights, min(count, len(weights))))
+        for count in ((1 << need) - 1, (1 << need) - 2, (1 << need - 1) - 1)
+    )
+
+
+@pytest.mark.parametrize(
+    "weights, need",
+    [
+        ([3, 3, 3, 1, 1], 2),  # ties at the cut: 3 of 5 entries
+        ([2, 5, 5, 0, 5, 1, 2, 2], 3),  # ties, 7 of 8 entries
+        ([4, 1, 4, 1, 4, 1, 4, 1, 4], 3),
+        ([7, 2, 9], 3),  # shorter than 2 * half + 1 = 7, half = 3 = len
+        ([7, 2, 9, 1], 3),  # shorter than 7, half = 3 < len
+        ([1, 6], 3),  # half >= len
+        ([5], 2),  # half = 1 = len
+        ([0, 0, 0], 1),  # need 1: half = 0
+    ],
+)
+def test_caps_match_a_full_sort_by_subsets(weights, need):
+    coset = {x: wt for x, wt in enumerate(weights, start=1)}
+    val = 10
+    assert graph_mod._caps(coset, val, need, val + sum(weights)) == _caps_by_subsets(
+        coset, val, need
+    )
+
+
+def test_span_search_tries_each_repeated_residual_once(search_counts):
+    # seven residuals, each twice, at unit weight; the best 4-subset spans
+    # 1, 2, 4 and 8. Measured with and without the skip: the bounded
+    # search without it made the oracle's 75 folds and 221 pair reads
+    res = [1, 2, 1, 2, 4, 4, 8, 8, 16, 16, 32, 32, 64, 64]
+    expected = (8, (0, 1, 4, 6), [0] * 8 + [16, 16, 32, 32, 64, 64])
+    assert span_search(res, [1] * 14, 4, 15) == expected
+    assert span_search_exhaustive(res, [1] * 14, 4, 15) == expected
+    assert search_counts["graph", "folds"] == 26
+    assert search_counts["graph", "pair reads"] == 41
+    assert search_counts["oracles", "folds"] == 75
+    assert search_counts["oracles", "pair reads"] == 286
+
+
+def test_span_search_tries_a_repeated_zero_once(search_counts):
+    # after position 0's prefixes reach 10, the zero at position 1 still
+    # has the bound 0 + 5 + 5 + 5; its prefixes are worth what position
+    # 0's were, so it is skipped. Without the skip: 6 pair reads
+    res, wts = [0, 0, 1, 2, 4], [0, 0, 5, 5, 5]
+    expected = (15, (2, 3, 4), [0, 0, 0, 0, 0])
+    assert span_search(res, wts, 3, 16) == expected
+    assert span_search_exhaustive(res, wts, 3, 16) == expected
+    assert search_counts["graph", "pair reads"] == 4
+    assert search_counts["oracles", "pair reads"] == 6
+
+
 def test_spanning_forest_triangle_lowest_ids():
     assert spanning_forest(TRIANGLE) == {0, 1}
 

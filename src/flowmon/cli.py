@@ -1,12 +1,12 @@
 """Command-line interface.
 
-Subcommands: gen, reduce, solve, exact, infer, kernel, hardness, bench.
-Exit codes: 0 success, 1 verifier mismatch (hardness, bench) or a broken
+Subcommands: gen, reduce, solve, exact, infer, kernel, hardness.
+Exit codes: 0 success, 1 verifier mismatch (hardness) or a broken
 internal invariant (a plain FlowmonError), 2 parse/validation error
 (including an unreadable or non-UTF-8 input file and an unwritable
 output path), 3 size-guard refusal, 4 inconsistent measurements. All
 output is line-oriented plain text and deterministic for fixed inputs
-and seeds (bench timings excepted).
+and seeds.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import functools
 import sys
 from pathlib import Path
 
-from . import bench as bench_mod
 from . import generators
 from .errors import FlowmonError, ParseError, SizeGuardError, ValidationError
 from .flowsim import infer
@@ -197,21 +196,6 @@ def _cmd_hardness(args) -> int:
     return 1 if failed else 0
 
 
-def _int_list(text: str, option: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(s) for s in text.split(","))
-    except ValueError:
-        raise ValidationError(f"bad {option} {text!r}; expected comma-separated integers") from None
-
-
-def _cmd_bench(args) -> int:
-    sizes = _int_list(args.sizes, "--sizes")
-    sigmas = _int_list(args.sigma, "--sigma")
-    rows = bench_mod.run_ladder(sizes, sigmas, args.k)
-    sys.stdout.write(bench_mod.format_report(rows))
-    return 0 if all(r.ok for r in rows) else 1
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="flowmon")
@@ -272,12 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_hardness)
-
-    p = sub.add_parser("bench", help="time the pipeline, check candidate counts")
-    p.add_argument("--sizes", default="12,16,20")
-    p.add_argument("--sigma", default="1,2")
-    p.add_argument("-k", type=int, default=4)
-    p.set_defaults(func=_cmd_bench)
 
     return parser
 

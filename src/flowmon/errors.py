@@ -3,7 +3,7 @@
 The CLI maps these onto process exit codes: 1 for a broken internal
 invariant (a plain FlowmonError), 2 for parse/validation problems, 3 for
 size-guard refusals. Two codes come from the CLI itself, not via an
-exception: 1 when a `hardness` or `bench` verifier finds a mismatch, and
+exception: 1 when a `hardness` verifier finds a mismatch, and
 4 for inconsistent measurements.
 """
 

@@ -1,5 +1,5 @@
 """Instance generators: tight-bound families, the worked inference
-example, cycles, prisms, and seeded random multigraphs.
+example, cycles, prisms, circulants, and seeded random multigraphs.
 
 The tight families pit a stack of parallel edges against a cubic
 component. A single-batch greedy solver keeps eating parallel edges worth
@@ -14,8 +14,8 @@ vertex count >= 6.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb, isqrt
 
 from .errors import ValidationError
@@ -71,6 +71,12 @@ def gen_cycle(n: int) -> Graph:
     if n == 1:
         return Graph.build(1, [(0, 0)])
     return Graph.build(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def gen_circulant(n: int) -> Graph:
+    """Unit-weight circulant C_n(1, 2), edges (v, v+1) then (v, v+2) mod n:
+    4-regular, and 3-edge-connected for n >= 6, so preprocess keeps it."""
+    return Graph.build(n, [(v, (v + d) % n) for d in (1, 2) for v in range(n)])
 
 
 def _tight_family(k: int, parallel_weight: Weight) -> Graph:
@@ -141,6 +147,8 @@ def gen_random(
     """
     if n < 0 or m < 0:
         raise ValidationError("n and m must be non-negative")
+    if min_degree < 0:
+        raise ValidationError("min_degree must be non-negative")
     if n == 0 and m > 0:
         raise ValidationError("edges need vertices")
     if not 0 <= weight_lo <= weight_hi:
@@ -245,12 +253,12 @@ def build_instance(spec: GeneratorSpec) -> Graph:
     )
 
 
-def random_connected_multigraph(
-    n: int, m: int, seed: int, weight_lo: int = 1, weight_hi: int = 1, simple: bool = False
-) -> Graph:
-    """Seeded connected multigraph: random spanning tree plus arbitrary
-    extra edges (parallels and loops allowed). Needs m >= n-1. With
-    `simple`, the extras are distinct pairs the tree does not use."""
+def random_connected_multigraph(n: int, m: int, seed: int, simple: bool = False) -> Graph:
+    """Seeded connected unit-weight multigraph: random spanning tree plus
+    arbitrary extra edges (parallels and loops allowed). Needs m >= n-1.
+    With `simple`, the extras are distinct pairs the tree does not use,
+    sampled as indices into the pairs in combinations order less the
+    tree's, so it never lists them all."""
     if n < 1:
         raise ValidationError("n must be positive")
     if m < n - 1:
@@ -260,10 +268,15 @@ def random_connected_multigraph(
     rng = random.Random(seed)
     edges = [(rng.randrange(v), v) for v in range(1, n)]
     if simple:
-        tree = set(edges)  # each tree pair (u, v) already has u < v
-        others = [p for p in combinations(range(n), 2) if p not in tree]
-        edges += rng.sample(others, m - (n - 1))
+        # each tree pair (u, v) already has u < v; ranks as in _unrank_pair
+        tree = sorted(u * (2 * n - u - 1) // 2 + v - u - 1 for u, v in edges)
+        for i in rng.sample(range(comb(n, 2) - len(tree)), m - (n - 1)):
+            # the rank r of the i-th pair not in the tree, i = r - (tree
+            # ranks <= r): the least fixpoint of r -> i + (tree ranks <= r)
+            r = i
+            while (nxt := i + bisect_right(tree, r)) != r:
+                r = nxt
+            edges.append(_unrank_pair(n, r))
     while len(edges) < m:
         edges.append((rng.randrange(n), rng.randrange(n)))
-    weighted = [(u, v, rng.randint(weight_lo, weight_hi)) for u, v in edges]
-    return Graph.build(n, weighted)
+    return Graph.build(n, edges)

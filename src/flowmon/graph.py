@@ -109,13 +109,6 @@ class Graph:
             records.append(EdgeRecord(i, u, v, w))
         return cls(vertex_count, records)
 
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
-    def edge_ids(self) -> range:
-        return range(len(self.edges))
-
     def total_weight(self) -> Weight:
         return Weight(sum(self.weights_micros))
 

@@ -58,13 +58,12 @@ class SolverConfig:
 @dataclass(frozen=True)
 class StepRecord:
     """One greedy step: the monitors placed, everything collected (monitors
-    plus exposed bridges), and the step's gain. remaining_before and
-    candidates feed the bench harness."""
+    plus exposed bridges), the step's gain, and the candidate sets it
+    counts, C(live edges, monitors placed) or 0 when it takes them all."""
 
     monitors_placed: frozenset[int]
     collected: frozenset[int]
     step_gain: Weight
-    remaining_before: int
     candidates: int
 
 
@@ -92,7 +91,7 @@ def _take_everything(g: Graph) -> Solution:
     total = g.total_weight()
     steps = ()
     if m:
-        steps = (StepRecord(all_edges, all_edges, total, m, 0),)
+        steps = (StepRecord(all_edges, all_edges, total, 0),)
     return Solution(all_edges, frozenset(), total, GreedyTrace(steps))
 
 
@@ -133,7 +132,7 @@ def sigma_greedy(g: Graph, cfg: SolverConfig) -> Solution:
             monitors.extend(live)
             taken = frozenset(live)
             steps.append(
-                StepRecord(taken, taken, Weight(sum(w[e] for e in live)), len(live), 0)
+                StepRecord(taken, taken, Weight(sum(w[e] for e in live)), 0)
             )
             break
         count = comb(len(live), sp)
@@ -150,7 +149,7 @@ def sigma_greedy(g: Graph, cfg: SolverConfig) -> Solution:
         determined.extend(collected)
         monitors.extend(placed)
         steps.append(
-            StepRecord(frozenset(placed), frozenset(collected), Weight(best), len(live), count)
+            StepRecord(frozenset(placed), frozenset(collected), Weight(best), count)
         )
         live = [e for e, x in zip(live, res) if x]
         res = [x for x in res if x]
@@ -222,7 +221,6 @@ def _translate_trace(trace: GreedyTrace | None, rmap: ReductionMap) -> GreedyTra
             frozenset(table[e] for e in s.monitors_placed),
             frozenset(table[e] for e in s.collected),
             s.step_gain,
-            s.remaining_before,
             s.candidates,
         )
         for s in trace.steps

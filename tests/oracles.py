@@ -34,6 +34,9 @@ and pins the unranked draw to the same pairs for every seed.
 gen_random_simple_by_option_lists is gen_random(simple=True) as it was
 when each min-degree repair edge listed every vertex it could join, and
 pins the neighbour-list repair to the same graph for every seed.
+random_connected_multigraph_by_list is random_connected_multigraph as it
+was when its simple mode listed every vertex pair the tree does not use,
+and pins the unranked draw to the same graph for every seed.
 """
 
 from __future__ import annotations
@@ -212,7 +215,7 @@ def sigma_greedy_by_traversal(g: Graph, cfg: SolverConfig) -> Solution:
     if k >= m:
         all_edges = frozenset(range(m))
         total = g.total_weight()
-        steps = (StepRecord(all_edges, all_edges, total, m, 0),) if m else ()
+        steps = (StepRecord(all_edges, all_edges, total, 0),) if m else ()
         return Solution(all_edges, frozenset(), total, GreedyTrace(steps))
 
     w = g.weights_micros
@@ -234,7 +237,7 @@ def sigma_greedy_by_traversal(g: Graph, cfg: SolverConfig) -> Solution:
             monitors.extend(live)
             taken = frozenset(live)
             steps.append(
-                StepRecord(taken, taken, Weight(sum(w[e] for e in live)), len(live), 0)
+                StepRecord(taken, taken, Weight(sum(w[e] for e in live)), 0)
             )
             break
         count = comb(len(live), sp)
@@ -259,7 +262,7 @@ def sigma_greedy_by_traversal(g: Graph, cfg: SolverConfig) -> Solution:
             gone[e] = 1
         monitors.extend(best_p)
         steps.append(
-            StepRecord(frozenset(best_p), frozenset(collected), Weight(best), len(live), count)
+            StepRecord(frozenset(best_p), frozenset(collected), Weight(best), count)
         )
 
     mon = frozenset(monitors)
@@ -591,3 +594,17 @@ def gen_random_simple_by_option_lists(
             degree[u] += 1
     weighted = [(u, v, rng.randint(weight_lo, weight_hi)) for u, v in edges]
     return Graph.build(n, weighted)
+
+
+def random_connected_multigraph_by_list(n: int, m: int, seed: int, simple: bool = False) -> Graph:
+    """random_connected_multigraph with the extras of simple mode sampled
+    from the list of all pairs the tree does not use."""
+    rng = random.Random(seed)
+    edges = [(rng.randrange(v), v) for v in range(1, n)]
+    if simple:
+        tree = set(edges)
+        others = [p for p in combinations(range(n), 2) if p not in tree]
+        edges += rng.sample(others, m - (n - 1))
+    while len(edges) < m:
+        edges.append((rng.randrange(n), rng.randrange(n)))
+    return Graph.build(n, edges)

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import os
@@ -171,13 +172,6 @@ def test_hardness_tables():
     ]
 
 
-def test_bench_counts_candidates():
-    code, out = run_cli("bench", "--sizes", "12,16", "--sigma", "1,2", "-k", "3")
-    assert code == 0
-    assert "ok=yes" in out and "ok=NO" not in out
-    assert "candidates=66 expected=66" in out  # C(12,2) on the first sigma=2 step
-
-
 def test_deterministic_output_across_runs(tmp_path):
     graph = tmp_path / "r.graph"
     first = run_cli("gen", "random", "-n", "8", "-m", "12", "--seed", "7",
@@ -206,13 +200,6 @@ def test_total_weight_overflow_exits_2(tmp_path, capsys, argv):
     code, out = run_cli(*argv, str(graph))
     assert code == 2 and out == ""
     assert "line 3: total weight exceeds" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("sizes", ["x", "13"])
-def test_bench_bad_sizes_exit_2(capsys, sizes):
-    code, _ = run_cli("bench", "--sizes", sizes)
-    assert code == 2
-    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_hardness_rejects_max_n_below_one(capsys):
@@ -416,12 +403,6 @@ def test_solve_refuses_sigma_below_one_for_every_k(tmp_path, capsys, algo, k):
     assert "batch size sigma must be at least 1" in capsys.readouterr().err
 
 
-def test_bench_refuses_sigma_below_one(capsys):
-    # -k 4 covers all 4 edges of circulant(2), so no greedy step runs
-    assert run_cli("bench", "--sizes", "4", "--sigma", "0") == (2, "")
-    assert "batch size sigma must be at least 1" in capsys.readouterr().err
-
-
 def test_gen_writes_no_readings_for_an_overweight_graph(tmp_path, monkeypatch):
     heavy = Graph.build(2, [(0, 1, 9_000_000_000_000)] * 2)
     monkeypatch.setattr(generators, "gen_fig1", lambda: (heavy, frozenset({0}), {0: 1}))
@@ -429,3 +410,26 @@ def test_gen_writes_no_readings_for_an_overweight_graph(tmp_path, monkeypatch):
     code, out = run_cli("gen", "fig1", "-o", str(graph), "--readings-out", str(readings))
     assert code == 2 and out == ""
     assert not graph.exists() and not readings.exists()
+
+
+def test_bench_is_not_a_subcommand(capsys):
+    buf = io.StringIO()
+    with redirect_stdout(buf), pytest.raises(SystemExit) as exc:
+        main(["bench"])
+    assert exc.value.code == 2 and buf.getvalue() == ""
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+
+def test_gen_refuses_a_negative_min_degree(tmp_path, capsys):
+    graph = tmp_path / "r.graph"
+    code, out = run_cli("gen", "random", "-n", "5", "-m", "4", "--min-degree", "-3", "-o", str(graph))
+    assert code == 2 and out == "" and not graph.exists()
+    assert capsys.readouterr().err == "error: min_degree must be non-negative\n"
+
+
+def test_docstring_lists_the_parser_subcommands():
+    line = next(l for l in cli.__doc__.splitlines() if l.startswith("Subcommands:"))
+    listed = line.removeprefix("Subcommands:").rstrip(".").split(",")
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert [s.strip() for s in listed] == list(subparsers.choices)

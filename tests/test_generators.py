@@ -10,6 +10,7 @@ from flowmon.errors import ValidationError
 from flowmon.generators import (
     GeneratorSpec,
     build_instance,
+    gen_circulant,
     gen_cycle,
     gen_fig1,
     gen_greedy1_tight,
@@ -22,7 +23,11 @@ from flowmon.graph import bridge_ids, component_labels, gain, is_c_edge_connecte
 from flowmon.textio import MAX_VERTICES, format_graph, parse_graph
 from flowmon.weights import Weight
 
-from oracles import gen_random_simple_by_option_lists, simple_pairs_by_list
+from oracles import (
+    gen_random_simple_by_option_lists,
+    random_connected_multigraph_by_list,
+    simple_pairs_by_list,
+)
 
 
 def test_greedy1_tight_shape():
@@ -87,6 +92,13 @@ def test_cycle_and_ladder():
         gen_ladder(4)
 
 
+def test_circulant_instances_are_3ec():
+    for n in (6, 8, 10):
+        g = gen_circulant(n)
+        assert g.vertex_count == n and len(g.edges) == 2 * n
+        assert is_c_edge_connected(g, 3)
+
+
 def test_gen_random_deterministic():
     a = gen_random(6, 9, seed=13, weight_lo=1, weight_hi=5)
     b = gen_random(6, 9, seed=13, weight_lo=1, weight_hi=5)
@@ -102,6 +114,11 @@ def test_gen_random_trivial_and_errors():
         gen_random(0, 3, seed=0)
     with pytest.raises(ValidationError):
         gen_random(3, 4, seed=0, simple=True)  # C(3,2) = 3 < 4
+
+
+def test_gen_random_refuses_a_negative_min_degree():
+    with pytest.raises(ValidationError, match="min_degree must be non-negative"):
+        gen_random(5, 4, seed=0, min_degree=-3)
 
 
 def test_gen_random_min_degree_repair():
@@ -256,3 +273,40 @@ def test_random_connected_simple_mode():
     assert len(random_connected_multigraph(5, 10, 3, simple=True).edges) == 10
     with pytest.raises(ValidationError, match="at most 10 edges"):
         random_connected_multigraph(5, 11, 3, simple=True)
+
+
+@given(st.integers(1, 40).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.integers(n - 1, comb(n, 2)),
+    st.integers(0, 2**32),
+    st.booleans(),
+)))
+def test_random_connected_multigraph_matches_the_listed_pairs(params):
+    n, m, seed, simple = params
+    assert random_connected_multigraph(n, m, seed, simple) == random_connected_multigraph_by_list(n, m, seed, simple)
+
+
+def test_random_connected_multigraph_grid_is_pinned():
+    # the digest was taken when simple mode listed the pairs and every
+    # edge weight was drawn, so every seed still gives the graph it gave then
+    digest = hashlib.sha256()
+    for seed in range(6):
+        for n in (1, 2, 3, 4, 6, 9, 15, 40):
+            for m in sorted({n - 1, n, n + 3, 2 * n, comb(n, 2)}):
+                for simple in (True, False):
+                    if m < n - 1 or (simple and m > comb(n, 2)):
+                        continue
+                    digest.update(format_graph(random_connected_multigraph(n, m, seed, simple)).encode())
+    assert digest.hexdigest() == (
+        "0227c54fb448f87ede5dd307789379b65bd376dd6f6bfd7f7f60e284d944076d"
+    )
+
+
+def test_random_connected_simple_never_lists_the_pairs():
+    # C(200000, 2) is about 2 * 10^10 pairs
+    start = time.perf_counter()
+    g = random_connected_multigraph(200_000, 200_010, seed=5, simple=True)
+    assert time.perf_counter() - start < 10
+    assert len({(e.u, e.v) for e in g.edges}) == 200_010
+    assert all(e.u < e.v for e in g.edges)
+    assert max(component_labels(g)) == 0

@@ -1,3 +1,4 @@
+from math import comb
 from unittest import mock
 
 import pytest
@@ -6,7 +7,15 @@ from hypothesis import strategies as st
 
 from flowmon import solvers
 from flowmon.errors import CandidateBudgetError, SizeGuardError
-from flowmon.generators import gen_cycle, gen_fig1, gen_greedy1_tight, gen_greedy2_tight, gen_ladder
+from flowmon.generators import (
+    gen_circulant,
+    gen_cycle,
+    gen_fig1,
+    gen_greedy1_tight,
+    gen_greedy2_tight,
+    gen_ladder,
+    random_connected_multigraph,
+)
 from flowmon.graph import Graph, make_mask, bridge_ids
 from flowmon.solvers import (
     SolverConfig,
@@ -214,6 +223,28 @@ def test_greedy_trace_invariants(g, k):
     assert placed <= k
     assert frozenset(bridge_ids(g, make_mask(g, sol.monitors))) == sol.determined_extras
     assert seen == sol.monitors | sol.determined_extras
+
+
+@pytest.mark.parametrize(
+    "g",
+    [gen_circulant(n) for n in (6, 8, 10)]
+    + [random_connected_multigraph(n, n - 1 + seed % 9, seed) for seed, n in enumerate(range(2, 14))],
+)
+@pytest.mark.parametrize("sigma", [1, 2, 3])
+def test_greedy_trace_counts_every_candidate_set(g, sigma):
+    # a step scores C(left, |P|) sets, left = the edges earlier steps
+    # did not collect, or none when it takes every one of them
+    for k in range(1, 7):
+        left = len(g.edges)
+        for s in sigma_greedy(g, SolverConfig(k=k, sigma=sigma)).trace.steps:
+            placed = len(s.monitors_placed)
+            assert s.candidates == (comb(left, placed) if left > placed else 0)
+            left -= len(s.collected)
+
+
+def test_greedy2_first_step_counts_the_pairs_of_a_circulant():
+    steps = greedy2(gen_circulant(10), 4).trace.steps
+    assert steps[0].candidates == comb(20, 2) == 190
 
 
 @given(multigraphs(max_n=6, max_m=10), st.integers(1, 3))

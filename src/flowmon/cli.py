@@ -61,7 +61,11 @@ def _write_text(path: str | None, text: str) -> None:
 def _cmd_gen(args) -> int:
     if args.readings_out and args.family != "fig1":
         raise ValidationError("--readings-out needs family fig1")
-    lo, hi = _parse_weight_range(args.weights)
+    lo = hi = 1
+    if args.weights is not None:
+        if args.family != "random":
+            raise ValidationError("--weights needs family random")
+        lo, hi = _parse_weight_range(args.weights)
     spec = generators.GeneratorSpec(
         family=args.family,
         k=args.k,
@@ -84,9 +88,10 @@ def _cmd_gen(args) -> int:
 
 
 def _parse_weight_range(text: str) -> tuple[int, int]:
+    """LO:HI, or LO alone for LO:LO; an empty HI after the colon is refused."""
+    lo, colon, hi = text.partition(":")
     try:
-        lo, _, hi = text.partition(":")
-        return (int(lo), int(hi)) if hi else (int(lo), int(lo))
+        return int(lo), int(hi if colon else lo)
     except ValueError:
         raise ValidationError(f"bad weight range {text!r}; expected LO:HI") from None
 
@@ -132,12 +137,12 @@ def _cmd_infer(args) -> int:
     g = parse_graph(_read_text(args.graph))
     monitors = parse_edge_id_list(args.monitors)
     readings = parse_readings(_read_text(args.readings))
-    result = infer(g, monitors, readings)
-    lines = [f"F {e} {result.determined[e]}" for e in sorted(result.determined)]
-    lines += [f"U {e}" for e in sorted(result.undetermined)]
-    lines.append(f"CONSISTENT {'yes' if result.consistent else 'no'}")
+    determined, undetermined, consistent, _ = infer(g, monitors, readings)
+    lines = [f"F {e} {determined[e]}" for e in sorted(determined)]
+    lines += [f"U {e}" for e in sorted(undetermined)]
+    lines.append(f"CONSISTENT {'yes' if consistent else 'no'}")
     _write_text(args.output, "\n".join(lines) + "\n")
-    return 0 if result.consistent else 4
+    return 0 if consistent else 4
 
 
 def _cmd_kernel(args) -> int:
@@ -210,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", default="0.01")
     p.add_argument("--min-degree", type=int, default=0)
     p.add_argument("--simple", action="store_true")
-    p.add_argument("--weights", default="1", help="edge weight range LO:HI")
+    p.add_argument("--weights", default=None, help="edge weight range LO:HI (random only; default 1)")
     p.add_argument("--readings-out", default=None)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_gen)
@@ -261,8 +266,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and return its exit code; argparse's own exits
+    (2 for a bad command line, 0 after --help) are returned too."""
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return exc.code
     try:
         return args.func(args)
     except FlowmonError as exc:

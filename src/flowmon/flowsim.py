@@ -21,8 +21,7 @@ the graph.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import FlowmonError, ValidationError
 from .graph import Graph, kernel_labels, search_forest, spanning_forest
@@ -30,16 +29,14 @@ from .graph import Graph, kernel_labels, search_forest, spanning_forest
 Measurements = Mapping[int, int]
 
 
-@dataclass(frozen=True)
-class Circulation:
+class Circulation(NamedTuple):
     """Dense per-edge flow values; flow[e] runs from edges[e].u to
     edges[e].v, and the reverse direction is its negation."""
 
     flow: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class InferenceResult:
+class InferenceResult(NamedTuple):
     determined: dict[int, int]
     undetermined: frozenset[int]
     consistent: bool

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
 from math import comb, isqrt
+from typing import NamedTuple
 
-from .errors import ValidationError
+from .errors import Checked, ValidationError
 from .graph import Graph
 from .textio import MAX_VERTICES
 from .weights import Weight
@@ -28,10 +28,7 @@ DEFAULT_EPSILON = Weight.parse("0.01")
 FAMILIES = ("greedy1-tight", "greedy2-tight", "fig1", "cycle", "ladder", "random")
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """CLI-facing parameter set; family-specific fields may stay None."""
-
+class _GeneratorSpec(NamedTuple):
     family: str
     k: int | None = None
     epsilon: Weight = DEFAULT_EPSILON
@@ -43,7 +40,13 @@ class GeneratorSpec:
     weight_lo: int = 1
     weight_hi: int = 1
 
-    def __post_init__(self) -> None:
+
+class GeneratorSpec(Checked, _GeneratorSpec):
+    """CLI-facing parameter set; family-specific fields may stay None."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         if self.family not in FAMILIES:
             raise ValidationError(f"unknown family {self.family!r}")
         if self.epsilon.micros <= 0:

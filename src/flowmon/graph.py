@@ -38,10 +38,9 @@ from .weights import Weight
 
 
 class EdgeRecord(NamedTuple):
-    """One edge, as a named tuple: immutable, and about twice as cheap to
-    build as a frozen dataclass, which counts because parsing and every
-    contraction build one record per edge. Like any tuple, a record
-    equals the plain tuple (id, u, v, weight)."""
+    """One edge. Like every flowmon record it is a named tuple: immutable,
+    cheap to build (parsing and every contraction build one per edge),
+    and equal to the plain tuple of its fields, (id, u, v, weight)."""
 
     id: int
     u: int
@@ -127,6 +126,11 @@ class Graph:
 
     def __hash__(self) -> int:
         return hash((self.vertex_count, self.edges))
+
+    def __reduce__(self):
+        # pickle rebuilds through __init__, which validates the records;
+        # the default would set the slots, which __setattr__ refuses
+        return Graph, (self.vertex_count, self.edges)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.vertex_count}, m={len(self.edges)})"

@@ -16,12 +16,11 @@ n, which covers every composition.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import combinations, permutations
 from math import comb
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
-from .errors import SizeGuardError, ValidationError
+from .errors import Checked, SizeGuardError, ValidationError
 from .generators import random_connected_multigraph
 from .graph import (
     EdgeRecord,
@@ -55,12 +54,15 @@ def require_simple(g: Graph) -> None:
         seen.add(key)
 
 
-@dataclass(frozen=True)
-class CliqueInstance:
+class _CliqueInstance(NamedTuple):
     graph: Graph
     q: int
 
-    def __post_init__(self) -> None:
+
+class CliqueInstance(Checked, _CliqueInstance):
+    __slots__ = ()
+
+    def _check(self) -> None:
         if self.q < 3:
             raise ValidationError("clique size q must be at least 3")
         if self.q > self.graph.vertex_count:
@@ -70,13 +72,16 @@ class CliqueInstance:
             raise ValidationError("clique instances must be connected")
 
 
-@dataclass(frozen=True)
-class DecInstance:
+class _DecInstance(NamedTuple):
     graph: Graph
     k: int
     l: int
 
-    def __post_init__(self) -> None:
+
+class DecInstance(Checked, _DecInstance):
+    __slots__ = ()
+
+    def _check(self) -> None:
         if self.k < 0 or self.l < 0:
             raise ValidationError("k and l must be non-negative")
 
@@ -260,8 +265,7 @@ def canonical_connected_graphs(n: int) -> Iterator[Graph]:
             yield g
 
 
-@dataclass(frozen=True)
-class StarReport:
+class StarReport(NamedTuple):
     label: str
     instances: int
     checks: int

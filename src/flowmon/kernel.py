@@ -10,14 +10,12 @@ its bridges and form a forest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .graph import EdgeRecord, Graph, kernel_labels
 
 
-@dataclass(frozen=True)
-class KernelGraph:
+class KernelGraph(NamedTuple):
     """graph: the contracted multigraph. component_of: original vertex ->
     kernel vertex. represents: kernel edge id -> original edge id."""
 

@@ -13,8 +13,7 @@ to the original graph with identical gain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import FlowmonError, ValidationError
 from .graph import (
@@ -29,8 +28,7 @@ from .graph import (
 from .weights import Weight
 
 
-@dataclass(frozen=True)
-class ReductionMap:
+class ReductionMap(NamedTuple):
     """Correspondence between an original graph and its reduced form.
 
     vertex_map: original vertex -> reduced vertex.

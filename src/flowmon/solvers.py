@@ -30,11 +30,10 @@ compare outputs byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import comb
-from typing import Callable
+from typing import Callable, NamedTuple
 
-from .errors import CandidateBudgetError, SizeGuardError, ValidationError
+from .errors import CandidateBudgetError, Checked, SizeGuardError, ValidationError
 from .graph import Graph, bridge_ids, cut_labels, make_mask, span_search, spanning_forest
 from .reduce import ReductionMap, lift_monitors, preprocess
 from .weights import Weight
@@ -43,20 +42,22 @@ EXACT_DEFAULT_BUDGET = 2_000_000
 GREEDY_DEFAULT_BUDGET = 50_000_000
 
 
-@dataclass(frozen=True)
-class SolverConfig:
+class _SolverConfig(NamedTuple):
     k: int
     sigma: int = 1
 
-    def __post_init__(self) -> None:
+
+class SolverConfig(Checked, _SolverConfig):
+    __slots__ = ()
+
+    def _check(self) -> None:
         if self.k < 1:
             raise ValidationError("monitor budget k must be at least 1")
         if self.sigma < 1:
             raise ValidationError("batch size sigma must be at least 1")
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     """One greedy step: the monitors placed, everything collected (monitors
     plus exposed bridges), the step's gain, and the candidate sets it
     counts, C(live edges, monitors placed) or 0 when it takes them all."""
@@ -67,13 +68,11 @@ class StepRecord:
     candidates: int
 
 
-@dataclass(frozen=True)
-class GreedyTrace:
+class GreedyTrace(NamedTuple):
     steps: tuple[StepRecord, ...]
 
 
-@dataclass(frozen=True)
-class Solution:
+class Solution(NamedTuple):
     """monitors plus determined_extras are the edges with known flow;
     gain is their total weight. zero_flow lists stripped bridges of the
     original graph (known zero, reported separately, never counted)."""
@@ -82,7 +81,7 @@ class Solution:
     determined_extras: frozenset[int]
     gain: Weight
     trace: GreedyTrace | None = None
-    zero_flow: frozenset[int] = field(default_factory=frozenset)
+    zero_flow: frozenset[int] = frozenset()
 
 
 def _take_everything(g: Graph) -> Solution:

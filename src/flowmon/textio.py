@@ -133,12 +133,13 @@ def format_reduction_map(rmap, vertex_count: int, edge_count: int) -> str:
     """Sidecar map: `v <orig> <reduced>` per vertex, `g <orig_edge> <group>
     <deputy_orig_edge>` per surviving edge, `zb <orig_edge>` per stripped
     bridge."""
-    lines = [f"v {v} {rmap.vertex_map[v]}" for v in range(vertex_count)]
+    vertex_map, group_of, deputy_of_group, orig_edge_of_reduced, stripped = rmap
+    lines = [f"v {v} {vertex_map[v]}" for v in range(vertex_count)]
     for e in range(edge_count):
-        if e in rmap.stripped_bridges:
+        if e in stripped:
             continue
-        grp = rmap.group_of[e]
-        deputy_orig = rmap.orig_edge_of_reduced[rmap.deputy_of_group[grp]]
+        grp = group_of[e]
+        deputy_orig = orig_edge_of_reduced[deputy_of_group[grp]]
         lines.append(f"g {e} {grp} {deputy_orig}")
-    lines.extend(f"zb {e}" for e in sorted(rmap.stripped_bridges))
+    lines.extend(f"zb {e}" for e in sorted(stripped))
     return "\n".join(lines) + "\n" if lines else ""

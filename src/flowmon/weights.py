@@ -8,9 +8,9 @@ Values like 1.01 or 1.51 are representable exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .errors import ParseError, ValidationError, WeightOverflowError
+from .errors import Checked, ParseError, ValidationError, WeightOverflowError
 
 SCALE = 10**6
 MAX_MICROS = 2**63 - 1
@@ -25,12 +25,20 @@ def check_micros(micros: int) -> int:
     return micros
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class Weight:
+class _Weight(NamedTuple):
     micros: int
 
-    def __post_init__(self) -> None:
-        check_micros(self.micros)
+
+class Weight(Checked, _Weight):
+    """A one-field record: weights compare, order and hash as (micros,)."""
+
+    __slots__ = ()
+
+    def __new__(cls, micros: int) -> "Weight":
+        # built for every parsed weight token and every sum, so it checks
+        # its one field itself: the generic Checked constructor costs
+        # about three times as much
+        return tuple.__new__(cls, (check_micros(micros),))
 
     @classmethod
     def zero(cls) -> "Weight":

@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import io
+import json
 import os
 import random
 import subprocess
@@ -85,6 +86,32 @@ def test_python_dash_m_runs_the_cli(fig1_files):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == run_cli(*argv)[1]
+
+
+COLD_START_PROBE = """
+import json, sys
+before = set(sys.modules)
+import flowmon.cli
+flowmon.cli.build_parser()
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_cold_start_loads_no_dataclasses_and_every_module():
+    # every command pays this import; dataclasses pulls in inspect, ast,
+    # dis and tokenize, which nothing else in the import needs
+    src = str(Path(flowmon.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r})\n{COLD_START_PROBE}"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    added = json.loads(proc.stdout)
+    assert "dataclasses" not in added and "inspect" not in added
+    assert {m for m in added if m.startswith("flowmon")} == {
+        "flowmon", *(f"flowmon.{m}" for m in (
+            "cli", "errors", "flowsim", "generators", "graph", "hardness",
+            "kernel", "reduce", "solvers", "textio", "weights"))}
 
 
 def test_solve_trace_records_steps(fig1_files):
@@ -413,11 +440,36 @@ def test_gen_writes_no_readings_for_an_overweight_graph(tmp_path, monkeypatch):
 
 
 def test_bench_is_not_a_subcommand(capsys):
-    buf = io.StringIO()
-    with redirect_stdout(buf), pytest.raises(SystemExit) as exc:
-        main(["bench"])
-    assert exc.value.code == 2 and buf.getvalue() == ""
+    assert run_cli("bench") == (2, "")
     assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--algo", "greedy1", "g.graph"], "the following arguments are required: -k"),
+    (["solve", "--algo", "greedy1", "-k", "x", "g.graph"], "argument -k: invalid int value: 'x'"),
+    (["infer", "-m", "0", "g.graph"], "the following arguments are required: -r/--readings"),
+])
+def test_main_returns_the_usage_exit_code(capsys, argv, message):
+    assert run_cli(*argv) == (2, "")
+    assert message in capsys.readouterr().err
+
+
+def test_main_returns_0_after_help():
+    code, out = run_cli("solve", "--help")
+    assert code == 0 and out.startswith("usage: flowmon solve")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["cycle", "-n", "4", "--weights", "3:1"], "error: --weights needs family random\n"),
+    (["fig1", "--weights", "2"], "error: --weights needs family random\n"),
+    (["random", "-n", "4", "-m", "5", "--weights", "5:"],
+     "error: bad weight range '5:'; expected LO:HI\n"),
+])
+def test_gen_refuses_weights_it_would_not_use(tmp_path, capsys, argv, message):
+    graph = tmp_path / "w.graph"
+    assert run_cli("gen", *argv, "-o", str(graph)) == (2, "")
+    assert not graph.exists()
+    assert capsys.readouterr().err == message
 
 
 def test_gen_refuses_a_negative_min_degree(tmp_path, capsys):

@@ -7,12 +7,21 @@ internal invariant (a plain FlowmonError), 2 parse/validation error
 output path), 3 size-guard refusal, 4 inconsistent measurements. All
 output is line-oriented plain text and deterministic for fixed inputs
 and seeds.
+
+main pauses the cyclic garbage collector while a subcommand runs and
+restores the caller's setting afterwards. The premise: a subcommand
+leaves no reference cycles, so reference counting frees everything it
+builds and a collector pass inside it frees nothing (tests check this
+for every command of the README's CLI block); yet at benchmark sizes
+such passes cost milliseconds each. Building the parser and argparse's
+own error exits do leave cycles, so they run outside the pause.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import sys
 from pathlib import Path
 
@@ -58,23 +67,40 @@ def _write_text(path: str | None, text: str) -> None:
         raise ValidationError(f"cannot write {path}: {exc}") from None
 
 
+# the gen options each family reads; gen refuses any other one given, so
+# a command line says what instance it writes
+GEN_OPTIONS = {
+    "greedy1-tight": ("-k", "--epsilon"),
+    "greedy2-tight": ("-k", "--epsilon"),
+    "fig1": ("--readings-out",),
+    "cycle": ("-n",),
+    "ladder": ("-n",),
+    "random": ("-n", "-m", "--seed", "--min-degree", "--simple", "--weights"),
+}
+
+
 def _cmd_gen(args) -> int:
-    if args.readings_out and args.family != "fig1":
-        raise ValidationError("--readings-out needs family fig1")
+    """Every family option defaults to None, so an option that was given
+    and that the family does not read is refused before any option value
+    is checked."""
+    reads = GEN_OPTIONS[args.family]
+    for option in dict.fromkeys(o for options in GEN_OPTIONS.values() for o in options):
+        given = getattr(args, option.lstrip("-").replace("-", "_")) is not None
+        if given and option not in reads:
+            readers = " or ".join(f for f, options in GEN_OPTIONS.items() if option in options)
+            raise ValidationError(f"{option} needs family {readers}")
     lo = hi = 1
     if args.weights is not None:
-        if args.family != "random":
-            raise ValidationError("--weights needs family random")
         lo, hi = _parse_weight_range(args.weights)
     spec = generators.GeneratorSpec(
         family=args.family,
         k=args.k,
-        epsilon=Weight.parse(args.epsilon),
+        epsilon=generators.DEFAULT_EPSILON if args.epsilon is None else Weight.parse(args.epsilon),
         n=args.n,
         m=args.m,
-        seed=args.seed,
-        min_degree=args.min_degree,
-        simple=args.simple,
+        seed=args.seed or 0,
+        min_degree=args.min_degree or 0,
+        simple=bool(args.simple),
         weight_lo=lo,
         weight_hi=hi,
     )
@@ -211,10 +237,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-k", type=int, default=None)
     p.add_argument("-n", type=int, default=None)
     p.add_argument("-m", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epsilon", default="0.01")
-    p.add_argument("--min-degree", type=int, default=0)
-    p.add_argument("--simple", action="store_true")
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--epsilon", default=None, help="tight families only; default 0.01")
+    p.add_argument("--min-degree", type=int, default=None)
+    p.add_argument("--simple", action="store_true", default=None)
     p.add_argument("--weights", default=None, help="edge weight range LO:HI (random only; default 1)")
     p.add_argument("--readings-out", default=None)
     p.add_argument("-o", "--output", default=None)
@@ -272,11 +298,16 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except FlowmonError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def main_entry() -> None:

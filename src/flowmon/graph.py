@@ -31,6 +31,7 @@ edge list directly.
 
 from __future__ import annotations
 
+from itertools import count, repeat
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ValidationError
@@ -50,6 +51,13 @@ class EdgeRecord(NamedTuple):
     @property
     def is_loop(self) -> bool:
         return self.u == self.v
+
+
+def edge_records(us: Iterable[int], vs: Iterable[int], weights: Iterable[Weight]) -> list[EdgeRecord]:
+    """EdgeRecords with ids 0, 1, ... from endpoint and weight columns,
+    built in C: tuple.__new__ copies each tuple zip yields, so no
+    Python-level constructor runs per edge."""
+    return list(map(tuple.__new__, repeat(EdgeRecord), zip(count(), us, vs, weights)))
 
 
 class Graph:

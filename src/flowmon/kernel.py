@@ -10,9 +10,10 @@ its bridges and form a forest.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterable, NamedTuple
 
-from .graph import EdgeRecord, Graph, kernel_labels
+from .graph import Graph, edge_records, kernel_labels
 
 
 class KernelGraph(NamedTuple):
@@ -36,11 +37,13 @@ def kernel_graph(g: Graph, monitors: Iterable[int]) -> KernelGraph:
     _, _, extra, labels = kernel_labels(g, mon)
     ncomp = max(labels) + 1 if labels else 0
     kept = sorted(mon.union(extra))
-    edges = g.edges
-    records = []
-    for i, orig in enumerate(kept):
-        rec = edges[orig]
-        records.append(EdgeRecord(i, labels[rec.u], labels[rec.v], rec.weight))
+    rows = list(map(g.edges.__getitem__, kept))
+    relabel = labels.__getitem__
+    records = edge_records(
+        map(relabel, map(itemgetter(1), rows)),
+        map(relabel, map(itemgetter(2), rows)),
+        map(itemgetter(3), rows),
+    )
     return KernelGraph(Graph(ncomp, records), tuple(labels), tuple(kept))
 
 

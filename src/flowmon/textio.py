@@ -8,14 +8,27 @@ Graph format:
 Edge ids are assigned in file order. The graph parser builds one Weight
 per distinct weight token, with the same checks on every line. Readings
 files hold one `r <edge_id> <signed-int>` line per monitored edge.
+
+The graph parser has a fast path for the canonical layout, the one
+format_graph writes: the header `p flowmon <n> <m>` with n and m in plain
+decimal, then exactly m lines `e <u> <v> <w>`, fields split by single
+spaces, every line ended by a newline, and no comment or blank line. It
+reads the body as one flat token list, with C-level split, slicing,
+map(int, ...) and min/max, and builds exactly the Graph the line loop
+builds: the same int() on each endpoint, the same range checks, one
+Weight.parse per distinct weight token in order of first appearance,
+and the same MAX_MICROS bound on the total. It never raises: any other
+input, and every input with an error, goes to the line loop, so every
+message and line number is the line loop's.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Mapping
 
 from .errors import ParseError, WeightOverflowError
-from .graph import EdgeRecord, Graph
+from .graph import EdgeRecord, Graph, edge_records
 from .weights import MAX_MICROS, Weight
 
 MAX_FLOW = 2**63 - 1
@@ -25,6 +38,61 @@ MAX_VERTICES = 1_000_000
 def parse_graph(text: str) -> Graph:
     """Parse the graph format. The running total of weights must fit in
     MAX_MICROS, so no sum over the graph's weights can overflow later.
+
+    A canonical file takes the fast path (see the module docstring);
+    anything else takes the line loop, whose result and errors the fast
+    path matches."""
+    g = _parse_canonical(text)
+    return _parse_lines(text) if g is None else g
+
+
+def _parse_canonical(text: str) -> Graph | None:
+    """The graph of a canonical file, or None for any other text.
+
+    The checks on the body make each whitespace run one space or one
+    newline: the body starts with a token, ends with a newline and is as
+    long as its tokens plus one character per token. Every line starts
+    with the token `e`. So the m lines start at m of the m token
+    positions 0, 4, 8, ..., that is at all of them, or some line's `e`
+    sits where an endpoint or a weight belongs and fails to parse."""
+    head, _, body = text.partition("\n")
+    fields = head.split(" ")
+    if len(fields) != 4 or fields[0] != "p" or fields[1] != "flowmon":
+        return None
+    try:
+        n, m = int(fields[2]), int(fields[3])
+    except ValueError:
+        return None
+    if head != f"p flowmon {n} {m}" or not 0 <= n <= MAX_VERTICES:
+        return None
+    tokens = body.split()
+    if (
+        len(tokens) != 4 * m
+        or body.count("\n") != m
+        or body.count(" ") != 3 * m
+        or len(body) != sum(map(len, tokens)) + 4 * m
+        or m and not (body.startswith("e ") and body.endswith("\n") and body.count("\ne ") == m - 1)
+    ):
+        return None
+    weight_tokens = tokens[3::4]
+    weights = dict.fromkeys(weight_tokens)
+    try:
+        us = list(map(int, tokens[1::4]))
+        vs = list(map(int, tokens[2::4]))
+        for token in weights:
+            weights[token] = Weight.parse(token)
+    except (ValueError, ParseError, WeightOverflowError):
+        return None
+    if m and (min(min(us), min(vs)) < 0 or max(max(us), max(vs)) >= n):
+        return None
+    micros = {token: w.micros for token, w in weights.items()}
+    if sum(map(micros.__getitem__, weight_tokens)) > MAX_MICROS:
+        return None
+    return Graph(n, edge_records(us, vs, map(weights.__getitem__, weight_tokens)))
+
+
+def _parse_lines(text: str) -> Graph:
+    """The graph parser for any layout, and the one that raises.
 
     Each line is split once: it is blank when it has no fields and a
     comment when its first field starts with "c". Each distinct weight
@@ -80,8 +148,10 @@ def parse_graph(text: str) -> Graph:
 
 
 def format_graph(g: Graph) -> str:
+    """Each distinct weight is converted to text once."""
+    text = {w: str(w) for w in set(map(itemgetter(3), g.edges))}
     lines = [f"p flowmon {g.vertex_count} {len(g.edges)}"]
-    lines.extend(f"e {e.u} {e.v} {e.weight}" for e in g.edges)
+    lines.extend(f"e {u} {v} {text[w]}" for _, u, v, w in g.edges)
     return "\n".join(lines) + "\n"
 
 
@@ -100,7 +170,7 @@ def parse_readings(text: str) -> dict[int, int]:
             raise ParseError(f"line {lineno}: non-integer field") from None
         if eid < 0:
             raise ParseError(f"line {lineno}: negative edge id")
-        if abs(value) > MAX_FLOW:
+        if not -MAX_FLOW - 1 <= value <= MAX_FLOW:
             raise ParseError(f"line {lineno}: reading outside signed 64-bit range")
         if eid in readings:
             raise ParseError(f"line {lineno}: duplicate reading for edge {eid}")

@@ -1,9 +1,12 @@
 import argparse
+import gc
 import hashlib
+import importlib.util
 import io
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -485,3 +488,92 @@ def test_docstring_lists_the_parser_subcommands():
     parser = cli.build_parser()
     subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     assert [s.strip() for s in listed] == list(subparsers.choices)
+
+
+# every family option of gen, with a value that the families reading it
+# refuse wherever there is one: an option a family does not read is
+# refused for itself, not for its value
+_GEN_UNREAD = {"-k": "1", "-n": "0", "-m": "-1", "--seed": "-1", "--epsilon": "0",
+               "--min-degree": "-1", "--simple": None, "--weights": "5:1", "--readings-out": "R"}
+_GEN_READERS = {"-k": "greedy1-tight or greedy2-tight", "--epsilon": "greedy1-tight or greedy2-tight",
+                "--readings-out": "fig1", "-n": "cycle or ladder or random", "-m": "random",
+                "--seed": "random", "--min-degree": "random", "--simple": "random", "--weights": "random"}
+# each family with every option it reads
+_GEN_FULL = {
+    "greedy1-tight": ["-k", "4", "--epsilon", "0.5"],
+    "greedy2-tight": ["-k", "4", "--epsilon", "0.5"],
+    "fig1": ["--readings-out", "R"],
+    "cycle": ["-n", "4"],
+    "ladder": ["-n", "6"],
+    "random": ["-n", "5", "-m", "4", "--seed", "3", "--min-degree", "1", "--simple", "--weights", "1:2"],
+}
+
+
+@pytest.mark.parametrize("family", generators.FAMILIES)
+def test_gen_refuses_each_option_its_family_does_not_read(tmp_path, monkeypatch, capsys, family):
+    monkeypatch.chdir(tmp_path)
+    full = _GEN_FULL[family]
+    for option, value in _GEN_UNREAD.items():
+        if option in full:
+            continue
+        argv = ["gen", family, *full, option, *([value] if value else []), "-o", "g.graph"]
+        assert run_cli(*argv) == (2, "")
+        assert not Path("g.graph").exists() and not Path("R").exists()
+        assert capsys.readouterr().err == f"error: {option} needs family {_GEN_READERS[option]}\n"
+    assert run_cli("gen", family, *full, "-o", "g.graph") == (0, "")
+    assert parse_graph(Path("g.graph").read_text()).vertex_count > 0
+
+
+def _readme_cli_lines() -> list[list[list[str]]]:
+    """The README CLI block as argv lists, one list per line: a pipe
+    gives two argvs, the second reading the first's output."""
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location("check_readme_cli", root / "scripts" / "check_readme_cli.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    lines = script.cli_block((root / "README.md").read_text(encoding="utf-8"))
+    return [
+        [shlex.split(script.COMMAND.sub("", part.strip())) for part in line.partition("#")[0].split("|")]
+        for line in lines
+    ]
+
+
+def test_readme_commands_leave_no_reference_cycles(tmp_path, monkeypatch):
+    # cli.main pauses the cyclic collector while a subcommand runs, on the
+    # premise that a subcommand leaves nothing for it to free; building
+    # the parser does leave cycles, so it is built first
+    monkeypatch.chdir(tmp_path)
+    lines = _readme_cli_lines()
+    cli.build_parser()
+    gc.collect()
+    gc.disable()
+    try:
+        for line in lines:
+            for argv in line:
+                argv = ["piped" if a == "/dev/stdin" else a for a in argv]
+                out = io.StringIO()
+                with redirect_stdout(out), redirect_stderr(io.StringIO()):
+                    main(argv)
+                Path("piped").write_text(out.getvalue())
+                assert (argv, gc.collect()) == (argv, 0)
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("argv, code", [
+    (["gen", "cycle", "-n", "3"], 0),
+    (["gen", "cycle", "-n", "0"], 2),
+    (["gen", "nosuch"], 2),
+], ids=["ok", "flowmon-error", "usage"])
+def test_main_pauses_gc_and_restores_the_callers_setting(monkeypatch, capsys, enabled, argv, code):
+    seen = []
+    build = generators.build_instance
+    monkeypatch.setattr(generators, "build_instance", lambda spec: seen.append(gc.isenabled()) or build(spec))
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert run_cli(*argv)[0] == code
+        assert gc.isenabled() == enabled
+    finally:
+        gc.enable()
+    assert seen == ([] if argv[1] == "nosuch" else [False])

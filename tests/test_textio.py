@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowmon import textio
@@ -67,6 +67,16 @@ def test_readings_round_trip():
 def test_readings_errors(text):
     with pytest.raises(ParseError):
         parse_readings(text)
+
+
+@pytest.mark.parametrize("value", [-(2**63), 2**63 - 1, -(2**63) - 1, 2**63])
+def test_readings_hold_exactly_the_signed_64_bit_range(value):
+    text = f"r 0 {value}\n"
+    if -(2**63) <= value < 2**63:
+        assert parse_readings(text) == {0: value}
+    else:
+        with pytest.raises(ParseError, match="^line 1: reading outside signed 64-bit range$"):
+            parse_readings(text)
 
 
 def test_edge_id_list():
@@ -139,8 +149,68 @@ def _parse_outcome(parse, text):
         return f"ParseError: {exc}"
 
 
+_NON_ASCII_DIGITS = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")
+_INSERTS = ["\n", "c x\n", " ", "\t", "\r", "\r\n", "+", "0_", "e "]
+
+
+@st.composite
+def _near_misses(draw):
+    """A canonical file (as format_graph writes it) with one or two
+    edits: a string inserted, a space and a line end swapped, the
+    digits after some point made non-ASCII, or a header count off by
+    one. The parser's fast path must refuse each, or parse it as the
+    line loop does."""
+    g = draw(multigraphs(max_n=12, max_m=8))
+    text = format_graph(g)
+    for _ in range(draw(st.integers(1, 2))):
+        at = draw(st.integers(0, len(text)))
+        edit = draw(st.sampled_from(["insert", "swap", "digits", "count"]))
+        if edit == "insert":
+            text = text[:at] + draw(st.sampled_from(_INSERTS)) + text[at:]
+        elif edit == "swap" and text[at:at + 1] in (" ", "\n"):
+            text = text[:at] + {" ": "\n", "\n": " "}[text[at]] + text[at + 1:]
+        elif edit == "digits":
+            text = text[:at] + text[at:].translate(_NON_ASCII_DIGITS)
+        elif edit == "count":
+            n, m = g.vertex_count, len(g.edges)
+            off = draw(st.sampled_from([-1, 1]))
+            header = f"p flowmon {n + off} {m}" if draw(st.booleans()) else f"p flowmon {n} {m + off}"
+            text = header + text[text.find("\n"):]
+    return text
+
+
 @settings(max_examples=500)
-@given(st.one_of(st.text(), _graph_texts, _fractional_graphs().map(format_graph)))
+@given(st.one_of(st.text(), _graph_texts, _fractional_graphs().map(format_graph), _near_misses()))
+# a 3-field line then a 5-field line, and 5 then 3: the tokens realign
+@example("p flowmon 3 2\ne 0 1\n1 e 1 2 1\n")
+@example("p flowmon 3 2\ne 0 1\ne e 1 2 1\n")
+@example("p flowmon 3 2\ne 0 1 1 e\n1 2 1\n")
+@example("p flowmon 3 1\ne 0 1\n 1")
+# leading blank and comment lines
+@example("\np flowmon 3 1\ne 0 1 1\n")
+@example("c x\np flowmon 3 1\ne 0 1 1\n")
+@example("p flowmon 3 1\nc x\ne 0 1 1\n")
+# tabs, CRLF, double and trailing spaces, no final line end, a line
+# broken by a CR with the space count kept
+@example("p flowmon 3 1\ne 0\t1 1\n")
+@example("p flowmon 3 1\r\ne 0 1 1\r\n")
+@example("p flowmon 3 1\ne 0  1 1\n")
+@example("p flowmon 3 1\ne 0 1 1 \n")
+@example("p flowmon 3 1 \ne 0 1 1\n")
+@example("p flowmon 3 1\ne 0 1 1")
+@example("p flowmon 3 1\ne 0\r1 1 \n")
+# endpoints that int() reads but are not plain decimals
+@example("p flowmon 3 1\ne +1 2 1\n")
+@example("p flowmon 12 1\ne 1_0 2 1\n")
+@example("p flowmon 3 1\ne \u0661 2 \u0662\n")
+@example("p flowmon +3 1\ne 0 1 1\n")
+# a header count off by one
+@example("p flowmon 3 2\ne 0 1 1\n")
+@example("p flowmon 3 0\ne 0 1 1\n")
+@example("p flowmon 2 1\ne 0 2 1\n")
+@example("p flowmon -1 0\n")
+# a total that overflows only in the running sum
+@example("p flowmon 2 2\ne 0 1 5000000000000\ne 1 0 5000000000000\n")
 def test_parse_graph_matches_line_by_line_parser(text):
     assert _parse_outcome(parse_graph, text) == _parse_outcome(parse_graph_by_lines, text)
 

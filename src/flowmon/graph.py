@@ -6,7 +6,8 @@ built. There are two traversals, and both take a removal mask rather
 than copying the graph: component_labels is a flood fill, and
 search_forest grows the one depth-first forest that every tree pass
 reads: bridge_ids, kernel_labels (whose forest flowsim.infer and
-random_circulation also walk) and cut_labels.
+random_circulation also walk) and _label_forest, behind cut_labels,
+whose forest and labels give reduce.preprocess all it reads of G.
 
 The question "which edges does a monitor set M determine?" is answered by
 cut-space labels (Pritchard & Thurimella, "Fast computation of small
@@ -31,7 +32,8 @@ edge list directly.
 
 from __future__ import annotations
 
-from itertools import count, repeat
+from itertools import compress, count, repeat
+from operator import not_
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ValidationError
@@ -294,14 +296,8 @@ def kernel_labels(
         if eid >= 0 and cover[v]:
             e = edges[eid]
             head[v] = head[e.u + e.v - v]
-    labels = [-1] * g.vertex_count
-    c = 0
-    for v, h in enumerate(head):
-        if labels[h] < 0:
-            labels[h] = c
-            c += 1
-        labels[v] = labels[h]
-    return order, entry, exposed, labels
+    number = {h: c for c, h in enumerate(dict.fromkeys(head))}
+    return order, entry, exposed, list(map(number.__getitem__, head))
 
 
 def gain(g: Graph, monitors: Iterable[int]) -> Weight:
@@ -330,14 +326,40 @@ def is_c_edge_connected(g: Graph, c: int) -> bool:
         raise ValidationError("c must be 1, 2, or 3")
     if g.vertex_count <= 1:
         return True
-    if component_count(g) != 1:
+    _, entry, labels, _ = _label_forest(g)
+    if entry.count(-1) != 1:  # the forest has one tree
         return False
-    if c == 1:
-        return True
-    labels = cut_labels(g)
-    if 0 in labels:
-        return False
-    return c == 2 or len(set(labels)) == len(labels)
+    return c == 1 or 0 not in labels and (c == 2 or len(set(labels)) == len(labels))
+
+
+def _label_forest(g: Graph) -> tuple[list[int], list[int], list[int], list[int]]:
+    """search_forest's order and entry edges on g, the cut label of every
+    edge (see cut_labels) and the ascending ids of the edges outside the
+    forest, the i-th labelled 1 << i; preprocess reads all it needs off it."""
+    order, entry = search_forest(g)
+    edges = g.edges
+    in_forest = bytearray(len(edges))
+    for eid in entry:
+        if eid >= 0:
+            in_forest[eid] = 1
+    nontree = list(compress(range(len(edges)), map(not_, in_forest)))
+    labels = [0] * len(edges)
+    acc = [0] * g.vertex_count
+    bit = 1
+    for eid in nontree:
+        _, u, v, _ = edges[eid]
+        labels[eid] = bit
+        acc[u] ^= bit
+        acc[v] ^= bit
+        bit <<= 1
+    for v in reversed(order):
+        eid = entry[v]
+        if eid >= 0:
+            labels[eid] = acc[v]
+            # two attribute reads beat unpacking the record here
+            e = edges[eid]
+            acc[e.u if e.v == v else e.v] ^= acc[v]
+    return order, entry, labels, nontree
 
 
 def cut_labels(g: Graph) -> list[int]:
@@ -350,27 +372,7 @@ def cut_labels(g: Graph) -> list[int]:
     get 0 and an edge is determined by a monitor set M iff its label
     lies in span(labels(M)).
     """
-    order, entry = search_forest(g)
-    in_forest = bytearray(len(g.edges))
-    for eid in entry:
-        if eid >= 0:
-            in_forest[eid] = 1
-    labels = [0] * len(g.edges)
-    acc = [0] * g.vertex_count
-    bit = 1
-    for e in g.edges:
-        if not in_forest[e.id]:
-            labels[e.id] = bit
-            acc[e.u] ^= bit
-            acc[e.v] ^= bit
-            bit <<= 1
-    for v in reversed(order):
-        eid = entry[v]
-        if eid >= 0:
-            labels[eid] = acc[v]
-            e = g.edges[eid]
-            acc[e.u if e.v == v else e.v] ^= acc[v]
-    return labels
+    return _label_forest(g)[2]
 
 
 def fold_residual(residuals: Sequence[int], r: int) -> list[int]:
@@ -537,21 +539,22 @@ def span_search(
     return best, best_pick, folded_res
 
 
+def _find_root(parent: list[int], x: int) -> int:
+    """The root of x in the union-find forest `parent`, halving its path."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 def spanning_forest(g: Graph) -> frozenset[int]:
     """Maximal acyclic edge set: edges scanned in id order, accepted when
     they join two components. Deterministic; loops are never accepted."""
     parent = list(range(g.vertex_count))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     chosen = []
-    for e in g.edges:
-        ru, rv = find(e.u), find(e.v)
+    for eid, u, v, _ in g.edges:
+        ru, rv = _find_root(parent, u), _find_root(parent, v)
         if ru != rv:
             parent[ru] = rv
-            chosen.append(e.id)
+            chosen.append(eid)
     return frozenset(chosen)

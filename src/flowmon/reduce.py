@@ -1,5 +1,5 @@
 """Instance preprocessing: strip bridges, merge components, contract
-2-cut edge groups, all read off one cut-label pass.
+2-cut edge groups, all read off one labelled depth-first forest.
 
 A bridge of the input graph can only ever carry zero flow, so bridges are
 removed up front and reported separately. Distinct components are then
@@ -13,17 +13,18 @@ to the original graph with identical gain.
 
 from __future__ import annotations
 
+from itertools import compress
+from operator import not_
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import FlowmonError, ValidationError
 from .graph import (
     EdgeRecord,
     Graph,
+    _find_root,
+    _label_forest,
     bridge_ids,
-    component_count,
     component_labels,
-    cut_labels,
-    make_mask,
 )
 from .weights import Weight
 
@@ -71,19 +72,13 @@ def merge_components(g: Graph) -> tuple[Graph, tuple[int, ...]]:
     vertex 0 (the lowest vertex of the first component); remaining
     vertices are renumbered densely. Edge ids and weights are unchanged.
     """
-    n = g.vertex_count
-    if n == 0:
-        return g, ()
-    labels = component_labels(g)
-    lowest = {}
-    for v in range(n):
-        lowest.setdefault(labels[v], v)
-    absorbed = {lowest[c] for c in lowest if c != 0}
-    vmap = []
-    nxt = 0
-    for v in range(n):
-        if v in absorbed:
+    # labels count up in vertex order, so a label one past the largest so
+    # far marks the lowest vertex of a later component
+    vmap, nxt, later = [], 0, 1
+    for c in component_labels(g):
+        if c == later:
             vmap.append(0)
+            later += 1
         else:
             vmap.append(nxt)
             nxt += 1
@@ -112,8 +107,8 @@ def edge_groups(g: Graph) -> tuple[frozenset[int], ...]:
     of equal labels, in order of their lowest edge id. One linear pass.
     Self-loops have a bit of their own and are always singletons.
     """
-    labels = cut_labels(g)
-    if component_count(g) > 1 or 0 in labels:
+    _, entry, labels, _ = _label_forest(g)
+    if entry.count(-1) > 1 or 0 in labels:
         raise ValidationError("edge groups are defined on 2-edge-connected graphs")
     return tuple(frozenset(cls) for cls in _label_groups(labels))
 
@@ -145,41 +140,73 @@ def lift_monitors(m_reduced: Iterable[int], rmap: ReductionMap) -> frozenset[int
 
 def preprocess(g: Graph) -> tuple[Graph, ReductionMap]:
     """strip_bridges, merge_components and contract_groups as one
-    contraction, read off one cut-label pass and built as one graph.
+    contraction, read off one labelled depth-first forest of g
+    (graph._label_forest) and built as one graph.
 
     Bridges are the zero labels. Stripping them and gluing components
     changes no cut, so the edge groups are the equal non-zero labels.
-    Output is 3-edge-connected; a degenerate single vertex with loops is
-    possible and legal. The map speaks original vertex/edge ids.
+    No edge covers a bridge, so the components of G - B are the pieces
+    of the forest cut at the bridges. The reduced vertices, the
+    components of G - B - deputies, are the pieces cut at the tree
+    deputies too, joined across the non-tree edges that are not deputies
+    (at most the cycle rank of them). Output is 3-edge-connected; a
+    single vertex with loops is possible. The map speaks original ids.
     """
-    labels = cut_labels(g)
+    order, entry, labels, nontree = _label_forest(g)
     classes = _label_groups(labels)
-    dropped = frozenset(e for e, label in enumerate(labels) if not label)
+    dropped = frozenset(compress(range(len(labels)), map(not_, labels)))
     deputy_orig = [cls[-1] for cls in classes]
     group_of = {e: gi for gi, cls in enumerate(classes) for e in cls}
+    deputy = bytearray(len(labels))
+    for e in deputy_orig:
+        deputy[e] = 1
 
-    glue = component_labels(g, make_mask(g, dropped))
-    comp = component_labels(g, make_mask(g, [*dropped, *deputy_orig]))
+    # each vertex's top vertex in the forest cut at the bridges (glue) and
+    # at the tree deputies too (head: a union-find parent list, whose roots
+    # are the reduced vertices once the non-tree non-deputies join pieces)
+    n, edges = g.vertex_count, g.edges
+    glue = list(range(n))
+    head = list(range(n))
+    for v in order:
+        eid = entry[v]
+        if eid >= 0 and labels[eid]:
+            e = edges[eid]
+            p = e.u if e.v == v else e.v
+            glue[v] = glue[p]
+            if not deputy[eid]:
+                head[v] = head[p]
+    joined = []
+    for eid in nontree:
+        if not deputy[eid]:
+            _, a, b, _ = edges[eid]
+            ra = _find_root(head, a)
+            head[ra] = _find_root(head, b)
+            joined.append(ra)
+    if joined:
+        # every vertex points at its piece's top, or at a joined top's
+        # root, so two hops reach the root once the joined tops point there
+        for t in joined:
+            head[t] = _find_root(head, t)
+        head = list(map(head.__getitem__, head))
     # merging glues the lowest vertex of each component of G - B to vertex
     # 0; the parts of G - B - deputies holding none follow in vertex order
-    roots = {}
-    for v, c in enumerate(glue):
-        roots.setdefault(c, comp[v])
-    name = dict.fromkeys(roots.values(), 0)
+    name = dict.fromkeys(head, 0)  # the reduced vertices by lowest vertex
+    met = set()
     nxt = 1
-    for c in comp:
-        if c not in name:
+    for c in name:
+        if glue[c] in met:
             name[c] = nxt
             nxt += 1
-    vertex_map = tuple([name[c] for c in comp])
+        met.add(glue[c])
+    vertex_map = tuple(map(name.__getitem__, head))
 
     w = g.weights_micros
     survivors = sorted(deputy_orig)
     new_id_of_orig = {orig: i for i, orig in enumerate(survivors)}
     records = []
     for i, orig in enumerate(survivors):
-        rec = g.edges[orig]
-        weight = Weight(sum(w[e] for e in classes[group_of[orig]]))
+        rec = edges[orig]
+        weight = Weight(sum(map(w.__getitem__, classes[group_of[orig]])))
         records.append(EdgeRecord(i, vertex_map[rec.u], vertex_map[rec.v], weight))
     rmap = ReductionMap(
         vertex_map=vertex_map,

@@ -21,7 +21,8 @@ or skipped, as the trace's candidates field does; a run that would
 exceed one is refused before it enumerates (CLI exit 3). solve_pipeline
 wires preprocessing, a solver (make_solver maps CLI names to solvers),
 and the lift back to original edge ids into the end-to-end path the CLI
-uses.
+uses; the extras are read off the reduced graph and the edge groups, so
+it walks G only in preprocessing.
 
 Determinism: among equal-gain candidate sets the lexicographically
 smallest sorted id tuple wins, so traces are reproducible and tests can
@@ -33,7 +34,7 @@ from __future__ import annotations
 from math import comb
 from typing import Callable, NamedTuple
 
-from .errors import CandidateBudgetError, Checked, SizeGuardError, ValidationError
+from .errors import CandidateBudgetError, Checked, FlowmonError, SizeGuardError, ValidationError
 from .graph import Graph, bridge_ids, cut_labels, make_mask, span_search, spanning_forest
 from .reduce import ReductionMap, lift_monitors, preprocess
 from .weights import Weight
@@ -214,29 +215,26 @@ def full_determination(g: Graph) -> frozenset[int]:
 def _translate_trace(trace: GreedyTrace | None, rmap: ReductionMap) -> GreedyTrace | None:
     if trace is None:
         return None
-    table = rmap.orig_edge_of_reduced
-    steps = tuple(
-        StepRecord(
-            frozenset(table[e] for e in s.monitors_placed),
-            frozenset(table[e] for e in s.collected),
-            s.step_gain,
-            s.candidates,
-        )
-        for s in trace.steps
-    )
-    return GreedyTrace(steps)
+    table = rmap.orig_edge_of_reduced.__getitem__
+    return GreedyTrace(tuple(
+        StepRecord(frozenset(map(table, placed)), frozenset(map(table, collected)), gain, count)
+        for placed, collected, gain, count in trace.steps
+    ))
 
 
 def solve_pipeline(g: Graph, k: int, algo: Callable[[Graph, int], Solution]) -> Solution:
     """Preprocess, solve on the reduced graph, lift back.
 
     k must be at least 1, even on a graph with no edges. With k >= m the
-    answer is trivially all edges. Otherwise monitors are
-    chosen on the reduced graph and lifted to original ids; gain and
-    extras are recomputed on the bridge-stripped merged graph, which by
-    construction equals the reduced-graph gain. Stripped bridges come
-    back in zero_flow: their flow is known (zero) without spending
-    monitors, and they never count toward gain.
+    answer is trivially all edges. Otherwise monitors are chosen on the
+    reduced graph and lifted to original ids. The cuts of the reduced
+    graph are the cuts of G made only of deputies, so the lifted monitors
+    determine the groups of the deputies they determine there: monitors
+    and the bridges of the reduced graph minus them. Those groups' other
+    edges are the extras, and the total must equal the solver's gain
+    (FlowmonError otherwise). Stripped bridges come back in zero_flow:
+    their flow is known (zero) without spending monitors, and they never
+    count toward gain.
     """
     if k < 1:
         raise ValidationError("monitor budget k must be at least 1")
@@ -246,14 +244,18 @@ def solve_pipeline(g: Graph, k: int, algo: Callable[[Graph, int], Solution]) -> 
     reduced, rmap = preprocess(g)
     sub = algo(reduced, k)
     lifted = lift_monitors(sub.monitors, rmap)
-    extras_all = frozenset(bridge_ids(g, make_mask(g, lifted)))
-    extras = extras_all - rmap.stripped_bridges
+    table, group_of = rmap.orig_edge_of_reduced, rmap.group_of
+    collected = {*sub.monitors, *bridge_ids(reduced, make_mask(reduced, sub.monitors))}
+    groups = {group_of[table[r]] for r in collected}
+    extras = frozenset(e for e, gi in group_of.items() if gi in groups) - lifted
     w = g.weights_micros
-    total = Weight(sum(w[e] for e in lifted) + sum(w[e] for e in extras))
+    total = sum(w[e] for e in lifted) + sum(w[e] for e in extras)
+    if total != sub.gain.micros:
+        raise FlowmonError(f"lifted gain {total} differs from the solver's {sub.gain.micros}")
     return Solution(
         lifted,
         extras,
-        total,
+        sub.gain,
         _translate_trace(sub.trace, rmap),
         zero_flow=rmap.stripped_bridges,
     )

@@ -14,6 +14,8 @@ from .errors import Checked, ParseError, ValidationError, WeightOverflowError
 
 SCALE = 10**6
 MAX_MICROS = 2**63 - 1
+# digits in the largest whole part a weight can have
+_WHOLE_DIGITS = len(str(MAX_MICROS // SCALE))
 
 
 def check_micros(micros: int) -> int:
@@ -56,6 +58,12 @@ class Weight(Checked, _Weight):
                 f"bad weight {text!r}: expected a non-negative decimal"
                 " with at most 6 fractional digits"
             )
+        if len(whole) > _WHOLE_DIGITS:
+            # int() refuses over 4,300 digits: a nonzero digit in front of
+            # the last _WHOLE_DIGITS overflows, and leading zeros of any script go
+            lead, whole = whole[:-_WHOLE_DIGITS], whole[-_WHOLE_DIGITS:]
+            if any(map(int, lead)):
+                raise WeightOverflowError(f"weight exceeds {MAX_MICROS} millionths")
         return cls(int(whole) * SCALE + int(frac.ljust(6, "0")))
 
     def __add__(self, other: "Weight") -> "Weight":

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
 import oracles
-from flowmon import graph
+from flowmon import graph, reduce, solvers
 from flowmon.graph import Graph
 
 settings.register_profile(
@@ -94,3 +94,18 @@ def search_counts(monkeypatch):
         monkeypatch.setattr(module, "max", counting_max, raising=False)
         monkeypatch.setattr(module, "fold_residual", counting_fold)
     return counts
+
+
+def record_graph_calls(monkeypatch, *names):
+    """The graph module functions named, wrapped wherever graph, reduce
+    or solvers bind them; returns name -> the graph of each call."""
+    calls = {name: [] for name in names}
+    for name in names:
+        def recording(g, *args, name=name, real=getattr(graph, name)):
+            calls[name].append(g)
+            return real(g, *args)
+
+        for module in (graph, reduce, solvers):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, recording)
+    return calls

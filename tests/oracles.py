@@ -9,7 +9,11 @@ The exceptions are the pair sigma_greedy_by_traversal / exact_by_traversal:
 the solvers as they were before cut-space labels, scoring every
 candidate with one masked bridge_ids traversal (itself checked against
 bridges_by_removal). They pin the label-based solvers to the same
-monitors, extras, gains and traces, ties included. decide_by_traversal
+monitors, extras, gains and traces, ties included.
+solve_pipeline_by_traversal is the pipeline as it was when it found the
+extras with one masked bridge_ids traversal of the whole input graph;
+it pins solve_pipeline, which reads them off the reduced graph's
+bridges and the edge groups, to the same Solution. decide_by_traversal
 likewise pins the label-counting decision, and label_span (the span as
 an explicit set) is the reference for the folded residuals. Likewise
 infer_by_traversal is inference as it was before the forest
@@ -44,7 +48,7 @@ from __future__ import annotations
 import random
 from itertools import combinations
 from math import comb
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from flowmon import solvers
 from flowmon.errors import CandidateBudgetError, ParseError, ValidationError, WeightOverflowError
@@ -59,7 +63,14 @@ from flowmon.graph import (
     reachable_from,
 )
 from flowmon.hardness import DecInstance
-from flowmon.reduce import ReductionMap, edge_groups, merge_components, strip_bridges
+from flowmon.reduce import (
+    ReductionMap,
+    edge_groups,
+    lift_monitors,
+    merge_components,
+    preprocess,
+    strip_bridges,
+)
 from flowmon.solvers import GreedyTrace, Solution, SolverConfig, StepRecord
 from flowmon.textio import MAX_VERTICES
 from flowmon.weights import MAX_MICROS, Weight
@@ -290,6 +301,30 @@ def exact_by_traversal(g: Graph, k: int) -> Solution:
         for e in p:
             mask[e] = 0
     return Solution(frozenset(best_p), frozenset(best_b), Weight(best))
+
+
+def solve_pipeline_by_traversal(g: Graph, k: int, algo: Callable[[Graph, int], Solution]) -> Solution:
+    """solve_pipeline with its extras read off one masked bridge_ids
+    traversal of all of G, the lifted monitors masked."""
+    if k < 1:
+        raise ValidationError("monitor budget k must be at least 1")
+    m = len(g.edges)
+    if k >= m:
+        return Solution(frozenset(range(m)), frozenset(), g.total_weight())
+    reduced, rmap = preprocess(g)
+    sub = algo(reduced, k)
+    lifted = lift_monitors(sub.monitors, rmap)
+    extras_all = frozenset(bridge_ids(g, make_mask(g, lifted)))
+    extras = extras_all - rmap.stripped_bridges
+    w = g.weights_micros
+    total = Weight(sum(w[e] for e in lifted) + sum(w[e] for e in extras))
+    return Solution(
+        lifted,
+        extras,
+        total,
+        solvers._translate_trace(sub.trace, rmap),
+        zero_flow=rmap.stripped_bridges,
+    )
 
 
 def decide_by_traversal(inst: DecInstance) -> bool:

@@ -20,6 +20,7 @@ from flowmon.cli import main
 from flowmon.flowsim import measure, random_circulation
 from flowmon.graph import Graph
 from flowmon.textio import format_graph, format_readings, parse_graph
+from flowmon.weights import MAX_MICROS
 
 
 def run_cli(*argv) -> tuple[int, str]:
@@ -404,6 +405,20 @@ def test_gen_refuses_a_total_weight_the_parser_refuses(tmp_path, capsys):
                         "--weights", "1000000000000:1000000000000", "-o", str(graph))
     assert code == 2 and out == "" and not graph.exists()
     assert "weight exceeds" in capsys.readouterr().err
+
+
+def test_whole_parts_past_the_int_digit_limit_exit_2(tmp_path, capsys):
+    graph = tmp_path / "big.graph"
+    graph.write_text(f"p flowmon 2 1\ne 0 1 {'1' * 5000}\n")
+    assert run_cli("kernel", "-m", "0", str(graph)) == (2, "")
+    assert capsys.readouterr().err == f"error: line 2: weight exceeds {MAX_MICROS} millionths\n"
+    out = tmp_path / "tight.graph"
+    code, stdout = run_cli("gen", "greedy1-tight", "-k", "3", "--epsilon", "7" * 5000, "-o", str(out))
+    assert (code, stdout) == (2, "") and not out.exists()
+    assert capsys.readouterr().err == f"error: weight exceeds {MAX_MICROS} millionths\n"
+    graph.write_text(f"p flowmon 2 1\ne 0 1 {'0' * 5000}1.5\n")
+    code, stdout = run_cli("kernel", "-m", "0", str(graph))
+    assert code == 0 and stdout.startswith("p flowmon 2 1\ne 0 1 1.5\n")
 
 
 def test_gen_refuses_a_vertex_count_the_parser_refuses(tmp_path, capsys):

@@ -20,7 +20,7 @@ from flowmon.reduce import (
 from flowmon.solvers import exact
 from flowmon.weights import Weight
 
-from conftest import bridgeless_graphs, multigraphs
+from conftest import bridgeless_graphs, multigraphs, record_graph_calls
 from oracles import (
     components_naive,
     exact_reference,
@@ -277,18 +277,11 @@ def test_preprocess_preserves_optimum(g, k):
 
 
 def test_preprocess_computes_cut_labels_once(monkeypatch):
-    # edge_groups checks 2-edge-connectivity on the labels it groups by
-    real = graph_mod.cut_labels
-    calls = []
-
-    def counting(g):
-        calls.append(g)
-        return real(g)
-
-    monkeypatch.setattr(graph_mod, "cut_labels", counting)
-    monkeypatch.setattr(reduce_mod, "cut_labels", counting)
-    preprocess(gen_fig1()[0])
-    assert len(calls) == 1
+    # one labelled forest gives the bridges, the groups and the vertex map
+    calls = record_graph_calls(monkeypatch, "_label_forest", "cut_labels", "search_forest")
+    g = gen_fig1()[0]
+    preprocess(g)
+    assert calls == {"_label_forest": [g], "cut_labels": [], "search_forest": [g]}
 
 
 def _assert_same_reduction(g):
@@ -324,23 +317,21 @@ def test_preprocess_matches_stages_pinned(g):
 
 
 def test_preprocess_does_one_pass(monkeypatch):
-    # one cut_labels pass, no bridge_ids pass and a single Graph build per call
-    calls = {"cut_labels": 0, "bridge_ids": 0, "Graph": 0}
-
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    labels = counting("cut_labels", graph_mod.cut_labels)
-    bridge_pass = counting("bridge_ids", graph_mod.bridge_ids)
-    for mod in (graph_mod, reduce_mod):
-        monkeypatch.setattr(mod, "cut_labels", labels)
-        monkeypatch.setattr(mod, "bridge_ids", bridge_pass)
-    monkeypatch.setattr(reduce_mod, "Graph", counting("Graph", Graph))
+    # one labelling, no flood fill, mask or bridge_ids pass, and a single
+    # Graph build per call
+    calls = record_graph_calls(
+        monkeypatch, "_label_forest", "search_forest", "component_labels", "make_mask", "bridge_ids"
+    )
+    builds = []
+    monkeypatch.setattr(reduce_mod, "Graph", lambda *args: builds.append(args) or Graph(*args))
     g = Graph.build(7, [(0, 1), (1, 2), (2, 0), (2, 3), (4, 5), (5, 6), (6, 4), (4, 4)])
     for _ in range(2):
         preprocess(g)
-    assert calls == {"cut_labels": 2, "bridge_ids": 0, "Graph": 2}
+    assert {name: len(graphs) for name, graphs in calls.items()} == {
+        "_label_forest": 2,
+        "search_forest": 2,
+        "component_labels": 0,
+        "make_mask": 0,
+        "bridge_ids": 0,
+    }
+    assert len(builds) == 2

@@ -2,11 +2,11 @@ from math import comb
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowmon import solvers
-from flowmon.errors import CandidateBudgetError, SizeGuardError
+from flowmon.errors import CandidateBudgetError, FlowmonError, SizeGuardError
 from flowmon.generators import (
     gen_circulant,
     gen_cycle,
@@ -27,12 +27,13 @@ from flowmon.solvers import (
 )
 from flowmon.weights import Weight
 
-from conftest import multigraphs
+from conftest import multigraphs, record_graph_calls
 from oracles import (
     exact_by_traversal,
     exact_reference,
     greedy_reference,
     sigma_greedy_by_traversal,
+    solve_pipeline_by_traversal,
     span_search_exhaustive,
 )
 
@@ -398,6 +399,59 @@ def test_pipeline_when_everything_is_a_bridge():
     assert sol.monitors == frozenset()
     assert sol.zero_flow == {0, 1, 2}
     assert sol.gain == Weight.zero()
+
+
+# a 4-cycle with a chord, whose group {1, 2} has its deputy 2 in the
+# forest, so the non-tree member 1 joins two pieces of it; then a bridge
+# (5), a loop, a triangle and an isolated vertex. Reduced m is 5.
+CYCLE_WITH_TREE_DEPUTY = Graph.build(
+    9,
+    [(0, 1, 2), (3, 0, 1), (2, 3, 0), (1, 2, 3), (0, 2, 1), (3, 4, 5),
+     (4, 4, 2), (5, 6, 1), (6, 7, 0), (7, 5, 4)],
+)
+
+
+@settings(max_examples=300)
+@given(
+    multigraphs(max_n=9, max_m=14, min_w=0),
+    st.integers(1, 6),
+    st.sampled_from(["greedy1", "greedy2", "greedy:3", "exact"]),
+)
+@example(CYCLE_WITH_TREE_DEPUTY, 2, "greedy1")
+@example(CYCLE_WITH_TREE_DEPUTY, 3, "greedy2")
+@example(CYCLE_WITH_TREE_DEPUTY, 3, "exact")
+# reduced m <= k < m: the solver takes every deputy
+@example(CYCLE_WITH_TREE_DEPUTY, 5, "greedy:3")
+@example(CYCLE_WITH_TREE_DEPUTY, 7, "exact")
+def test_solve_pipeline_matches_traversal(g, k, name):
+    # loops, parallels, bridges, zero weights, isolated vertices, several
+    # components: the full Solution, trace and zero-flow set included
+    algo = make_solver(name)
+    assert solve_pipeline(g, k, algo) == solve_pipeline_by_traversal(g, k, algo)
+
+
+def test_solve_pipeline_walks_the_input_graph_once(monkeypatch):
+    # the labelling forest of G, then bridge_ids once, on the reduced graph
+    g = CYCLE_WITH_TREE_DEPUTY
+    expected = solve_pipeline_by_traversal(g, 2, greedy1)
+    calls = record_graph_calls(monkeypatch, "search_forest", "component_labels", "bridge_ids")
+    solved = []
+    sol = solve_pipeline(g, 2, lambda reduced, k: solved.append(reduced) or greedy1(reduced, k))
+    assert sol == expected
+    [reduced] = solved
+    assert [h is g for h in calls["search_forest"]].count(True) == 1
+    assert calls["component_labels"] == []
+    assert len(calls["bridge_ids"]) == 1 and calls["bridge_ids"][0] is reduced
+
+
+def test_solve_pipeline_refuses_a_gain_the_lift_does_not_reach():
+    def inflated(reduced, k):
+        sol = greedy1(reduced, k)
+        return sol._replace(gain=sol.gain + Weight(1))
+
+    with pytest.raises(FlowmonError, match="differs from the solver's") as err:
+        solve_pipeline(CYCLE_WITH_TREE_DEPUTY, 2, inflated)
+    assert err.value.exit_code == 1
 
 
 def test_greedy_on_empty_graph():

@@ -211,8 +211,26 @@ def _near_misses(draw):
 @example("p flowmon -1 0\n")
 # a total that overflows only in the running sum
 @example("p flowmon 2 2\ne 0 1 5000000000000\ne 1 0 5000000000000\n")
+# whole parts past int()'s 4,300-digit limit, on the fast path and (after
+# a comment) the line loop: one overflows, one is 1.5 behind its zeros
+@example("p flowmon 2 1\ne 0 1 " + "1" * 5000 + "\n")
+@example("c x\np flowmon 2 1\ne 0 1 " + "1" * 5000 + "\n")
+@example("p flowmon 2 1\ne 0 1 " + "0" * 5000 + "1.5\n")
+@example("c x\np flowmon 2 1\ne 0 1 " + "0" * 5000 + "1.5\n")
 def test_parse_graph_matches_line_by_line_parser(text):
     assert _parse_outcome(parse_graph, text) == _parse_outcome(parse_graph_by_lines, text)
+
+
+@pytest.mark.parametrize("head", ["", "c x\n"])
+def test_parse_graph_reads_whole_parts_past_the_int_digit_limit(head):
+    # no comment takes the fast path, a comment the line loop
+    text = f"{head}p flowmon 2 2\ne 0 1 {'0' * 5000}1.5\ne 1 0 {'1' * 5000}\n"
+    for parse in (parse_graph, parse_graph_by_lines):
+        with pytest.raises(ParseError, match=f"^line {3 + bool(head)}: weight exceeds"):
+            parse(text)
+    text = f"{head}p flowmon 2 1\ne 0 1 {'0' * 5000}1.5\n"
+    assert parse_graph(text) == parse_graph_by_lines(text)
+    assert parse_graph(text).edges[0].weight == Weight.parse("1.5")
 
 
 def test_parse_graph_parses_each_token_once_per_call(monkeypatch):

@@ -65,3 +65,14 @@ def test_overflow_reported():
         Weight(MAX_MICROS + 1)
     with pytest.raises(WeightOverflowError):
         Weight(MAX_MICROS) + Weight(1)
+
+
+def test_parse_whole_parts_past_the_int_digit_limit():
+    # int() refuses a string of over 4,300 digits: leading zeros of any
+    # script are dropped, and any longer whole part overflows
+    assert Weight.parse("0" * 5000 + "1.5") == Weight.parse("1.5")
+    assert Weight.parse("٠" * 5000 + "2") == Weight.from_units(2)
+    assert Weight.parse("0" * 5000 + str(MAX_MICROS // SCALE) + ".775807").micros == MAX_MICROS
+    for text in ("1" * 5000, "1" + "0" * 5000, "1" + "0" * 13, "0" * 5000 + "9" * 14 + ".5"):
+        with pytest.raises(WeightOverflowError):
+            Weight.parse(text)

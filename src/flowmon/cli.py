@@ -185,15 +185,23 @@ def _cmd_hardness(args) -> int:
     enumeration per partition of n; it is refused (exit 3) when the
     partitions of 1..max_n exceed LEMMA1_MAX_COMBOS, from --max-n 41.
     --verify-star checks graphs on 3 to min(--max-n, 7) vertices plus
-    --random-instances random ones, and is refused (exit 2) when that
-    leaves nothing to check."""
+    --random-instances random ones seeded by --seed, and is refused
+    (exit 2) when that leaves nothing to check: below --max-n 4, as the
+    one clique size on 3 vertices, q = 3, leaves l = n - q = 0. Both star
+    options default to None, so one given without --verify-star is
+    refused (exit 2)."""
+    star = {"--random-instances": args.random_instances, "--seed": args.seed}
+    given = [option for option, value in star.items() if value is not None]
+    if given and not args.verify_star:
+        raise ValidationError(f"{given[0]} needs --verify-star")
+    random_instances, seed = args.random_instances or 0, args.seed or 0
     if args.max_n < 1:
         raise ValidationError("--max-n must be at least 1")
-    if args.random_instances < 0:
+    if random_instances < 0:
         raise ValidationError("--random-instances must be non-negative")
-    if args.verify_star and args.max_n < 3 and not args.random_instances:
+    if args.verify_star and args.max_n < 4 and not random_instances:
         raise ValidationError(
-            f"--verify-star checks graphs on at least 3 vertices; --max-n {args.max_n}"
+            f"--verify-star finds its first check on 4 vertices; --max-n {args.max_n}"
             " leaves none (raise --max-n or add --random-instances)"
         )
     lines = []
@@ -211,8 +219,8 @@ def _cmd_hardness(args) -> int:
                 lines.append(f"LEMMA1 n={n} s={s} {'PASS' if ok else 'FAIL'}")
     if args.verify_star:
         reports = verify_star_canonical(min(args.max_n, 7))
-        if args.random_instances:
-            reports.append(verify_star_random((7, 8), args.random_instances, seed=args.seed))
+        if random_instances:
+            reports.append(verify_star_random((7, 8), random_instances, seed=seed))
         for report in reports:
             failed |= not report.ok
             lines.append(
@@ -283,8 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify-star", action="store_true")
     p.add_argument("--lemma1", action="store_true")
     p.add_argument("--max-n", type=int, default=7)
-    p.add_argument("--random-instances", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--random-instances", type=int, default=None, help="--verify-star; default 0")
+    p.add_argument("--seed", type=int, default=None, help="--verify-star; default 0")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_hardness)
 

@@ -2,12 +2,13 @@
 
 Parallel edges and self-loops are first class: an edge is identified by
 its dense integer id, never by its endpoints. Graphs are immutable once
-built. There are two traversals, and both take a removal mask rather
-than copying the graph: component_labels is a flood fill, and
-search_forest grows the one depth-first forest that every tree pass
-reads: bridge_ids, kernel_labels (whose forest flowsim.infer and
-random_circulation also walk) and _label_forest, behind cut_labels,
-whose forest and labels give reduce.preprocess all it reads of G.
+built. There is one traversal, search_forest: it takes a removal mask
+rather than copying the graph and grows the depth-first forest that
+every pass reads: component_labels (its trees), bridge_ids,
+kernel_labels (whose forest flowsim.infer and random_circulation also
+walk) and _label_forest, behind cut_labels, whose forest and labels give
+reduce.preprocess all it reads of G. _forest_pieces labels every vertex
+by its piece of such a forest cut at some of its tree edges.
 
 The question "which edges does a monitor set M determine?" is answered by
 cut-space labels (Pritchard & Thurimella, "Fast computation of small
@@ -65,7 +66,7 @@ def edge_records(us: Iterable[int], vs: Iterable[int], weights: Iterable[Weight]
 class Graph:
     """Immutable multigraph; vertex indices are 0..vertex_count-1."""
 
-    __slots__ = ("vertex_count", "edges", "adjacency", "weights_micros", "_zero_mask")
+    __slots__ = ("vertex_count", "edges", "adjacency", "weights_micros")
 
     def __init__(self, vertex_count: int, edges: Iterable[EdgeRecord]):
         """Validate the records (each id equals its position, endpoints
@@ -92,7 +93,6 @@ class Graph:
         # kept, and peak RSS rose by 2 MiB over 12,000 graphs of 11-18 edges
         object.__setattr__(self, "adjacency", tuple([tuple(a) for a in adj]))
         object.__setattr__(self, "weights_micros", tuple(micros))
-        object.__setattr__(self, "_zero_mask", bytes(len(edges)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -146,7 +146,7 @@ class Graph:
         return f"Graph(n={self.vertex_count}, m={len(self.edges)})"
 
 
-def make_mask(g: Graph, removed_ids: Iterable[int] = ()) -> bytearray:
+def make_mask(g: Graph, removed_ids: Iterable[int]) -> bytearray:
     mask = bytearray(len(g.edges))
     for e in removed_ids:
         mask[e] = 1
@@ -154,33 +154,18 @@ def make_mask(g: Graph, removed_ids: Iterable[int] = ()) -> bytearray:
 
 
 def component_labels(g: Graph, removed: Sequence[int] | None = None) -> list[int]:
-    """Label vertices 0..c-1 by component, in first-appearance order.
+    """Label vertices 0..c-1 by component: the trees of search_forest,
+    numbered by their roots (each component's lowest vertex).
 
     `removed` is a per-edge 0/1 mask of edges to ignore.
     """
-    if removed is None:
-        removed = g._zero_mask
-    adj = g.adjacency
-    labels = [-1] * g.vertex_count
-    c = 0
-    for start in range(g.vertex_count):
-        if labels[start] >= 0:
-            continue
-        labels[start] = c
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w, eid in adj[v]:
-                if not removed[eid] and labels[w] < 0:
-                    labels[w] = c
-                    stack.append(w)
-        c += 1
-    return labels
+    order, entry = search_forest(g, removed)
+    return _forest_pieces(g, order, entry, bytes(len(g.edges)))
 
 
-def component_count(g: Graph, removed: Sequence[int] | None = None) -> int:
-    labels = component_labels(g, removed)
-    return max(labels) + 1 if labels else 0
+def component_count(g: Graph) -> int:
+    """The number of components: the roots of search_forest's trees."""
+    return search_forest(g)[1].count(-1)
 
 
 def reachable_from(g: Graph, start: int, removed: Sequence[int]) -> list[bool]:
@@ -227,12 +212,25 @@ def search_forest(g: Graph, removed: Sequence[int] | None = None) -> tuple[list[
     return order, entry
 
 
-def _forest_bridges(
-    g: Graph, removed: Sequence[int]
-) -> tuple[list[int], list[int], list[int], list[int]]:
-    """search_forest's order and entry edges on G minus the masked edges;
-    cover[v], the number of unmasked edges covering the tree edge into v;
-    and the bridges, the tree edges nothing covers, leaves first.
+def _forest_pieces(g: Graph, order: list[int], entry: list[int], cut: bytes) -> list[int]:
+    """Each vertex's piece of the depth-first forest (order, entry) cut at
+    the tree edges the per-edge mask `cut` marks, numbered 0, 1, ... by
+    lowest vertex. The preorder walk hands each vertex its parent's piece
+    top unless its entry edge is cut; vertex order then numbers the tops."""
+    edges = g.edges
+    top = list(range(g.vertex_count))
+    for v in order:
+        eid = entry[v]
+        if eid >= 0 and not cut[eid]:
+            e = edges[eid]
+            top[v] = top[e.u + e.v - v]
+    number = {t: c for c, t in enumerate(dict.fromkeys(top))}
+    return list(map(number.__getitem__, top))
+
+
+def _forest_bridges(g: Graph, removed: Sequence[int]) -> tuple[list[int], list[int], list[int]]:
+    """search_forest's order and entry edges on G minus the masked edges,
+    and the bridges, the tree edges no unmasked edge covers, leaves first.
 
     Each unmasked non-tree edge of a depth-first forest joins a vertex to
     an ancestor and covers the tree path between them: it adds +1 at its
@@ -262,42 +260,35 @@ def _forest_bridges(
                 out.append(eid)
             e = edges[eid]
             cover[e.u + e.v - v] += cover[v]
-    return order, entry, cover, out
+    return order, entry, out
 
 
 def bridge_ids(g: Graph, removed: Sequence[int] | None = None) -> list[int]:
     """Bridges of the graph minus the masked edges, as a list of edge ids,
     read off the cover counts of one depth-first forest (_forest_bridges)."""
-    if removed is None:
-        removed = g._zero_mask
-    return _forest_bridges(g, removed)[3]
+    return _forest_bridges(g, bytes(len(g.edges)) if removed is None else removed)[2]
 
 
 def kernel_labels(
     g: Graph, monitors: Iterable[int]
 ) -> tuple[list[int], list[int], list[int], list[int]]:
     """search_forest's order and entry edges on G - M, the bridges B of
-    G - M, and a component label per vertex of G - M - B
-    (first-appearance order, as in component_labels).
+    G - M, and a component label per vertex of G - M - B, numbered by
+    lowest vertex as component_labels numbers them.
 
     All come off the one depth-first forest of G - M that finds B: no
     edge covers a bridge, so the components of G - M - B are the pieces
-    of the forest cut at the bridges, each named by its top vertex and
-    then numbered by its lowest. The labels name the kernel
-    vertices; each bridge joins two distinct labels, and the bridges
-    form a forest on them. The two sides of a bridge in G - M are the
-    forest's subtree below it and the rest of that tree.
+    of the forest cut at the bridges (_forest_pieces, with B added to
+    the monitor mask). The labels name the kernel vertices; each bridge
+    joins two distinct labels, and the bridges form a forest on them.
+    The two sides of a bridge in G - M are the forest's subtree below it
+    and the rest of that tree.
     """
-    order, entry, cover, exposed = _forest_bridges(g, make_mask(g, monitors))
-    edges = g.edges
-    head = list(range(g.vertex_count))  # the top vertex of each piece
-    for v in order:
-        eid = entry[v]
-        if eid >= 0 and cover[v]:
-            e = edges[eid]
-            head[v] = head[e.u + e.v - v]
-    number = {h: c for c, h in enumerate(dict.fromkeys(head))}
-    return order, entry, exposed, list(map(number.__getitem__, head))
+    mask = make_mask(g, monitors)
+    order, entry, exposed = _forest_bridges(g, mask)
+    for e in exposed:
+        mask[e] = 1
+    return order, entry, exposed, _forest_pieces(g, order, entry, mask)
 
 
 def gain(g: Graph, monitors: Iterable[int]) -> Weight:

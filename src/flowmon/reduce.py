@@ -22,6 +22,7 @@ from .graph import (
     EdgeRecord,
     Graph,
     _find_root,
+    _forest_pieces,
     _label_forest,
     bridge_ids,
     component_labels,
@@ -145,60 +146,52 @@ def preprocess(g: Graph) -> tuple[Graph, ReductionMap]:
 
     Bridges are the zero labels. Stripping them and gluing components
     changes no cut, so the edge groups are the equal non-zero labels.
-    No edge covers a bridge, so the components of G - B are the pieces
-    of the forest cut at the bridges. The reduced vertices, the
-    components of G - B - deputies, are the pieces cut at the tree
-    deputies too, joined across the non-tree edges that are not deputies
-    (at most the cycle rank of them). Output is 3-edge-connected; a
-    single vertex with loops is possible. The map speaks original ids.
+    No edge covers a bridge, so the reduced vertices, the components of
+    G - B - deputies, are the pieces of the forest cut at the bridges and
+    the tree deputies (graph._forest_pieces), joined across the non-tree
+    edges that are not deputies (at most the cycle rank of them). The
+    deputies join those into the components of G - B, which merging
+    glues at vertex 0. Output is 3-edge-connected; a single vertex with
+    loops is possible. The map speaks original ids.
     """
     order, entry, labels, nontree = _label_forest(g)
     classes = _label_groups(labels)
-    dropped = frozenset(compress(range(len(labels)), map(not_, labels)))
+    cut = bytearray(map(not_, labels))  # the bridges, then the deputies too
+    dropped = frozenset(compress(range(len(labels)), cut))
     deputy_orig = [cls[-1] for cls in classes]
     group_of = {e: gi for gi, cls in enumerate(classes) for e in cls}
-    deputy = bytearray(len(labels))
     for e in deputy_orig:
-        deputy[e] = 1
+        cut[e] = 1
 
-    # each vertex's top vertex in the forest cut at the bridges (glue) and
-    # at the tree deputies too (head: a union-find parent list, whose roots
-    # are the reduced vertices once the non-tree non-deputies join pieces)
-    n, edges = g.vertex_count, g.edges
-    glue = list(range(n))
-    head = list(range(n))
-    for v in order:
-        eid = entry[v]
-        if eid >= 0 and labels[eid]:
-            e = edges[eid]
-            p = e.u if e.v == v else e.v
-            glue[v] = glue[p]
-            if not deputy[eid]:
-                head[v] = head[p]
-    joined = []
+    # the pieces, numbered by lowest vertex, joined by union-find across
+    # the non-tree edges left uncut (no non-tree edge has a zero label);
+    # each reduced vertex, a union of pieces, is first met at its lowest
+    head = _forest_pieces(g, order, entry, cut)
+    parent = list(range(len(head)))
+    edges = g.edges
     for eid in nontree:
-        if not deputy[eid]:
+        if not cut[eid]:
             _, a, b, _ = edges[eid]
-            ra = _find_root(head, a)
-            head[ra] = _find_root(head, b)
-            joined.append(ra)
-    if joined:
-        # every vertex points at its piece's top, or at a joined top's
-        # root, so two hops reach the root once the joined tops point there
-        for t in joined:
-            head[t] = _find_root(head, t)
-        head = list(map(head.__getitem__, head))
-    # merging glues the lowest vertex of each component of G - B to vertex
-    # 0; the parts of G - B - deputies holding none follow in vertex order
-    name = dict.fromkeys(head, 0)  # the reduced vertices by lowest vertex
+            ra = _find_root(parent, head[a])
+            parent[ra] = _find_root(parent, head[b])
+    reduced = [_find_root(parent, p) for p in range(max(head, default=-1) + 1)]
+    # the deputies join the reduced vertices into the components of G - B;
+    # merging glues the lowest reduced vertex of each to vertex 0
+    for eid in deputy_orig:
+        _, a, b, _ = edges[eid]
+        ra = _find_root(parent, head[a])
+        parent[ra] = _find_root(parent, head[b])
+    name = dict.fromkeys(reduced, 0)
     met = set()
     nxt = 1
     for c in name:
-        if glue[c] in met:
+        comp = _find_root(parent, c)
+        if comp in met:
             name[c] = nxt
             nxt += 1
-        met.add(glue[c])
-    vertex_map = tuple(map(name.__getitem__, head))
+        met.add(comp)
+    piece_name = list(map(name.__getitem__, reduced))
+    vertex_map = tuple(map(piece_name.__getitem__, head))
 
     w = g.weights_micros
     survivors = sorted(deputy_orig)

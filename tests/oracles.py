@@ -27,8 +27,12 @@ as it was before it split each line once and parsed each distinct
 weight token once, and pins parse_graph to the same Graph or the same
 ParseError text. kernel_labels_by_stages is kernel_labels' bridges and
 labels as they were before it read the components off its depth-first
-forest: bridge_ids, then a component_labels flood fill with the bridges
-masked as well. span_search_exhaustive is span_search as it was before
+forest: bridge_ids, then components_naive with the bridges masked as
+well. Wherever a stage oracle needs the components of a masked graph
+(that one, _contract_groups_by_components and infer_by_traversal's
+audit) it takes them from components_naive, not from the library's
+component_labels, which reads the same forest pieces as the code under
+test. span_search_exhaustive is span_search as it was before
 its branch and bound and before it tried each distinct residual once
 per prefix: every position of every prefix read to the end; it pins
 span_search, and through it the solvers and the hardness decision, to
@@ -57,7 +61,6 @@ from flowmon.graph import (
     EdgeRecord,
     Graph,
     bridge_ids,
-    component_labels,
     fold_residual,
     make_mask,
     reachable_from,
@@ -101,6 +104,11 @@ def components_naive(n: int, edge_list: list[tuple[int, int]]) -> list[int]:
 def component_count_naive(n: int, edge_list: list[tuple[int, int]]) -> int:
     labels = components_naive(n, edge_list)
     return max(labels) + 1 if labels else 0
+
+
+def components_of_masked(g: Graph, mask: Sequence[int]) -> list[int]:
+    """components_naive of g minus the edges the 0/1 mask marks."""
+    return components_naive(g.vertex_count, [(e.u, e.v) for e in g.edges if not mask[e.id]])
 
 
 def live_edge_list(g: Graph, removed: frozenset[int] = frozenset()) -> list[tuple[int, int, int]]:
@@ -384,7 +392,7 @@ def infer_by_traversal(g: Graph, monitors: Iterable[int], readings: Measurements
     # audit: net determined flow across each kernel-component boundary is zero
     for e in extra:
         mask[e] = 1
-    labels = component_labels(g, mask)
+    labels = components_of_masked(g, mask)
     ncomp = max(labels) + 1 if labels else 0
     net = [0] * ncomp
     for e, f in determined.items():
@@ -407,7 +415,7 @@ def _contract_groups_by_components(g: Graph) -> tuple[Graph, ReductionMap]:
     group_of = {e: gi for gi, cls in enumerate(classes) for e in cls}
     # contracting the non-deputy members merges exactly the vertices they
     # connect; components come numbered by their lowest original vertex
-    vmap = component_labels(g, make_mask(g, deputy_orig))
+    vmap = components_of_masked(g, make_mask(g, deputy_orig))
 
     group_weight = [Weight(sum(g.weights_micros[e] for e in cls)) for cls in classes]
     survivors = sorted(deputy_orig)
@@ -498,12 +506,12 @@ def parse_graph_by_lines(text: str) -> Graph:
 
 def kernel_labels_by_stages(g: Graph, monitors: Iterable[int]) -> tuple[list[int], list[int]]:
     """The bridges B of G - M, then the components of G - M - B by a
-    second traversal with B masked as well."""
+    second, naive search with B masked as well."""
     mask = make_mask(g, monitors)
     exposed = bridge_ids(g, mask)
     for e in exposed:
         mask[e] = 1
-    return exposed, component_labels(g, mask)
+    return exposed, components_of_masked(g, mask)
 
 
 def span_search_exhaustive(

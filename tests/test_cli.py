@@ -391,12 +391,32 @@ def test_cli_output_bytes_are_pinned(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("extra", [(), ("--lemma1",)])
 def test_hardness_verify_star_refuses_an_empty_check(capsys, extra):
-    # below 3 vertices there is no canonical graph to check, so the
-    # star check would vanish without a word
-    code, out = run_cli("hardness", "--verify-star", "--max-n", "2", *extra)
-    assert code == 2 and out == ""
-    err = capsys.readouterr().err
-    assert "--verify-star checks graphs on at least 3 vertices; --max-n 2 leaves none" in err
+    # below 3 vertices there is no canonical graph, and on 3 vertices the
+    # only clique size leaves l = 0, so the star check would pass having
+    # checked nothing
+    for max_n in ("2", "3"):
+        code, out = run_cli("hardness", "--verify-star", "--max-n", max_n, *extra)
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == (
+            f"error: --verify-star finds its first check on 4 vertices; --max-n {max_n}"
+            " leaves none (raise --max-n or add --random-instances)\n"
+        )
+
+
+@pytest.mark.parametrize("option", ["--random-instances", "--seed"])
+@pytest.mark.parametrize("value", ["0", "9"])
+def test_hardness_refuses_star_options_without_verify_star(tmp_path, capsys, option, value):
+    # only --verify-star reads them, so a run must not silently drop them
+    target = tmp_path / "out.txt"
+    code, out = run_cli("hardness", "--lemma1", "--max-n", "3", option, value, "-o", str(target))
+    assert (code, out) == (2, "") and not target.exists()
+    assert capsys.readouterr().err == f"error: {option} needs --verify-star\n"
+
+
+def test_hardness_star_seed_defaults_to_zero():
+    star = ("hardness", "--verify-star", "--max-n", "2", "--random-instances", "5")
+    assert run_cli(*star) == run_cli(*star, "--seed", "0")
+    assert run_cli(*star) != run_cli(*star, "--seed", "9")
 
 
 def test_gen_refuses_a_total_weight_the_parser_refuses(tmp_path, capsys):

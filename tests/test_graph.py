@@ -10,6 +10,7 @@ from flowmon.flowsim import infer
 from flowmon.graph import (
     Graph,
     bridge_ids,
+    component_count,
     component_labels,
     cut_labels,
     gain,
@@ -21,12 +22,15 @@ from flowmon.graph import (
     span_search,
     spanning_forest,
 )
+from flowmon.reduce import preprocess
 from flowmon.weights import Weight
 
 from conftest import bridgeless_graphs, multigraphs
 from oracles import (
     bridges_by_removal,
     c_edge_connected_naive,
+    component_count_naive,
+    components_of_masked,
     gain_micros_by_definition,
     kernel_labels_by_stages,
     label_span,
@@ -44,7 +48,8 @@ PARALLEL_PAIR = Graph.build(2, [(0, 1), (0, 1)])
 
 def test_components_isolated_vertices():
     g = Graph.build(3, [])
-    assert component_labels(g) == [0, 1, 2]
+    assert component_labels(g) == [0, 1, 2] and component_count(g) == 3
+    assert component_labels(Graph.build(0, [])) == [] and component_count(Graph.build(0, [])) == 0
 
 
 def test_components_triangle():
@@ -54,6 +59,17 @@ def test_components_triangle():
 def test_components_disjoint_union():
     g = Graph.build(4, [(0, 1), (1, 2), (0, 2)])
     assert component_labels(g) == [0, 0, 0, 1]
+
+
+@given(multigraphs(max_n=8, max_m=16), st.data())
+def test_components_match_naive_oracle(g, data):
+    # the trees of one depth-first forest, numbered by their roots, are
+    # the components that a search over plain edge lists numbers
+    m = len(g.edges)
+    mask = make_mask(g, data.draw(st.sets(st.integers(0, m - 1))) if m else ())
+    assert component_labels(g, mask) == components_of_masked(g, mask)
+    assert component_labels(g) == components_of_masked(g, bytes(m))
+    assert component_count(g) == component_count_naive(g.vertex_count, [(e.u, e.v) for e in g.edges])
 
 
 def test_bridges_path():
@@ -99,7 +115,7 @@ def assert_dfs_forest(g, mask, order, entry):
             parent[v] = e.u + e.v - v
     pos = {v: i for i, v in enumerate(order)}
     assert all(pos[parent[v]] < pos[v] for v in order if parent[v] >= 0)
-    labels = component_labels(g, mask)
+    labels = components_of_masked(g, mask)
     roots = [v for v in order if entry[v] < 0]
     assert roots == [labels.index(c) for c in range(max(labels, default=-1) + 1)]
 
@@ -161,6 +177,11 @@ def test_tree_passes_do_not_recurse_on_deep_graphs():
     pendant = set(range(cycle, cycle + tail))
     assert set(bridge_ids(g)) == pendant
     assert {e for e, x in enumerate(cut_labels(g)) if not x} == pendant
+    assert component_labels(g) == [0] * (cycle + tail) and component_count(g) == 1
+    # the cycle is one edge group, so G reduces to one vertex with a loop
+    reduced, rmap = preprocess(g)
+    assert reduced == Graph.build(1, [(0, 0, cycle)]) and rmap.stripped_bridges == pendant
+    assert set(rmap.vertex_map) == {0} and rmap.orig_edge_of_reduced == (cycle - 1,)
     result = infer(g, [0], {0: 5})
     assert result.consistent and not result.undetermined
     assert all(result.determined[e] == (5 if e < cycle else 0) for e in range(len(edges)))

@@ -8,6 +8,14 @@ output path), 3 size-guard refusal, 4 inconsistent measurements. All
 output is line-oriented plain text and deterministic for fixed inputs
 and seeds.
 
+One table, GEN_FAMILIES, holds what gen knows of its families: each
+family's generator, by name, and the options it needs and may also
+take. The parser's family choices and option help come from it, and
+gen refuses an option its family does not read, reports a needed one
+that is missing, applies the vertex guard and calls the generator with
+one keyword per option given, so an option left out takes the
+generator's default.
+
 main pauses the cyclic garbage collector while a subcommand runs and
 restores the caller's setting afterwards. The premise: a subcommand
 leaves no reference cycles, so reference counting frees everything it
@@ -39,6 +47,7 @@ from .kernel import kernel_graph
 from .reduce import preprocess
 from .solvers import Solution, exact, make_solver, solve_pipeline
 from .textio import (
+    MAX_VERTICES,
     format_graph,
     format_readings,
     format_reduction_map,
@@ -67,48 +76,64 @@ def _write_text(path: str | None, text: str) -> None:
         raise ValidationError(f"cannot write {path}: {exc}") from None
 
 
-# the gen options each family reads; gen refuses any other one given, so
-# a command line says what instance it writes
-GEN_OPTIONS = {
-    "greedy1-tight": ("-k", "--epsilon"),
-    "greedy2-tight": ("-k", "--epsilon"),
-    "fig1": ("--readings-out",),
-    "cycle": ("-n",),
-    "ladder": ("-n",),
-    "random": ("-n", "-m", "--seed", "--min-degree", "--simple", "--weights"),
+# gen's one table: each family's generator (a name looked up on
+# `generators` when gen runs), the options it needs and the options it
+# may also take
+GEN_FAMILIES = {
+    "greedy1-tight": ("gen_greedy1_tight", ("-k",), ("--epsilon",)),
+    "greedy2-tight": ("gen_greedy2_tight", ("-k",), ("--epsilon",)),
+    "fig1": ("gen_fig1", (), ("--readings-out",)),
+    "cycle": ("gen_cycle", ("-n",), ()),
+    "ladder": ("gen_ladder", ("-n",), ()),
+    "random": ("gen_random", ("-n", "-m"), ("--seed", "--min-degree", "--simple", "--weights")),
 }
+_FAMILY_OPTIONS = tuple(dict.fromkeys(o for _, needs, takes in GEN_FAMILIES.values() for o in needs + takes))
+
+# how the parser reads each option; any other one is an int
+_GEN_KINDS = {"--epsilon": {}, "--readings-out": {}, "--simple": {"action": "store_true"},
+              "--weights": {"metavar": "LO:HI"}}
+
+
+def _dest(option: str) -> str:
+    return option.lstrip("-").replace("-", "_")
+
+
+def _gen_readers(option: str) -> str:
+    return " or ".join(f for f, (_, needs, takes) in GEN_FAMILIES.items() if option in needs + takes)
 
 
 def _cmd_gen(args) -> int:
     """Every family option defaults to None, so an option that was given
     and that the family does not read is refused before any option value
-    is checked."""
-    reads = GEN_OPTIONS[args.family]
-    for option in dict.fromkeys(o for options in GEN_OPTIONS.values() for o in options):
-        given = getattr(args, option.lstrip("-").replace("-", "_")) is not None
-        if given and option not in reads:
-            readers = " or ".join(f for f, options in GEN_OPTIONS.items() if option in options)
-            raise ValidationError(f"{option} needs family {readers}")
-    lo = hi = 1
-    if args.weights is not None:
-        lo, hi = _parse_weight_range(args.weights)
-    spec = generators.GeneratorSpec(
-        family=args.family,
-        k=args.k,
-        epsilon=generators.DEFAULT_EPSILON if args.epsilon is None else Weight.parse(args.epsilon),
-        n=args.n,
-        m=args.m,
-        seed=args.seed or 0,
-        min_degree=args.min_degree or 0,
-        simple=bool(args.simple),
-        weight_lo=lo,
-        weight_hi=hi,
-    )
-    g = generators.build_instance(spec)
+    is checked. Then come the values, the vertex guard (2k vertices for
+    the tight families), the options the family needs and one keyword
+    call of its generator."""
+    generator, needs, takes = GEN_FAMILIES[args.family]
+    given = {}
+    for option in _FAMILY_OPTIONS:
+        value = getattr(args, _dest(option))
+        if value is None:
+            continue
+        if option not in needs + takes:
+            raise ValidationError(f"{option} needs family {_gen_readers(option)}")
+        given[_dest(option)] = value
+    readings_out = given.pop("readings_out", None)
+    if "epsilon" in given:
+        given["epsilon"] = Weight.parse(given["epsilon"])
+    if "weights" in given:
+        given["weight_lo"], given["weight_hi"] = _parse_weight_range(given.pop("weights"))
+    vertices = 2 * given["k"] if "k" in given else given.get("n", 0)
+    if vertices > MAX_VERTICES:
+        raise ValidationError(f"vertex count {vertices} exceeds the limit {MAX_VERTICES}")
+    for option in needs:
+        if _dest(option) not in given:
+            raise ValidationError(f"family {args.family!r} needs parameter {_dest(option)!r}")
+    # fig1's generator also returns its monitors and readings
+    made = getattr(generators, generator)(**given)
+    g, _, readings = made if isinstance(made, tuple) else (made, None, None)
     g.total_weight()  # refuse a graph the parser would refuse, before writing
-    if args.readings_out:
-        _, _, readings = generators.gen_fig1()
-        _write_text(args.readings_out, format_readings(readings))
+    if readings_out:
+        _write_text(readings_out, format_readings(readings))
     _write_text(args.output, format_graph(g))
     return 0
 
@@ -126,7 +151,7 @@ def _cmd_reduce(args) -> int:
     g = parse_graph(_read_text(args.graph))
     reduced, rmap = preprocess(g)
     _write_text(args.output, format_graph(reduced))
-    _write_text(args.map_out, format_reduction_map(rmap, g.vertex_count, len(g.edges)))
+    _write_text(args.map_out, format_reduction_map(rmap))
     return 0
 
 
@@ -184,7 +209,7 @@ def _cmd_hardness(args) -> int:
     """--lemma1 checks lemma1 for every 1 <= s <= n <= --max-n, one
     enumeration per partition of n; it is refused (exit 3) when the
     partitions of 1..max_n exceed LEMMA1_MAX_COMBOS, from --max-n 41.
-    --verify-star checks graphs on 3 to min(--max-n, 7) vertices plus
+    --verify-star checks graphs on 4 to min(--max-n, 7) vertices plus
     --random-instances random ones seeded by --seed, and is refused
     (exit 2) when that leaves nothing to check: below --max-n 4, as the
     one clique size on 3 vertices, q = 3, leaves l = n - q = 0. Both star
@@ -241,16 +266,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate an instance")
-    p.add_argument("family", choices=generators.FAMILIES)
-    p.add_argument("-k", type=int, default=None)
-    p.add_argument("-n", type=int, default=None)
-    p.add_argument("-m", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--epsilon", default=None, help="tight families only; default 0.01")
-    p.add_argument("--min-degree", type=int, default=None)
-    p.add_argument("--simple", action="store_true", default=None)
-    p.add_argument("--weights", default=None, help="edge weight range LO:HI (random only; default 1)")
-    p.add_argument("--readings-out", default=None)
+    p.add_argument("family", choices=GEN_FAMILIES)
+    needed = {o for _, needs, _ in GEN_FAMILIES.values() for o in needs}
+    for option in _FAMILY_OPTIONS:
+        text = ("needed by " if option in needed else "optional for ") + _gen_readers(option)
+        p.add_argument(option, default=None, help=text, **_GEN_KINDS.get(option, {"type": int}))
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_gen)
 

@@ -16,41 +16,12 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from math import comb, isqrt
-from typing import NamedTuple
 
-from .errors import Checked, ValidationError
+from .errors import ValidationError
 from .graph import Graph
-from .textio import MAX_VERTICES
 from .weights import Weight
 
 DEFAULT_EPSILON = Weight.parse("0.01")
-
-FAMILIES = ("greedy1-tight", "greedy2-tight", "fig1", "cycle", "ladder", "random")
-
-
-class _GeneratorSpec(NamedTuple):
-    family: str
-    k: int | None = None
-    epsilon: Weight = DEFAULT_EPSILON
-    n: int | None = None
-    m: int | None = None
-    seed: int = 0
-    min_degree: int = 0
-    simple: bool = False
-    weight_lo: int = 1
-    weight_hi: int = 1
-
-
-class GeneratorSpec(Checked, _GeneratorSpec):
-    """CLI-facing parameter set; family-specific fields may stay None."""
-
-    __slots__ = ()
-
-    def _check(self) -> None:
-        if self.family not in FAMILIES:
-            raise ValidationError(f"unknown family {self.family!r}")
-        if self.epsilon.micros <= 0:
-            raise ValidationError("epsilon must be positive")
 
 
 def prism_edges(rungs: int, offset: int = 0) -> list[tuple[int, int]]:
@@ -61,11 +32,11 @@ def prism_edges(rungs: int, offset: int = 0) -> list[tuple[int, int]]:
     return outer + inner + spokes
 
 
-def gen_ladder(vertices: int) -> Graph:
-    """Unit-weight prism on an even number of vertices >= 6."""
-    if vertices < 6 or vertices % 2:
+def gen_ladder(n: int) -> Graph:
+    """Unit-weight prism on an even number n >= 6 of vertices."""
+    if n < 6 or n % 2:
         raise ValidationError("a prism needs an even vertex count >= 6")
-    return Graph.build(vertices, prism_edges(vertices // 2))
+    return Graph.build(n, prism_edges(n // 2))
 
 
 def gen_cycle(n: int) -> Graph:
@@ -82,7 +53,10 @@ def gen_circulant(n: int) -> Graph:
     return Graph.build(n, [(v, (v + d) % n) for d in (1, 2) for v in range(n)])
 
 
-def _tight_family(k: int, parallel_weight: Weight) -> Graph:
+def _tight_family(k: int, base: Weight, epsilon: Weight) -> Graph:
+    if epsilon.micros <= 0:
+        raise ValidationError("epsilon must be positive")
+    parallel_weight = base + epsilon
     if k < 4:
         raise ValidationError("tight instances need k >= 4 (the cubic part needs 6+ vertices)")
     rungs = k - 1
@@ -94,12 +68,12 @@ def _tight_family(k: int, parallel_weight: Weight) -> Graph:
 def gen_greedy1_tight(k: int, epsilon: Weight = DEFAULT_EPSILON) -> Graph:
     """Two vertices joined by k+2 parallel edges of weight 1+eps, plus a
     disjoint unit-weight prism on 2k-2 vertices (3k-3 edges)."""
-    return _tight_family(k, Weight.from_units(1) + epsilon)
+    return _tight_family(k, Weight.from_units(1), epsilon)
 
 
 def gen_greedy2_tight(k: int, epsilon: Weight = DEFAULT_EPSILON) -> Graph:
     """Same shape with parallel-edge weight 1.5+eps."""
-    return _tight_family(k, Weight.parse("1.5") + epsilon)
+    return _tight_family(k, Weight.parse("1.5"), epsilon)
 
 
 def gen_fig1() -> tuple[Graph, frozenset[int], dict[int, int]]:
@@ -133,7 +107,7 @@ def gen_fig1() -> tuple[Graph, frozenset[int], dict[int, int]]:
 def gen_random(
     n: int,
     m: int,
-    seed: int,
+    seed: int = 0,
     min_degree: int = 0,
     simple: bool = False,
     weight_lo: int = 1,
@@ -215,45 +189,6 @@ def _unrank_pair(n: int, i: int) -> tuple[int, int]:
     if a * (2 * n - a - 1) // 2 > i:
         a -= 1
     return a, i - a * (2 * n - a - 1) // 2 + a + 1
-
-
-def _required(spec: GeneratorSpec, field: str) -> int:
-    value = getattr(spec, field)
-    if value is None:
-        raise ValidationError(f"family {spec.family!r} needs parameter {field!r}")
-    return value
-
-
-def build_instance(spec: GeneratorSpec) -> Graph:
-    """Dispatch a parameter set to its family's generator. A vertex
-    count the graph parser would refuse (above MAX_VERTICES; 2k for the
-    tight families) is refused before anything is built."""
-    fam = spec.family
-    if fam in ("greedy1-tight", "greedy2-tight"):
-        n = 2 * _required(spec, "k")
-    else:
-        n = 8 if fam == "fig1" else _required(spec, "n")
-    if n > MAX_VERTICES:
-        raise ValidationError(f"vertex count {n} exceeds the limit {MAX_VERTICES}")
-    if fam == "greedy1-tight":
-        return gen_greedy1_tight(_required(spec, "k"), spec.epsilon)
-    if fam == "greedy2-tight":
-        return gen_greedy2_tight(_required(spec, "k"), spec.epsilon)
-    if fam == "fig1":
-        return gen_fig1()[0]
-    if fam == "cycle":
-        return gen_cycle(_required(spec, "n"))
-    if fam == "ladder":
-        return gen_ladder(_required(spec, "n"))
-    return gen_random(
-        _required(spec, "n"),
-        _required(spec, "m"),
-        seed=spec.seed,
-        min_degree=spec.min_degree,
-        simple=spec.simple,
-        weight_lo=spec.weight_lo,
-        weight_hi=spec.weight_hi,
-    )
 
 
 def random_connected_multigraph(n: int, m: int, seed: int, simple: bool = False) -> Graph:

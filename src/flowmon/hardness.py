@@ -293,11 +293,12 @@ def _check_instance(g: Graph) -> tuple[int, int]:
 
 
 def verify_star_canonical(max_n: int) -> list[StarReport]:
-    """Equivalence check over every connected simple graph on up to max_n
+    """Equivalence check over every connected simple graph on 4 to max_n
     vertices, one representative per isomorphism class (the question is
-    isomorphism-invariant)."""
+    isomorphism-invariant). It starts at 4 vertices: the one clique size
+    on 3, q = 3, leaves l = n - q = 0, so no 3-vertex graph has a check."""
     reports = []
-    for n in range(3, max_n + 1):
+    for n in range(4, max_n + 1):
         instances = checks = mismatches = 0
         for g in canonical_connected_graphs(n):
             instances += 1

@@ -199,13 +199,13 @@ def parse_edge_id_list(text: str) -> frozenset[int]:
     return frozenset(ids)
 
 
-def format_reduction_map(rmap, vertex_count: int, edge_count: int) -> str:
+def format_reduction_map(rmap) -> str:
     """Sidecar map: `v <orig> <reduced>` per vertex, `g <orig_edge> <group>
     <deputy_orig_edge>` per surviving edge, `zb <orig_edge>` per stripped
     bridge."""
     vertex_map, group_of, deputy_of_group, orig_edge_of_reduced, stripped = rmap
-    lines = [f"v {v} {vertex_map[v]}" for v in range(vertex_count)]
-    for e in range(edge_count):
+    lines = [f"v {v} {r}" for v, r in enumerate(vertex_map)]
+    for e in range(len(group_of) + len(stripped)):
         if e in stripped:
             continue
         grp = group_of[e]

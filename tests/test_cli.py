@@ -9,10 +9,13 @@ import random
 import shlex
 import subprocess
 import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import flowmon
 from flowmon import cli, generators, hardness, textio
@@ -20,7 +23,7 @@ from flowmon.cli import main
 from flowmon.flowsim import measure, random_circulation
 from flowmon.graph import Graph
 from flowmon.textio import format_graph, format_readings, parse_graph
-from flowmon.weights import MAX_MICROS
+from flowmon.weights import MAX_MICROS, Weight
 
 
 def run_cli(*argv) -> tuple[int, str]:
@@ -193,14 +196,16 @@ def test_hardness_tables():
     assert out.splitlines()[-1] == "OVERALL PASS"
     code, out = run_cli("hardness", "--verify-star", "--max-n", "4")
     assert code == 0
-    assert "STAR canonical n=4" in out
+    assert out.startswith("STAR canonical n=4 ") and " checks=0 " not in out
     # random instances still run when --max-n leaves no canonical graph
-    code, out = run_cli("hardness", "--verify-star", "--max-n", "2", "--random-instances", "5")
-    assert code == 0
-    assert out.splitlines() == [
-        "STAR random n in [7, 8] instances=5 checks=11 mismatches=0 PASS",
-        "OVERALL PASS",
-    ]
+    # with a check, and no line reports the 3-vertex graphs, which have none
+    for max_n in ("2", "3"):
+        code, out = run_cli("hardness", "--verify-star", "--max-n", max_n, "--random-instances", "5")
+        assert code == 0
+        assert out.splitlines() == [
+            "STAR random n in [7, 8] instances=5 checks=11 mismatches=0 PASS",
+            "OVERALL PASS",
+        ]
 
 
 def test_deterministic_output_across_runs(tmp_path):
@@ -510,6 +515,14 @@ def test_gen_refuses_weights_it_would_not_use(tmp_path, capsys, argv, message):
     assert capsys.readouterr().err == message
 
 
+@pytest.mark.parametrize("family", ["greedy1-tight", "greedy2-tight"])
+def test_gen_refuses_a_zero_epsilon(tmp_path, capsys, family):
+    graph = tmp_path / "t.graph"
+    assert run_cli("gen", family, "-k", "5", "--epsilon", "0", "-o", str(graph)) == (2, "")
+    assert not graph.exists()
+    assert capsys.readouterr().err == "error: epsilon must be positive\n"
+
+
 def test_gen_refuses_a_negative_min_degree(tmp_path, capsys):
     graph = tmp_path / "r.graph"
     code, out = run_cli("gen", "random", "-n", "5", "-m", "4", "--min-degree", "-3", "-o", str(graph))
@@ -544,7 +557,7 @@ _GEN_FULL = {
 }
 
 
-@pytest.mark.parametrize("family", generators.FAMILIES)
+@pytest.mark.parametrize("family", cli.GEN_FAMILIES)
 def test_gen_refuses_each_option_its_family_does_not_read(tmp_path, monkeypatch, capsys, family):
     monkeypatch.chdir(tmp_path)
     full = _GEN_FULL[family]
@@ -557,6 +570,143 @@ def test_gen_refuses_each_option_its_family_does_not_read(tmp_path, monkeypatch,
         assert capsys.readouterr().err == f"error: {option} needs family {_GEN_READERS[option]}\n"
     assert run_cli("gen", family, *full, "-o", "g.graph") == (0, "")
     assert parse_graph(Path("g.graph").read_text()).vertex_count > 0
+
+
+# each family with its needed options only and with every option it
+# reads, and the graph its generator builds from them
+_GEN_BUILDS = {
+    "greedy1-tight": [(["-k", "5"], lambda: generators.gen_greedy1_tight(5)),
+                      (_GEN_FULL["greedy1-tight"], lambda: generators.gen_greedy1_tight(4, Weight.parse("0.5")))],
+    "greedy2-tight": [(["-k", "5"], lambda: generators.gen_greedy2_tight(5)),
+                      (_GEN_FULL["greedy2-tight"], lambda: generators.gen_greedy2_tight(4, Weight.parse("0.5")))],
+    "fig1": [([], lambda: generators.gen_fig1()[0]), (_GEN_FULL["fig1"], lambda: generators.gen_fig1()[0])],
+    "cycle": [(["-n", "5"], lambda: generators.gen_cycle(5))],
+    "ladder": [(["-n", "8"], lambda: generators.gen_ladder(8))],
+    "random": [(["-n", "5", "-m", "7"], lambda: generators.gen_random(5, 7)),
+               (_GEN_FULL["random"], lambda: generators.gen_random(5, 4, seed=3, min_degree=1, simple=True,
+                                                                  weight_lo=1, weight_hi=2))],
+}
+
+
+@pytest.mark.parametrize("family", cli.GEN_FAMILIES)
+def test_gen_writes_what_its_generator_builds(tmp_path, monkeypatch, family):
+    monkeypatch.chdir(tmp_path)
+    for argv, build in _GEN_BUILDS[family]:
+        assert run_cli("gen", family, *argv) == (0, format_graph(build()))
+    if family == "fig1":
+        assert Path("R").read_text() == format_readings(generators.gen_fig1()[2])
+
+
+@pytest.mark.parametrize("family, argv, missing", [
+    ("greedy1-tight", [], "k"),
+    # the tight generators refuse epsilon 0, but the missing -k comes first
+    ("greedy2-tight", ["--epsilon", "0"], "k"),
+    ("cycle", [], "n"),
+    ("ladder", [], "n"),
+    ("random", [], "n"),
+    ("random", ["-m", "3"], "n"),
+    ("random", ["-n", "3"], "m"),
+])
+def test_gen_reports_a_missing_needed_option(tmp_path, capsys, family, argv, missing):
+    graph = tmp_path / "g.graph"
+    assert run_cli("gen", family, *argv, "-o", str(graph)) == (2, "")
+    assert not graph.exists()
+    assert capsys.readouterr().err == f"error: family '{family}' needs parameter '{missing}'\n"
+
+
+LIMIT = textio.MAX_VERTICES
+# the last command the vertex guard lets through, the first it refuses,
+# and that one's vertex count: the tight families have 2k vertices
+_GEN_GUARD = {
+    "greedy1-tight": (["-k", str(LIMIT // 2)], ["-k", str(LIMIT // 2 + 1)], LIMIT + 2),
+    "greedy2-tight": (["-k", str(LIMIT // 2)], ["-k", str(LIMIT // 2 + 1)], LIMIT + 2),
+    "random": (["-n", str(LIMIT), "-m", "1"], ["-n", str(LIMIT + 1), "-m", "1"], LIMIT + 1),
+    "cycle": (["-n", str(LIMIT)], ["-n", str(LIMIT + 1)], LIMIT + 1),
+    "ladder": (["-n", str(LIMIT)], ["-n", str(LIMIT + 1)], LIMIT + 1),
+}
+
+
+@pytest.mark.parametrize("family", _GEN_GUARD)
+def test_gen_vertex_guard_stops_one_past_the_parser_limit(tmp_path, monkeypatch, capsys, family):
+    # the generator is replaced, so the command at the limit builds a
+    # triangle instead of a million-vertex graph
+    calls = []
+    triangle = generators.gen_cycle(3)
+    monkeypatch.setattr(generators, cli.GEN_FAMILIES[family][0], lambda **kw: calls.append(kw) or triangle)
+    at_limit, past, vertices = _GEN_GUARD[family]
+    graph = tmp_path / "g.graph"
+    assert run_cli("gen", family, *at_limit, "-o", str(graph)) == (0, "")
+    assert graph.read_text() == format_graph(triangle)
+    assert calls == [{o.lstrip("-"): int(v) for o, v in zip(at_limit[::2], at_limit[1::2])}]
+    graph.unlink()
+    assert run_cli("gen", family, *past, "-o", str(graph)) == (2, "")
+    assert not graph.exists() and len(calls) == 1
+    assert capsys.readouterr().err == f"error: vertex count {vertices} exceeds the limit {LIMIT}\n"
+
+
+def test_gen_builds_a_graph_at_the_parser_limit():
+    code, out = run_cli("gen", "random", "-n", str(LIMIT), "-m", "0")
+    assert (code, out) == (0, f"p flowmon {LIMIT} 0\n")
+
+
+# for each gen option: small values a family reads, values it refuses,
+# and values past the vertex guard, which refuses them before building
+_GEN_VALUES = {
+    "-k": (["4", "5"], ["3", "-2"], [str(LIMIT // 2 + 1)]),
+    "-n": (["1", "4", "6", "8"], ["0", "-1", "5"], [str(LIMIT + 1)]),
+    "-m": (["0", "3", "7"], ["-1"], []),
+    "--seed": (["0", "7", "-3"], [], []),
+    "--epsilon": (["0.5", "0.000001"], ["0", "-1", "x", "7" * 30], []),
+    "--min-degree": (["0", "1", "2"], ["-1", "9"], []),
+    "--simple": ([None], [], []),
+    "--weights": (["1:5", "2", "0:0"], ["5:1", "5:", "x", "3000000000000"], []),
+    "--readings-out": (["R"], [], []),
+}
+
+
+@st.composite
+def gen_command_lines(draw):
+    """A family with most of its own options and at times one more
+    option of the table; a value is valid three times in four."""
+    family = draw(st.sampled_from(list(cli.GEN_FAMILIES)))
+    _, needs, takes = cli.GEN_FAMILIES[family]
+    options = [o for o in needs + takes if draw(st.integers(0, 4))]
+    options += draw(st.lists(st.sampled_from(list(_GEN_VALUES)), max_size=1))
+    argv = ["gen", family]
+    for option in draw(st.permutations(list(dict.fromkeys(options)))):
+        valid, refused, past = _GEN_VALUES[option]
+        bad = refused + past
+        value = draw(st.sampled_from(bad if bad and not draw(st.integers(0, 3)) else valid))
+        argv += [option] if value is None else [option, value]
+    return argv + ["-o", "g.graph"]
+
+
+def test_gen_contract_draws_every_option_of_the_table():
+    assert set(_GEN_VALUES) == {o for _, needs, takes in cli.GEN_FAMILIES.values() for o in needs + takes}
+
+
+@given(gen_command_lines())
+def test_gen_contract(argv):
+    # every gen command line drawn from the table's options ends in a
+    # documented exit code without a traceback, a refused one writes no
+    # file, and the same command writes the same bytes twice
+    runs = []
+    for _ in range(2):
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = [str(Path(tmp, a)) if a in ("g.graph", "R") else a for a in argv]
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(paths)
+            written = {p.name: p.read_bytes() for p in Path(tmp).iterdir()}
+            runs.append((code, out.getvalue(), err.getvalue(), written))
+    code, out, err, written = runs[0]
+    assert code in (0, 2, 3) and out == "" and "Traceback" not in err
+    if code:
+        assert written == {} and err.startswith("error: ")
+    else:
+        assert set(written) == {"g.graph", *(["R"] if "--readings-out" in argv else [])}
+        parse_graph(written["g.graph"].decode())
+    assert runs[0] == runs[1]
 
 
 def _readme_cli_lines() -> list[list[list[str]]]:
@@ -603,8 +753,8 @@ def test_readme_commands_leave_no_reference_cycles(tmp_path, monkeypatch):
 ], ids=["ok", "flowmon-error", "usage"])
 def test_main_pauses_gc_and_restores_the_callers_setting(monkeypatch, capsys, enabled, argv, code):
     seen = []
-    build = generators.build_instance
-    monkeypatch.setattr(generators, "build_instance", lambda spec: seen.append(gc.isenabled()) or build(spec))
+    build = generators.gen_cycle
+    monkeypatch.setattr(generators, "gen_cycle", lambda n: seen.append(gc.isenabled()) or build(n))
     (gc.enable if enabled else gc.disable)()
     try:
         assert run_cli(*argv)[0] == code

@@ -183,6 +183,7 @@ def test_perturbed_reading_breaks_consistency():
     assert res.violations
 
 
+@pytest.mark.differential
 @settings(max_examples=200)
 @given(multigraphs(max_n=8, max_m=14), st.data())
 def test_infer_matches_traversal_oracle(g, data):

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 
 from flowmon.errors import ValidationError
 from flowmon.generators import (
-    GeneratorSpec,
-    build_instance,
     gen_circulant,
     gen_cycle,
     gen_fig1,
@@ -20,7 +18,7 @@ from flowmon.generators import (
     random_connected_multigraph,
 )
 from flowmon.graph import bridge_ids, component_labels, gain, is_c_edge_connected
-from flowmon.textio import MAX_VERTICES, format_graph, parse_graph
+from flowmon.textio import format_graph, parse_graph
 from flowmon.weights import Weight
 
 from oracles import (
@@ -62,6 +60,15 @@ def test_greedy2_tight_weights():
     assert len(parallels) == 10
     assert all(e.weight == Weight.parse("1.51") for e in parallels)
     assert g.vertex_count == 2 + 14
+
+
+@pytest.mark.parametrize("gen, smallest", [(gen_greedy1_tight, "1.000001"), (gen_greedy2_tight, "1.500001")])
+def test_tight_families_refuse_a_non_positive_epsilon(gen, smallest):
+    # with epsilon 0 a parallel edge weighs no more than the trap needs
+    # it to outweigh, so the family would set no trap
+    with pytest.raises(ValidationError, match="^epsilon must be positive$"):
+        gen(4, Weight(0))
+    assert gen(4, Weight(1)).edges[0].weight == Weight.parse(smallest)
 
 
 def test_tight_needs_k_at_least_four():
@@ -157,6 +164,7 @@ def test_gen_random_simple_never_lists_the_pairs():
     assert all(e.u < e.v for e in g.edges)
 
 
+@pytest.mark.differential
 @given(st.integers(2, 30).flatmap(lambda n: st.tuples(
     st.just(n),
     st.integers(0, min(comb(n, 2), 40)),
@@ -203,41 +211,10 @@ def test_gen_random_simple_repair_never_lists_the_vertices():
     assert len(pairs) == len(g.edges) and min(degree) >= 1
 
 
-def test_build_instance_refuses_more_vertices_than_the_parser():
-    too_many = [
-        GeneratorSpec(family="greedy1-tight", k=MAX_VERTICES // 2 + 1),
-        GeneratorSpec(family="greedy2-tight", k=10**9),
-        GeneratorSpec(family="random", n=MAX_VERTICES + 1, m=1),
-        GeneratorSpec(family="cycle", n=MAX_VERTICES + 1),
-        GeneratorSpec(family="ladder", n=MAX_VERTICES + 2),
-    ]
-    for spec in too_many:
-        with pytest.raises(ValidationError, match="exceeds the limit"):
-            build_instance(spec)
-    assert build_instance(GeneratorSpec(family="random", n=MAX_VERTICES, m=0)).vertex_count == MAX_VERTICES
-
-
 def test_random_connected_multigraph_is_connected():
     for seed in range(10):
         g = random_connected_multigraph(6, 11, seed)
         assert max(component_labels(g)) == 0
-
-
-def test_generator_spec_validation():
-    with pytest.raises(ValidationError):
-        GeneratorSpec(family="nope")
-    with pytest.raises(ValidationError):
-        GeneratorSpec(family="cycle", epsilon=Weight(0))
-
-
-def test_build_instance_dispatch():
-    assert build_instance(GeneratorSpec(family="cycle", n=5)) == gen_cycle(5)
-    assert build_instance(GeneratorSpec(family="greedy1-tight", k=5)) == gen_greedy1_tight(5)
-    assert build_instance(GeneratorSpec(family="fig1")) == gen_fig1()[0]
-    rnd = build_instance(GeneratorSpec(family="random", n=5, m=7, seed=3))
-    assert rnd == gen_random(5, 7, seed=3)
-    with pytest.raises(ValidationError):
-        build_instance(GeneratorSpec(family="cycle"))  # n missing
 
 
 @pytest.mark.parametrize(
@@ -275,6 +252,7 @@ def test_random_connected_simple_mode():
         random_connected_multigraph(5, 11, 3, simple=True)
 
 
+@pytest.mark.differential
 @given(st.integers(1, 40).flatmap(lambda n: st.tuples(
     st.just(n),
     st.integers(n - 1, comb(n, 2)),

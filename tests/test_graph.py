@@ -61,6 +61,7 @@ def test_components_disjoint_union():
     assert component_labels(g) == [0, 0, 0, 1]
 
 
+@pytest.mark.differential
 @given(multigraphs(max_n=8, max_m=16), st.data())
 def test_components_match_naive_oracle(g, data):
     # the trees of one depth-first forest, numbered by their roots, are
@@ -94,6 +95,7 @@ def test_self_loop_never_bridge():
     assert set(bridge_ids(g)) == {0}
 
 
+@pytest.mark.differential
 @given(multigraphs(max_n=7, max_m=14), st.data())
 def test_bridges_match_removal_oracle(g, data):
     m = len(g.edges)
@@ -130,6 +132,7 @@ def assert_dfs_forest(g, mask, order, entry):
         assert e.u in ancestors(e.v) or e.v in ancestors(e.u)
 
 
+@pytest.mark.differential
 @given(multigraphs(max_n=8, max_m=16), st.data())
 def test_search_forest_is_a_dfs(g, data):
     m = len(g.edges)
@@ -140,6 +143,7 @@ def test_search_forest_is_a_dfs(g, data):
     assert search_forest(g) == search_forest(g, bytes(m))
 
 
+@pytest.mark.differential
 @settings(max_examples=300)
 @given(multigraphs(max_n=10, max_m=16), st.data())
 def test_kernel_labels_match_stages(g, data):
@@ -206,6 +210,7 @@ def test_gain_rejects_bad_ids():
         gain(TRIANGLE, {7})
 
 
+@pytest.mark.differential
 @given(multigraphs(max_n=6, max_m=10), st.data())
 def test_gain_matches_definition_and_grows(g, data):
     m = len(g.edges)
@@ -244,17 +249,20 @@ def test_c_edge_connected_conventions():
         is_c_edge_connected(TRIANGLE, 4)
 
 
+@pytest.mark.differential
 @given(multigraphs(max_n=5, max_m=8), st.integers(1, 3))
 def test_c_edge_connected_matches_subset_oracle(g, c):
     assert is_c_edge_connected(g, c) == c_edge_connected_naive(g, c)
 
 
+@pytest.mark.differential
 @given(multigraphs(max_n=7, max_m=14))
 def test_cut_labels_zero_exactly_on_bridges(g):
     labels = cut_labels(g)
     assert frozenset(e for e, x in enumerate(labels) if x == 0) == bridges_by_removal(g)
 
 
+@pytest.mark.differential
 @given(bridgeless_graphs())
 def test_cut_labels_equal_exactly_on_two_cuts(g):
     classes: dict[int, set[int]] = {}
@@ -263,6 +271,7 @@ def test_cut_labels_equal_exactly_on_two_cuts(g):
     assert {frozenset(c) for c in classes.values()} == two_cut_classes_by_pairs(g)
 
 
+@pytest.mark.differential
 @given(multigraphs(max_n=6, max_m=10), st.data())
 def test_cut_label_span_is_gain(g, data):
     m = len(g.edges)
@@ -273,6 +282,7 @@ def test_cut_label_span_is_gain(g, data):
     assert sum(w[e] for e in range(m) if labels[e] in span) == gain_micros_by_definition(g, mon)
 
 
+@pytest.mark.differential
 @given(st.lists(st.integers(0, 63), max_size=6), st.lists(st.integers(0, 63), max_size=6))
 def test_folded_residuals_name_cosets(rows, probes):
     # fold the rows one by one into rows + probes, as span_search does
@@ -296,6 +306,7 @@ def _subset_value(res, wts, p):
     return sum(wt for x, wt in zip(res, wts) if x in span)
 
 
+@pytest.mark.differential
 @given(
     st.lists(st.tuples(st.integers(0, 31), st.integers(0, 4)), max_size=9),
     st.data(),
@@ -321,6 +332,7 @@ def test_span_search_is_the_first_best_subset(items, data):
     assert val >= stop and val == _subset_value(res, wts, p) and len(p) == size
 
 
+@pytest.mark.differential
 @settings(max_examples=300)
 @given(
     st.lists(st.tuples(st.integers(0, 15) | st.just(0), st.integers(0, 2)), max_size=10),
@@ -349,6 +361,7 @@ def test_span_search_keeps_the_first_of_tied_subsets(search_counts):
     assert search_counts["oracles", "pair reads"] == 3
 
 
+@pytest.mark.differential
 @settings(max_examples=200)
 @given(
     st.lists(st.integers(1, 63), max_size=3).flatmap(

@@ -9,7 +9,6 @@ import pytest
 
 from flowmon.errors import ValidationError, WeightOverflowError
 from flowmon.flowsim import Circulation, InferenceResult
-from flowmon.generators import GeneratorSpec
 from flowmon.graph import EdgeRecord, Graph
 from flowmon.hardness import CliqueInstance, DecInstance, StarReport
 from flowmon.kernel import KernelGraph
@@ -25,8 +24,6 @@ BAD_FIELDS = [
     (Weight(5), {"micros": MAX_MICROS + 1}, WeightOverflowError, "weight exceeds"),
     (SolverConfig(3, 2), {"k": 0}, ValidationError, "monitor budget k must be at least 1"),
     (SolverConfig(3, 2), {"sigma": 0}, ValidationError, "batch size sigma must be at least 1"),
-    (GeneratorSpec("cycle", n=4), {"family": "nope"}, ValidationError, "unknown family 'nope'"),
-    (GeneratorSpec("cycle", n=4), {"epsilon": Weight(0)}, ValidationError, "epsilon must be positive"),
     (CliqueInstance(K4, 3), {"q": 2}, ValidationError, "clique size q must be at least 3"),
     (CliqueInstance(K4, 3), {"q": 5}, ValidationError, "clique size q exceeds the vertex count"),
     (CliqueInstance(K4, 3), {"graph": Graph.build(3, [(0, 1), (1, 2), (2, 0), (0, 1)])},
@@ -72,7 +69,6 @@ def _records():
         InferenceResult({0: 1}, frozenset({1}), True),
         KernelGraph(K4, (0, 0, 0, 0), (0, 1)),
         ReductionMap((0, 0), {0: 0}, (0,), (0,), frozenset({1})),
-        GeneratorSpec("cycle", n=4),
         CliqueInstance(K4, 3),
         DecInstance(K4, 2, 1),
         StarReport("canonical n=3", 1, 1, 0),

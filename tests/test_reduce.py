@@ -126,11 +126,13 @@ def test_edge_groups_loop_is_singleton():
     assert frozenset({3}) in set(edge_groups(g))
 
 
+@pytest.mark.differential
 @given(bridgeless_graphs())
 def test_edge_groups_match_pairwise_oracle(g):
     assert set(edge_groups(g)) == two_cut_classes_by_pairs(g)
 
 
+@pytest.mark.differential
 @given(bridgeless_graphs(max_n=6, max_extra=4))
 def test_edge_groups_partition_and_cut_semantics(g):
     classes = edge_groups(g)
@@ -193,6 +195,7 @@ def test_contract_result_is_3ec_and_weight_preserving(g):
         )
 
 
+@pytest.mark.differential
 @settings(max_examples=200)
 @given(multigraphs())
 def test_contract_vertex_map_matches_components_without_deputies(g):
@@ -268,6 +271,7 @@ def test_preprocess_output_is_3ec(g):
     assert set(bridge_ids(g)) == rmap.stripped_bridges
 
 
+@pytest.mark.differential
 @settings(max_examples=40)
 @given(multigraphs(max_n=6, max_m=10), st.integers(1, 3))
 def test_preprocess_preserves_optimum(g, k):
@@ -295,6 +299,7 @@ def _assert_same_reduction(g):
     assert rmap.stripped_bridges == ref_map.stripped_bridges
 
 
+@pytest.mark.differential
 @settings(max_examples=400)
 @given(multigraphs(max_n=10, max_m=14, min_w=0))
 def test_preprocess_matches_stages(g):
@@ -302,6 +307,7 @@ def test_preprocess_matches_stages(g):
     _assert_same_reduction(g)
 
 
+@pytest.mark.differential
 @pytest.mark.parametrize(
     "g",
     [

@@ -110,12 +110,14 @@ def test_greedy_final_partial_batch():
     assert [len(s.monitors_placed) for s in sol.trace.steps] == [2, 1]
 
 
+@pytest.mark.differential
 @given(multigraphs(max_n=6, max_m=10), st.integers(1, 4), st.integers(1, 2))
 def test_greedy_matches_reference_simulation(g, k, sigma):
     sol = sigma_greedy(g, SolverConfig(k=k, sigma=sigma))
     assert sol.gain.micros == greedy_reference(g, k, sigma)
 
 
+@pytest.mark.differential
 @settings(max_examples=200)
 @given(multigraphs(), st.data())
 def test_greedy_matches_traversal_solver(g, data):
@@ -172,6 +174,7 @@ def test_greedy_deep_batch_of_independent_loops():
     assert sol.gain == Weight.from_units(1099)
 
 
+@pytest.mark.differential
 @settings(max_examples=150)
 @given(multigraphs(max_n=7, max_m=13, min_w=0, max_w=2), st.integers(1, 5))
 def test_solvers_match_with_the_exhaustive_search(g, k):
@@ -248,6 +251,7 @@ def test_greedy2_first_step_counts_the_pairs_of_a_circulant():
     assert steps[0].candidates == comb(20, 2) == 190
 
 
+@pytest.mark.differential
 @given(multigraphs(max_n=6, max_m=10), st.integers(1, 3))
 def test_one_greedy_steps_are_locally_maximal(g, k):
     from oracles import bridges_by_removal
@@ -297,12 +301,14 @@ def test_exact_tie_break_lowest_ids():
     assert sol.monitors == {0}
 
 
+@pytest.mark.differential
 @settings(max_examples=40)
 @given(multigraphs(max_n=6, max_m=9), st.integers(1, 3))
 def test_exact_matches_at_most_k_reference(g, k):
     assert exact(g, k).gain.micros == exact_reference(g, k)
 
 
+@pytest.mark.differential
 @settings(max_examples=200)
 @given(multigraphs(), st.integers(1, 5))
 def test_exact_matches_traversal_solver(g, k):
@@ -411,6 +417,7 @@ CYCLE_WITH_TREE_DEPUTY = Graph.build(
 )
 
 
+@pytest.mark.differential
 @settings(max_examples=300)
 @given(
     multigraphs(max_n=9, max_m=14, min_w=0),

@@ -179,6 +179,7 @@ def _near_misses(draw):
     return text
 
 
+@pytest.mark.differential
 @settings(max_examples=500)
 @given(st.one_of(st.text(), _graph_texts, _fractional_graphs().map(format_graph), _near_misses()))
 # a 3-field line then a 5-field line, and 5 then 3: the tokens realign

@@ -12,9 +12,9 @@ One table, GEN_FAMILIES, holds what gen knows of its families: each
 family's generator, by name, and the options it needs and may also
 take. The parser's family choices and option help come from it, and
 gen refuses an option its family does not read, reports a needed one
-that is missing, applies the vertex guard and calls the generator with
-one keyword per option given, so an option left out takes the
-generator's default.
+that is missing, applies the vertex and edge guards and calls the
+generator with one keyword per option given, so an option left out
+takes the generator's default.
 
 main pauses the cyclic garbage collector while a subcommand runs and
 restores the caller's setting afterwards. The premise: a subcommand
@@ -45,7 +45,7 @@ from .hardness import (
 )
 from .kernel import kernel_graph
 from .reduce import preprocess
-from .solvers import Solution, exact, make_solver, solve_pipeline
+from .solvers import Solution, exact, solve_pipeline
 from .textio import (
     MAX_VERTICES,
     format_graph,
@@ -89,6 +89,10 @@ GEN_FAMILIES = {
 }
 _FAMILY_OPTIONS = tuple(dict.fromkeys(o for _, needs, takes in GEN_FAMILIES.values() for o in needs + takes))
 
+# gen random refuses an -m above this before it draws an edge: a drawn
+# edge takes about 470 bytes, so the limit is about 1 GB of edges
+MAX_EDGES = 2_000_000
+
 # how the parser reads each option; any other one is an int
 _GEN_KINDS = {"--epsilon": {}, "--readings-out": {}, "--simple": {"action": "store_true"},
               "--weights": {"metavar": "LO:HI"}}
@@ -105,8 +109,9 @@ def _gen_readers(option: str) -> str:
 def _cmd_gen(args) -> int:
     """Every family option defaults to None, so an option that was given
     and that the family does not read is refused before any option value
-    is checked. Then come the values, the vertex guard (2k vertices for
-    the tight families), the options the family needs and one keyword
+    is checked. Then come the values (an empty --readings-out is
+    refused), the vertex guard (2k vertices for the tight families), the
+    edge guard (MAX_EDGES), the options the family needs and one keyword
     call of its generator."""
     generator, needs, takes = GEN_FAMILIES[args.family]
     given = {}
@@ -118,6 +123,8 @@ def _cmd_gen(args) -> int:
             raise ValidationError(f"{option} needs family {_gen_readers(option)}")
         given[_dest(option)] = value
     readings_out = given.pop("readings_out", None)
+    if readings_out == "":
+        raise ValidationError("--readings-out needs a file name")
     if "epsilon" in given:
         given["epsilon"] = Weight.parse(given["epsilon"])
     if "weights" in given:
@@ -125,6 +132,8 @@ def _cmd_gen(args) -> int:
     vertices = 2 * given["k"] if "k" in given else given.get("n", 0)
     if vertices > MAX_VERTICES:
         raise ValidationError(f"vertex count {vertices} exceeds the limit {MAX_VERTICES}")
+    if given.get("m", 0) > MAX_EDGES:
+        raise ValidationError(f"edge count {given['m']} exceeds the limit {MAX_EDGES}")
     for option in needs:
         if _dest(option) not in given:
             raise ValidationError(f"family {args.family!r} needs parameter {_dest(option)!r}")
@@ -132,7 +141,7 @@ def _cmd_gen(args) -> int:
     made = getattr(generators, generator)(**given)
     g, _, readings = made if isinstance(made, tuple) else (made, None, None)
     g.total_weight()  # refuse a graph the parser would refuse, before writing
-    if readings_out:
+    if readings_out is not None:
         _write_text(readings_out, format_readings(readings))
     _write_text(args.output, format_graph(g))
     return 0
@@ -172,7 +181,7 @@ def _solution_lines(sol: Solution, trace: bool) -> str:
 
 def _cmd_solve(args) -> int:
     g = parse_graph(_read_text(args.graph))
-    sol = solve_pipeline(g, args.k, make_solver(args.algo))
+    sol = solve_pipeline(g, args.k, args.algo)
     _write_text(args.output, _solution_lines(sol, args.trace))
     return 0
 

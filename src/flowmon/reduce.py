@@ -92,7 +92,9 @@ def merge_components(g: Graph) -> tuple[Graph, tuple[int, ...]]:
 
 def _label_groups(labels: Sequence[int]) -> list[list[int]]:
     """Edge ids grouped by equal non-zero label, each group ascending and
-    the groups in order of their lowest id."""
+    the groups in order of their lowest id: the edge groups of a graph
+    with these cut labels once its bridges (the zero labels) are gone.
+    preprocess and solvers.solve_pipeline both group with it."""
     groups: dict[int, list[int]] = {}
     for e, label in enumerate(labels):
         if label:
@@ -150,9 +152,9 @@ def preprocess(g: Graph) -> tuple[Graph, ReductionMap]:
     G - B - deputies, are the pieces of the forest cut at the bridges and
     the tree deputies (graph._forest_pieces), joined across the non-tree
     edges that are not deputies (at most the cycle rank of them). The
-    deputies join those into the components of G - B, which merging
-    glues at vertex 0. Output is 3-edge-connected; a single vertex with
-    loops is possible. The map speaks original ids.
+    tree deputies join those into the components of G - B, which
+    merging glues at vertex 0. Output is 3-edge-connected; a single
+    vertex with loops is possible. The map speaks original ids.
     """
     order, entry, labels, nontree = _label_forest(g)
     classes = _label_groups(labels)
@@ -175,12 +177,15 @@ def preprocess(g: Graph) -> tuple[Graph, ReductionMap]:
             ra = _find_root(parent, head[a])
             parent[ra] = _find_root(parent, head[b])
     reduced = [_find_root(parent, p) for p in range(max(head, default=-1) + 1)]
-    # the deputies join the reduced vertices into the components of G - B;
-    # merging glues the lowest reduced vertex of each to vertex 0
+    # the tree deputies join the reduced vertices into the components of
+    # G - B, the pieces of the forest cut at the bridges alone; a non-tree
+    # deputy joins two vertices of one such piece and is skipped. Merging
+    # glues the lowest reduced vertex of each component to vertex 0
     for eid in deputy_orig:
         _, a, b, _ = edges[eid]
-        ra = _find_root(parent, head[a])
-        parent[ra] = _find_root(parent, head[b])
+        if entry[a] == eid or entry[b] == eid:
+            ra = _find_root(parent, head[a])
+            parent[ra] = _find_root(parent, head[b])
     name = dict.fromkeys(reduced, 0)
     met = set()
     nxt = 1

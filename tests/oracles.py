@@ -10,11 +10,12 @@ the solvers as they were before cut-space labels, scoring every
 candidate with one masked bridge_ids traversal (itself checked against
 bridges_by_removal). They pin the label-based solvers to the same
 monitors, extras, gains and traces, ties included.
-solve_pipeline_by_traversal is the pipeline as it was when it found the
-extras with one masked bridge_ids traversal of the whole input graph;
-it pins solve_pipeline, which reads them off the reduced graph's
-bridges and the edge groups, to the same Solution. decide_by_traversal
-likewise pins the label-counting decision, and label_span (the span as
+solve_pipeline_by_traversal is the pipeline as it was when it built
+the reduced graph with preprocess, ran a Graph solver on it, lifted the
+monitors and found the extras with one masked bridge_ids traversal of
+the whole input graph; it pins solve_pipeline, which runs the batch
+loop on G's own labels of the deputies, to the same Solution.
+decide_by_traversal likewise pins the label-counting decision, and label_span (the span as
 an explicit set) is the reference for the folded residuals. Likewise
 infer_by_traversal is inference as it was before the forest
 passes: one reachable_from traversal per bridge of G - M, pinning infer
@@ -326,13 +327,15 @@ def solve_pipeline_by_traversal(g: Graph, k: int, algo: Callable[[Graph, int], S
     extras = extras_all - rmap.stripped_bridges
     w = g.weights_micros
     total = Weight(sum(w[e] for e in lifted) + sum(w[e] for e in extras))
-    return Solution(
-        lifted,
-        extras,
-        total,
-        solvers._translate_trace(sub.trace, rmap),
-        zero_flow=rmap.stripped_bridges,
-    )
+    trace = sub.trace
+    if trace is not None:
+        table = rmap.orig_edge_of_reduced
+        trace = GreedyTrace(tuple(
+            StepRecord(frozenset(table[r] for r in placed), frozenset(table[r] for r in collected),
+                       gain, count)
+            for placed, collected, gain, count in trace.steps
+        ))
+    return Solution(lifted, extras, total, trace, zero_flow=rmap.stripped_bridges)
 
 
 def decide_by_traversal(inst: DecInstance) -> bool:

@@ -84,7 +84,7 @@ def test_criterion_03_approximation_bounds_on_corpus():
         graphs += 1
         for k in (1, 2, 3, 4):
             opt = exact(g, k).gain.micros
-            for algo, factor in ((greedy1, 3), (greedy2, 2)):
+            for algo, factor in (("greedy1", 3), ("greedy2", 2)):
                 sol = solve_pipeline(g, k, algo)
                 zb = sum(g.weights_micros[e] for e in sol.zero_flow)
                 determined_weight = sol.gain.micros + zb

@@ -644,6 +644,29 @@ def test_gen_vertex_guard_stops_one_past_the_parser_limit(tmp_path, monkeypatch,
     assert capsys.readouterr().err == f"error: vertex count {vertices} exceeds the limit {LIMIT}\n"
 
 
+def test_gen_edge_guard_refuses_before_drawing(tmp_path, monkeypatch, capsys):
+    # the generator is replaced, so the command at the limit builds a
+    # triangle instead of two million edges
+    calls = []
+    triangle = generators.gen_cycle(3)
+    monkeypatch.setattr(generators, "gen_random", lambda **kw: calls.append(kw) or triangle)
+    graph = tmp_path / "g.graph"
+    limit = cli.MAX_EDGES
+    assert run_cli("gen", "random", "-n", "2", "-m", str(limit), "-o", str(graph)) == (0, "")
+    assert calls == [{"n": 2, "m": limit}]
+    graph.unlink()
+    assert run_cli("gen", "random", "-n", "2", "-m", str(limit + 1), "-o", str(graph)) == (2, "")
+    assert not graph.exists() and len(calls) == 1
+    assert capsys.readouterr().err == f"error: edge count {limit + 1} exceeds the limit {limit}\n"
+
+
+def test_gen_refuses_an_empty_readings_out(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, out = run_cli("gen", "fig1", "--readings-out", "", "-o", "g.graph")
+    assert (code, out) == (2, "") and list(tmp_path.iterdir()) == []
+    assert capsys.readouterr().err == "error: --readings-out needs a file name\n"
+
+
 def test_gen_builds_a_graph_at_the_parser_limit():
     code, out = run_cli("gen", "random", "-n", str(LIMIT), "-m", "0")
     assert (code, out) == (0, f"p flowmon {LIMIT} 0\n")
@@ -654,13 +677,13 @@ def test_gen_builds_a_graph_at_the_parser_limit():
 _GEN_VALUES = {
     "-k": (["4", "5"], ["3", "-2"], [str(LIMIT // 2 + 1)]),
     "-n": (["1", "4", "6", "8"], ["0", "-1", "5"], [str(LIMIT + 1)]),
-    "-m": (["0", "3", "7"], ["-1"], []),
+    "-m": (["0", "3", "7"], ["-1"], [str(cli.MAX_EDGES + 1)]),
     "--seed": (["0", "7", "-3"], [], []),
     "--epsilon": (["0.5", "0.000001"], ["0", "-1", "x", "7" * 30], []),
     "--min-degree": (["0", "1", "2"], ["-1", "9"], []),
     "--simple": ([None], [], []),
     "--weights": (["1:5", "2", "0:0"], ["5:1", "5:", "x", "3000000000000"], []),
-    "--readings-out": (["R"], [], []),
+    "--readings-out": (["R"], [""], []),
 }
 
 

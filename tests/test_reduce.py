@@ -341,3 +341,17 @@ def test_preprocess_does_one_pass(monkeypatch):
         "bridge_ids": 0,
     }
     assert len(builds) == 2
+
+
+def test_preprocess_joins_only_the_tree_deputies(monkeypatch):
+    # K5 is 4-edge-connected, so each of its 10 edges is a deputy: the
+    # forest cut at the 4 tree deputies leaves 5 one-vertex pieces, and the
+    # 6 non-tree deputies join nothing the tree deputies do not already
+    # join. One find per piece, two per tree deputy, one per reduced vertex
+    finds = []
+    real = reduce_mod._find_root
+    monkeypatch.setattr(reduce_mod, "_find_root", lambda parent, x: finds.append(x) or real(parent, x))
+    g = Graph.build(5, list(combinations(range(5), 2)))
+    reduced, rmap = preprocess(g)
+    assert reduced == preprocess_by_stages(g)[0]
+    assert len(finds) == 5 + 2 * 4 + 5

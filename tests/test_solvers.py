@@ -350,13 +350,13 @@ def test_full_determination_size_and_round_trip():
 
 def test_pipeline_budget_covers_graph():
     g = Graph.build(3, [(0, 1, 2), (1, 2, 3), (0, 2, 4)])
-    sol = solve_pipeline(g, 3, greedy1)
+    sol = solve_pipeline(g, 3, "greedy1")
     assert sol.monitors == {0, 1, 2}
     assert sol.gain == g.total_weight()
 
 
 def test_pipeline_cycle_collapses_to_loop():
-    sol = solve_pipeline(gen_cycle(6), 1, greedy1)
+    sol = solve_pipeline(gen_cycle(6), 1, "greedy1")
     assert sol.monitors == {5}
     assert sol.gain == Weight.from_units(6)
     assert sol.determined_extras == {0, 1, 2, 3, 4}
@@ -366,7 +366,7 @@ def test_pipeline_cycle_collapses_to_loop():
 def test_pipeline_reports_stripped_bridges():
     # two triangles joined by a heavy bridge
     g = Graph.build(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3, 9)])
-    sol = solve_pipeline(g, 1, greedy1)
+    sol = solve_pipeline(g, 1, "greedy1")
     assert sol.zero_flow == {6}
     assert 6 not in sol.monitors and 6 not in sol.determined_extras
     assert sol.gain == Weight.from_units(3)  # one triangle collapses to a loop of 3
@@ -377,7 +377,7 @@ def test_pipeline_reports_stripped_bridges():
 def test_pipeline_two_greedy_half_of_optimum(g, k):
     if k >= len(g.edges):
         return
-    sol = solve_pipeline(g, k, greedy2)
+    sol = solve_pipeline(g, k, "greedy2")
     zb = sum(g.weights_micros[e] for e in sol.zero_flow)
     assert 2 * (sol.gain.micros + zb) >= exact(g, k).gain.micros
 
@@ -390,18 +390,18 @@ def test_pipeline_gain_equals_solver_gain_on_reduced(g, k):
     if k >= len(g.edges):
         return
     reduced, _ = preprocess(g)
-    assert solve_pipeline(g, k, greedy2).gain == greedy2(reduced, k).gain
+    assert solve_pipeline(g, k, "greedy2").gain == greedy2(reduced, k).gain
 
 
 def test_pipeline_trace_speaks_original_ids():
-    sol = solve_pipeline(gen_cycle(6), 1, greedy1)
+    sol = solve_pipeline(gen_cycle(6), 1, "greedy1")
     assert sol.trace is not None
     assert sol.trace.steps[0].monitors_placed == {5}
 
 
 def test_pipeline_when_everything_is_a_bridge():
     g = Graph.build(4, [(0, 1), (1, 2), (2, 3)])
-    sol = solve_pipeline(g, 1, greedy1)
+    sol = solve_pipeline(g, 1, "greedy1")
     assert sol.monitors == frozenset()
     assert sol.zero_flow == {0, 1, 2}
     assert sol.gain == Weight.zero()
@@ -433,31 +433,36 @@ CYCLE_WITH_TREE_DEPUTY = Graph.build(
 def test_solve_pipeline_matches_traversal(g, k, name):
     # loops, parallels, bridges, zero weights, isolated vertices, several
     # components: the full Solution, trace and zero-flow set included
-    algo = make_solver(name)
-    assert solve_pipeline(g, k, algo) == solve_pipeline_by_traversal(g, k, algo)
+    assert solve_pipeline(g, k, name) == solve_pipeline_by_traversal(g, k, make_solver(name))
 
 
-def test_solve_pipeline_walks_the_input_graph_once(monkeypatch):
-    # the labelling forest of G, then bridge_ids once, on the reduced graph
+def test_solve_pipeline_builds_no_graph_and_walks_g_twice(monkeypatch):
+    # the labelling forest of G, then one bridge_ids walk of G - M; no
+    # reduced graph is built or labelled
     g = CYCLE_WITH_TREE_DEPUTY
     expected = solve_pipeline_by_traversal(g, 2, greedy1)
     calls = record_graph_calls(monkeypatch, "search_forest", "component_labels", "bridge_ids")
-    solved = []
-    sol = solve_pipeline(g, 2, lambda reduced, k: solved.append(reduced) or greedy1(reduced, k))
-    assert sol == expected
-    [reduced] = solved
-    assert [h is g for h in calls["search_forest"]].count(True) == 1
+    builds = []
+    real_init = Graph.__init__
+    monkeypatch.setattr(Graph, "__init__", lambda self, *args: builds.append(args) or real_init(self, *args))
+    assert solve_pipeline(g, 2, "greedy1") == expected
+    assert builds == []
+    assert len(calls["search_forest"]) == 2 and all(h is g for h in calls["search_forest"])
     assert calls["component_labels"] == []
-    assert len(calls["bridge_ids"]) == 1 and calls["bridge_ids"][0] is reduced
+    assert len(calls["bridge_ids"]) == 1 and calls["bridge_ids"][0] is g
 
 
-def test_solve_pipeline_refuses_a_gain_the_lift_does_not_reach():
-    def inflated(reduced, k):
-        sol = greedy1(reduced, k)
+@pytest.mark.parametrize("name", ["greedy1", "exact"])
+def test_solve_pipeline_refuses_a_gain_the_lift_does_not_reach(monkeypatch, name):
+    real = solvers._batches
+
+    def inflated(*args):
+        sol = real(*args)
         return sol._replace(gain=sol.gain + Weight(1))
 
+    monkeypatch.setattr(solvers, "_batches", inflated)
     with pytest.raises(FlowmonError, match="differs from the solver's") as err:
-        solve_pipeline(CYCLE_WITH_TREE_DEPUTY, 2, inflated)
+        solve_pipeline(CYCLE_WITH_TREE_DEPUTY, 2, name)
     assert err.value.exit_code == 1
 
 

@@ -6,7 +6,8 @@ internal invariant (a plain FlowmonError), 2 parse/validation error
 (including an unreadable or non-UTF-8 input file and an unwritable
 output path), 3 size-guard refusal, 4 inconsistent measurements. All
 output is line-oriented plain text and deterministic for fixed inputs
-and seeds.
+and seeds. A command opens every output file before it writes any and
+prints to stdout last: one it refuses writes no file and no stdout.
 
 One table, GEN_FAMILIES, holds what gen knows of its families: each
 family's generator, by name, and the options it needs and may also
@@ -30,6 +31,8 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
+import os
+import stat
 import sys
 from pathlib import Path
 
@@ -65,15 +68,33 @@ def _read_text(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc}") from None
 
 
-def _write_text(path: str | None, text: str) -> None:
-    """Write to path, or to stdout when no path is given."""
-    if not path:
-        sys.stdout.write(text)
-        return
+def _write_outputs(*outputs: tuple[str | None, str]) -> None:
+    """Write each (path, text), to stdout when no path is given. Every
+    file is opened, without truncating, before any is written, and
+    stdout comes last: if a file cannot be opened or written, the files
+    this run created are removed and stdout gets nothing. A file is
+    truncated just before it is written, if it is a regular file (-o
+    /dev/stdout may name a pipe)."""
+    opened = []  # (path, created, descriptor, text) of each file opened so far
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        for path, text in outputs:
+            if path:
+                created = not os.path.lexists(path)
+                opened.append((path, created, os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), text))
+        for path, _, fd, text in opened:
+            with open(fd, "w", encoding="utf-8", closefd=False) as f:
+                if stat.S_ISREG(os.fstat(fd).st_mode):
+                    f.truncate()
+                f.write(text)
     except OSError as exc:
+        for made, created, _, _ in opened:
+            if created:
+                os.unlink(made)
         raise ValidationError(f"cannot write {path}: {exc}") from None
+    finally:
+        for _, _, fd, _ in opened:
+            os.close(fd)
+    sys.stdout.write("".join(text for path, text in outputs if not path))
 
 
 # gen's one table: each family's generator (a name looked up on
@@ -141,9 +162,8 @@ def _cmd_gen(args) -> int:
     made = getattr(generators, generator)(**given)
     g, _, readings = made if isinstance(made, tuple) else (made, None, None)
     g.total_weight()  # refuse a graph the parser would refuse, before writing
-    if readings_out is not None:
-        _write_text(readings_out, format_readings(readings))
-    _write_text(args.output, format_graph(g))
+    readings_output = [] if readings_out is None else [(readings_out, format_readings(readings))]
+    _write_outputs((args.output, format_graph(g)), *readings_output)
     return 0
 
 
@@ -159,8 +179,7 @@ def _parse_weight_range(text: str) -> tuple[int, int]:
 def _cmd_reduce(args) -> int:
     g = parse_graph(_read_text(args.graph))
     reduced, rmap = preprocess(g)
-    _write_text(args.output, format_graph(reduced))
-    _write_text(args.map_out, format_reduction_map(rmap))
+    _write_outputs((args.output, format_graph(reduced)), (args.map_out, format_reduction_map(rmap)))
     return 0
 
 
@@ -182,14 +201,14 @@ def _solution_lines(sol: Solution, trace: bool) -> str:
 def _cmd_solve(args) -> int:
     g = parse_graph(_read_text(args.graph))
     sol = solve_pipeline(g, args.k, args.algo)
-    _write_text(args.output, _solution_lines(sol, args.trace))
+    _write_outputs((args.output, _solution_lines(sol, args.trace)))
     return 0
 
 
 def _cmd_exact(args) -> int:
     g = parse_graph(_read_text(args.graph))
     sol = exact(g, args.k)
-    _write_text(args.output, _solution_lines(sol, trace=False))
+    _write_outputs((args.output, _solution_lines(sol, trace=False)))
     return 0
 
 
@@ -201,7 +220,7 @@ def _cmd_infer(args) -> int:
     lines = [f"F {e} {determined[e]}" for e in sorted(determined)]
     lines += [f"U {e}" for e in sorted(undetermined)]
     lines.append(f"CONSISTENT {'yes' if consistent else 'no'}")
-    _write_text(args.output, "\n".join(lines) + "\n")
+    _write_outputs((args.output, "\n".join(lines) + "\n"))
     return 0 if consistent else 4
 
 
@@ -210,7 +229,7 @@ def _cmd_kernel(args) -> int:
     kg = kernel_graph(g, parse_edge_id_list(args.monitors))
     out = format_graph(kg.graph)
     out += "".join(f"K {i} {orig}\n" for i, orig in enumerate(kg.represents))
-    _write_text(args.output, out)
+    _write_outputs((args.output, out))
     return 0
 
 
@@ -265,7 +284,7 @@ def _cmd_hardness(args) -> int:
     if not lines:
         raise ValidationError("choose --verify-star and/or --lemma1")
     lines.append(f"OVERALL {'FAIL' if failed else 'PASS'}")
-    _write_text(args.output, "\n".join(lines) + "\n")
+    _write_outputs((args.output, "\n".join(lines) + "\n"))
     return 1 if failed else 0
 
 

@@ -29,12 +29,15 @@ The adjacency lists deliberately omit self-loops: a loop never affects
 connectivity, components, or bridges, so traversals can skip it. Code
 that needs loops (weights, kernel construction, flow sums) iterates the
 edge list directly.
+
+contract derives every graph built from another: reduce's, the kernel
+graph and the hardness witness.
 """
 
 from __future__ import annotations
 
 from itertools import compress, count, repeat
-from operator import not_
+from operator import itemgetter, not_
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ValidationError
@@ -144,6 +147,22 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.vertex_count}, m={len(self.edges)})"
+
+
+def contract(
+    g: Graph, vertex_map: Sequence[int], kept: Iterable[int], weights: Iterable[Weight] | None = None
+) -> Graph:
+    """The graph on max(vertex_map) + 1 vertices whose edges are g's
+    `kept` edges, renumbered 0, 1, ... in the order given: each endpoint
+    mapped through vertex_map, each weight kept or, given `weights`,
+    taken in step from it. Every graph flowmon derives from another is
+    built here, through edge_records."""
+    rows = list(map(g.edges.__getitem__, kept))
+    relabel = vertex_map.__getitem__
+    us = map(relabel, map(itemgetter(1), rows))
+    vs = map(relabel, map(itemgetter(2), rows))
+    ws = map(itemgetter(3), rows) if weights is None else weights
+    return Graph(max(vertex_map, default=-1) + 1, edge_records(us, vs, ws))
 
 
 def make_mask(g: Graph, removed_ids: Iterable[int]) -> bytearray:

@@ -16,16 +16,16 @@ n, which covers every composition.
 from __future__ import annotations
 
 import random
-from itertools import combinations, permutations
+from itertools import combinations, cycle, islice, permutations
 from math import comb
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import Checked, SizeGuardError, ValidationError
 from .generators import random_connected_multigraph
 from .graph import (
-    EdgeRecord,
     Graph,
     component_count,
+    contract,
     cut_labels,
     span_search,
     spanning_forest,
@@ -161,12 +161,9 @@ def forward_witness(g: Graph, q: int, clique: Iterable[int]) -> frozenset[int]:
     cl = frozenset(clique)
     merged = min(cl)
     vmap = [merged if v in cl else v for v in range(g.vertex_count)]
-    outside = [e for e in g.edges if not (e.u in cl and e.v in cl)]
-    contracted = Graph(g.vertex_count, [
-        EdgeRecord(i, vmap[e.u], vmap[e.v], e.weight) for i, e in enumerate(outside)
-    ])
-    tree = spanning_forest(contracted)
-    return frozenset(e.id for i, e in enumerate(outside) if i not in tree)
+    outside = [e.id for e in g.edges if not (e.u in cl and e.v in cl)]
+    tree = spanning_forest(contract(g, vmap, outside))
+    return frozenset(e for i, e in enumerate(outside) if i not in tree)
 
 
 def partitions(n: int, s: int) -> Iterator[tuple[int, ...]]:
@@ -276,20 +273,20 @@ class StarReport(NamedTuple):
         return self.mismatches == 0
 
 
-def _check_instance(g: Graph) -> tuple[int, int]:
-    """All admissible q for one connected simple graph; returns
-    (checks, mismatches)."""
-    checks = mismatches = 0
-    n = g.vertex_count
-    for q in range(3, n + 1):
-        try:
-            dec = reduce_clique(CliqueInstance(g, q))
-        except ReductionInfeasible:
-            continue
-        checks += 1
-        if has_clique(g, q) != decide_flow_monitors(dec):
-            mismatches += 1
-    return checks, mismatches
+def _star_report(label: str, graphs: Iterable[Graph]) -> StarReport:
+    """The equivalence check over connected simple graphs, one check per
+    admissible q; a mismatch is a q where the two answers differ."""
+    instances = checks = mismatches = 0
+    for g in graphs:
+        instances += 1
+        for q in range(3, g.vertex_count + 1):
+            try:
+                dec = reduce_clique(CliqueInstance(g, q))
+            except ReductionInfeasible:
+                continue
+            checks += 1
+            mismatches += has_clique(g, q) != decide_flow_monitors(dec)
+    return StarReport(label, instances, checks, mismatches)
 
 
 def verify_star_canonical(max_n: int) -> list[StarReport]:
@@ -297,16 +294,9 @@ def verify_star_canonical(max_n: int) -> list[StarReport]:
     vertices, one representative per isomorphism class (the question is
     isomorphism-invariant). It starts at 4 vertices: the one clique size
     on 3, q = 3, leaves l = n - q = 0, so no 3-vertex graph has a check."""
-    reports = []
-    for n in range(4, max_n + 1):
-        instances = checks = mismatches = 0
-        for g in canonical_connected_graphs(n):
-            instances += 1
-            c, mm = _check_instance(g)
-            checks += c
-            mismatches += mm
-        reports.append(StarReport(f"canonical n={n}", instances, checks, mismatches))
-    return reports
+    return [
+        _star_report(f"canonical n={n}", canonical_connected_graphs(n)) for n in range(4, max_n + 1)
+    ]
 
 
 def verify_star_random(ns: Iterable[int], count: int, seed: int = 0) -> StarReport:
@@ -314,12 +304,10 @@ def verify_star_random(ns: Iterable[int], count: int, seed: int = 0) -> StarRepo
     edge counts kept in the tractable band for the decision brute force."""
     ns = list(ns)
     rng = random.Random(seed)
-    checks = mismatches = 0
-    for i in range(count):
-        n = ns[i % len(ns)]
-        m = rng.randint(n + 2, min(comb(n, 2), 2 * n - 1))
-        g = random_connected_multigraph(n, m, seed=rng.randrange(2**32), simple=True)
-        c, mm = _check_instance(g)
-        checks += c
-        mismatches += mm
-    return StarReport(f"random n in {ns}", count, checks, mismatches)
+    graphs = (
+        random_connected_multigraph(
+            n, rng.randint(n + 2, min(comb(n, 2), 2 * n - 1)), seed=rng.randrange(2**32), simple=True
+        )
+        for n in islice(cycle(ns), count)
+    )
+    return _star_report(f"random n in {ns}", graphs)

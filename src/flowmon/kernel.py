@@ -5,15 +5,15 @@ component of G - M - B to one vertex; each edge of M or B survives as one
 kernel edge with its weight preserved (loops and parallels arise
 naturally). The kernel is the object the approximation analysis counts
 on: its edge count obeys |E| <= k + |V| - 1, and the B-edges are exactly
-its bridges and form a forest.
+its bridges and form a forest. It is one graph.contract call, with each
+vertex mapped to its component label from graph.kernel_labels.
 """
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import Iterable, NamedTuple
 
-from .graph import Graph, edge_records, kernel_labels
+from .graph import Graph, contract, kernel_labels
 
 
 class KernelGraph(NamedTuple):
@@ -35,16 +35,8 @@ def kernel_graph(g: Graph, monitors: Iterable[int]) -> KernelGraph:
     mon = frozenset(monitors)
     g.check_edge_ids(mon)
     _, _, extra, labels = kernel_labels(g, mon)
-    ncomp = max(labels) + 1 if labels else 0
     kept = sorted(mon.union(extra))
-    rows = list(map(g.edges.__getitem__, kept))
-    relabel = labels.__getitem__
-    records = edge_records(
-        map(relabel, map(itemgetter(1), rows)),
-        map(relabel, map(itemgetter(2), rows)),
-        map(itemgetter(3), rows),
-    )
-    return KernelGraph(Graph(ncomp, records), tuple(labels), tuple(kept))
+    return KernelGraph(contract(g, labels, kept), tuple(labels), tuple(kept))
 
 
 def check_kernel_bound(kg: KernelGraph, k: int) -> bool:

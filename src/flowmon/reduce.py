@@ -9,23 +9,27 @@ classes ("edge groups"); each group collapses to a single deputy edge
 carrying the group's total weight. The result is 3-edge-connected
 (possibly one vertex with loops), and monitor sets chosen on it lift back
 to the original graph with identical gain.
+
+Every graph built here comes from one graph.contract call, and
+_glue_at_zero numbers the glued vertices for merging and preprocess.
 """
 
 from __future__ import annotations
 
-from itertools import compress
-from operator import not_
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from functools import partial
+from itertools import compress, count
+from operator import itemgetter, not_
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import FlowmonError, ValidationError
 from .graph import (
-    EdgeRecord,
     Graph,
     _find_root,
     _forest_pieces,
     _label_forest,
     bridge_ids,
     component_labels,
+    contract,
 )
 from .weights import Weight
 
@@ -56,14 +60,25 @@ def strip_bridges(g: Graph) -> tuple[Graph, frozenset[int]]:
     Surviving edges are renumbered densely in their original order.
     """
     dropped = frozenset(bridge_ids(g))
-    kept = [e for e in g.edges if e.id not in dropped]
-    out = Graph(
-        g.vertex_count,
-        [EdgeRecord(i, e.u, e.v, e.weight) for i, e in enumerate(kept)],
-    )
+    out = contract(g, range(g.vertex_count), [e for e in range(len(g.edges)) if e not in dropped])
     if bridge_ids(out):
         raise FlowmonError("bridge stripping did not reach a fixed point")
     return out, dropped
+
+
+def _glue_at_zero(vertices: Iterable[int], component: Callable[[int], int]) -> dict[int, int]:
+    """A number for each distinct vertex, in order of first appearance:
+    the first vertex of each component is 0, where the components are
+    glued, and the rest count up from 1."""
+    name = dict.fromkeys(vertices, 0)
+    met = set()
+    rest = count(1)
+    for v in name:
+        c = component(v)
+        if c in met:
+            name[v] = next(rest)
+        met.add(c)
+    return name
 
 
 def merge_components(g: Graph) -> tuple[Graph, tuple[int, ...]]:
@@ -73,21 +88,8 @@ def merge_components(g: Graph) -> tuple[Graph, tuple[int, ...]]:
     vertex 0 (the lowest vertex of the first component); remaining
     vertices are renumbered densely. Edge ids and weights are unchanged.
     """
-    # labels count up in vertex order, so a label one past the largest so
-    # far marks the lowest vertex of a later component
-    vmap, nxt, later = [], 0, 1
-    for c in component_labels(g):
-        if c == later:
-            vmap.append(0)
-            later += 1
-        else:
-            vmap.append(nxt)
-            nxt += 1
-    out = Graph(
-        nxt,
-        [EdgeRecord(e.id, vmap[e.u], vmap[e.v], e.weight) for e in g.edges],
-    )
-    return out, tuple(vmap)
+    vmap = tuple(_glue_at_zero(range(g.vertex_count), component_labels(g).__getitem__).values())
+    return contract(g, vmap, range(len(g.edges))), vmap
 
 
 def _label_groups(labels: Sequence[int]) -> list[list[int]]:
@@ -174,8 +176,7 @@ def preprocess(g: Graph) -> tuple[Graph, ReductionMap]:
     for eid in nontree:
         if not cut[eid]:
             _, a, b, _ = edges[eid]
-            ra = _find_root(parent, head[a])
-            parent[ra] = _find_root(parent, head[b])
+            parent[_find_root(parent, head[a])] = _find_root(parent, head[b])
     reduced = [_find_root(parent, p) for p in range(max(head, default=-1) + 1)]
     # the tree deputies join the reduced vertices into the components of
     # G - B, the pieces of the forest cut at the bridges alone; a non-tree
@@ -184,33 +185,17 @@ def preprocess(g: Graph) -> tuple[Graph, ReductionMap]:
     for eid in deputy_orig:
         _, a, b, _ = edges[eid]
         if entry[a] == eid or entry[b] == eid:
-            ra = _find_root(parent, head[a])
-            parent[ra] = _find_root(parent, head[b])
-    name = dict.fromkeys(reduced, 0)
-    met = set()
-    nxt = 1
-    for c in name:
-        comp = _find_root(parent, c)
-        if comp in met:
-            name[c] = nxt
-            nxt += 1
-        met.add(comp)
+            parent[_find_root(parent, head[a])] = _find_root(parent, head[b])
+    name = _glue_at_zero(reduced, partial(_find_root, parent))
     piece_name = list(map(name.__getitem__, reduced))
     vertex_map = tuple(map(piece_name.__getitem__, head))
 
+    # the reduced edges: the deputies in ascending id, with group weights
     w = g.weights_micros
-    survivors = sorted(deputy_orig)
+    by_deputy = sorted(classes, key=itemgetter(-1))
+    survivors = [cls[-1] for cls in by_deputy]
+    weights = [Weight(sum(map(w.__getitem__, cls))) for cls in by_deputy]
     new_id_of_orig = {orig: i for i, orig in enumerate(survivors)}
-    records = []
-    for i, orig in enumerate(survivors):
-        rec = edges[orig]
-        weight = Weight(sum(map(w.__getitem__, classes[group_of[orig]])))
-        records.append(EdgeRecord(i, vertex_map[rec.u], vertex_map[rec.v], weight))
-    rmap = ReductionMap(
-        vertex_map=vertex_map,
-        group_of=group_of,
-        deputy_of_group=tuple(new_id_of_orig[d] for d in deputy_orig),
-        orig_edge_of_reduced=tuple(survivors),
-        stripped_bridges=dropped,
-    )
-    return Graph(nxt if vertex_map else 0, records), rmap
+    deputy_of_group = tuple(new_id_of_orig[d] for d in deputy_orig)
+    rmap = ReductionMap(vertex_map, group_of, deputy_of_group, tuple(survivors), dropped)
+    return contract(g, vertex_map, survivors, weights), rmap

@@ -191,11 +191,10 @@ def exact(g: Graph, k: int) -> Solution:
     size at most k is attained at full size. Refuses instances whose
     subset count exceeds EXACT_DEFAULT_BUDGET.
     """
-    if k < 1:
-        raise ValidationError("monitor budget k must be at least 1")
+    cfg = SolverConfig(k=k, sigma=k)
     m = len(g.edges)
     _check_exact_size(m, k)
-    sol = _batches(range(m), cut_labels(g), g.weights_micros, SolverConfig(k=k, sigma=k))
+    sol = _batches(range(m), cut_labels(g), g.weights_micros, cfg)
     return Solution(sol.monitors, sol.determined_extras, sol.gain)
 
 
@@ -214,8 +213,7 @@ def _batch_size(name: str) -> int | None:
         sigma = int(name.split(":", 1)[1])
     except ValueError:
         raise ValidationError(f"bad solver name {name!r}") from None
-    # checked here as well as in SolverConfig, because solve_pipeline
-    # answers k >= m without running the solver
+    # also checked here, so a bad sigma is reported before SolverConfig's k
     if sigma < 1:
         raise ValidationError("batch size sigma must be at least 1")
     return sigma
@@ -257,8 +255,7 @@ def solve_pipeline(g: Graph, k: int, algo: str) -> Solution:
     the grouping and the solver together (FlowmonError otherwise).
     """
     sigma = _batch_size(algo)
-    if k < 1:
-        raise ValidationError("monitor budget k must be at least 1")
+    cfg = SolverConfig(k=k, sigma=sigma or k)
     m = len(g.edges)
     if k >= m:
         return Solution(frozenset(range(m)), frozenset(), g.total_weight())
@@ -269,7 +266,6 @@ def solve_pipeline(g: Graph, k: int, algo: str) -> Solution:
     weights = [sum(map(w.__getitem__, cls)) if len(cls) > 1 else w[cls[0]] for cls in classes]
     if sigma is None:
         _check_exact_size(len(deputies), k)
-    cfg = SolverConfig(k=k, sigma=sigma or k)
     sub = _batches(deputies, list(map(labels.__getitem__, deputies)), weights, cfg)
     stripped = frozenset(compress(range(m), map(not_, labels)))
     extras = frozenset(bridge_ids(g, make_mask(g, sub.monitors))) - stripped

@@ -306,22 +306,59 @@ def test_non_utf8_readings_exit_2(fig1_files, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, other_before",
     [
-        ("reduce", "GRAPH", "-o", "OUT"),
-        ("reduce", "GRAPH", "--map-out", "OUT"),
-        ("solve", "GRAPH", "--algo", "greedy1", "-k", "1", "-o", "OUT"),
-        ("gen", "fig1", "--readings-out", "OUT"),
+        (("reduce", "GRAPH", "-o", "OUT"), None),
+        (("reduce", "GRAPH", "--map-out", "OUT"), None),
+        (("solve", "GRAPH", "--algo", "greedy1", "-k", "1", "-o", "OUT"), None),
+        (("gen", "fig1", "--readings-out", "OUT"), None),
+        (("reduce", "GRAPH", "-o", "OTHER", "--map-out", "OUT"), None),
+        (("reduce", "GRAPH", "-o", "OTHER", "--map-out", "OUT"), "kept\n"),
+        (("gen", "fig1", "--readings-out", "OTHER", "-o", "OUT"), None),
+        (("gen", "fig1", "--readings-out", "OTHER", "-o", "OUT"), "kept\n"),
     ],
-    ids=["output", "map-out", "solve-output", "readings-out"],
+    ids=["output", "map-out", "solve-output", "readings-out", "output-and-map-out",
+         "output-and-map-out-kept", "readings-and-output", "readings-and-output-kept"],
 )
-def test_unwritable_output_exits_2(fig1_files, tmp_path, capsys, argv):
+def test_unwritable_output_exits_2(fig1_files, tmp_path, capsys, argv, other_before):
+    # every output is opened before any is written: the other output is
+    # neither created nor truncated, and nothing reaches stdout
     graph, _ = fig1_files
     target = tmp_path / "missing" / "out.txt"
-    argv = [str(graph) if a == "GRAPH" else str(target) if a == "OUT" else a for a in argv]
-    code, _ = run_cli(*argv)
-    assert code == 2 and not target.exists()
+    other = tmp_path / "other.txt"
+    if other_before is not None:
+        other.write_text(other_before)
+    swap = {"GRAPH": str(graph), "OUT": str(target), "OTHER": str(other)}
+    code, out = run_cli(*[swap.get(a, a) for a in argv])
+    assert code == 2 and out == "" and not target.exists()
+    assert (other.read_text() if other.exists() else None) == other_before
     assert capsys.readouterr().err.startswith(f"error: cannot write {target}: ")
+
+
+def test_output_replaces_a_longer_file(tmp_path):
+    target = tmp_path / "out.graph"
+    target.write_text("c old\n" * 100)
+    assert run_cli("gen", "fig1", "-o", str(target)) == (0, "")
+    assert target.read_text() == run_cli("gen", "fig1")[1]
+
+
+def test_output_to_dev_stdout(fig1_files, tmp_path):
+    # -o /dev/stdout is a file the command opens, on a pipe here, which
+    # cannot be truncated; the graph goes there and the map to stdout
+    if not os.path.exists("/dev/stdout"):
+        pytest.skip("no /dev/stdout")
+    graph, _ = fig1_files
+    src = str(Path(flowmon.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "flowmon", "reduce", str(graph), "-o", "/dev/stdout"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == run_cli("reduce", str(graph))[1]
 
 
 def test_hardness_rejects_negative_random_instances(capsys):
@@ -491,9 +528,16 @@ def test_bench_is_not_a_subcommand(capsys):
     (["solve", "--algo", "greedy1", "g.graph"], "the following arguments are required: -k"),
     (["solve", "--algo", "greedy1", "-k", "x", "g.graph"], "argument -k: invalid int value: 'x'"),
     (["infer", "-m", "0", "g.graph"], "the following arguments are required: -r/--readings"),
+    (["hardness"], "error: choose --verify-star and/or --lemma1\n"),
+    (["solve", "--algo", "nosuch", "-k", "1", "GRAPH"], "error: unknown solver 'nosuch'\n"),
+    (["solve", "--algo", "greedy:x", "-k", "1", "GRAPH"], "error: bad solver name 'greedy:x'\n"),
+    (["exact", "-k", "0", "GRAPH"], "error: monitor budget k must be at least 1\n"),
+    (["exact", "-k", "-1", "GRAPH"], "error: monitor budget k must be at least 1\n"),
+    (["kernel", "-m=-1", "GRAPH"], "error: negative edge id -1 in list\n"),
 ])
-def test_main_returns_the_usage_exit_code(capsys, argv, message):
-    assert run_cli(*argv) == (2, "")
+def test_main_returns_the_usage_exit_code(fig1_files, capsys, argv, message):
+    graph, _ = fig1_files
+    assert run_cli(*[str(graph) if a == "GRAPH" else a for a in argv]) == (2, "")
     assert message in capsys.readouterr().err
 
 
@@ -507,6 +551,7 @@ def test_main_returns_0_after_help():
     (["fig1", "--weights", "2"], "error: --weights needs family random\n"),
     (["random", "-n", "4", "-m", "5", "--weights", "5:"],
      "error: bad weight range '5:'; expected LO:HI\n"),
+    (["random", "-n", "3", "-m", "2", "--weights", "5:1"], "error: need 0 <= weight_lo <= weight_hi\n"),
 ])
 def test_gen_refuses_weights_it_would_not_use(tmp_path, capsys, argv, message):
     graph = tmp_path / "w.graph"

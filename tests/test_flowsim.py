@@ -22,6 +22,11 @@ from oracles import infer_by_traversal
 TRIANGLE = Graph.build(3, [(0, 1), (1, 2), (0, 2)])
 
 
+def test_random_circulation_refuses_a_zero_flow_range():
+    with pytest.raises(ValidationError, match="flow_range must be positive"):
+        random_circulation(TRIANGLE, seed=0, flow_range=0)
+
+
 def test_random_circulation_tree_is_zero():
     g = Graph.build(4, [(0, 1), (1, 2), (2, 3)])
     circ = random_circulation(g, seed=1)

@@ -123,6 +123,17 @@ def test_gen_random_trivial_and_errors():
         gen_random(3, 4, seed=0, simple=True)  # C(3,2) = 3 < 4
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: gen_random(-1, 0), "n and m must be non-negative"),
+    (lambda: gen_random(3, 1, simple=True, min_degree=3), "min_degree out of reach for a simple graph"),
+    (lambda: random_connected_multigraph(0, 0, 0), "n must be positive"),
+    (lambda: random_connected_multigraph(4, 2, 0), "connectivity needs at least n-1 edges"),
+], ids=["gen-random-negative-n", "gen-random-min-degree", "connected-no-vertex", "connected-too-few-edges"])
+def test_generators_refuse_bad_sizes(build, message):
+    with pytest.raises(ValidationError, match=message):
+        build()
+
+
 def test_gen_random_refuses_a_negative_min_degree():
     with pytest.raises(ValidationError, match="min_degree must be non-negative"):
         gen_random(5, 4, seed=0, min_degree=-3)

@@ -8,10 +8,12 @@ from flowmon import graph as graph_mod
 from flowmon.errors import ValidationError
 from flowmon.flowsim import infer
 from flowmon.graph import (
+    EdgeRecord,
     Graph,
     bridge_ids,
     component_count,
     component_labels,
+    contract,
     cut_labels,
     gain,
     fold_residual,
@@ -476,3 +478,30 @@ def test_spanning_forest_size_and_acyclicity(g):
 def test_graph_validation():
     with pytest.raises(ValidationError):
         Graph.build(2, [(0, 5)])
+
+
+def _set_edges():
+    Graph(1, []).edges = ()
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: Graph(-1, []), ValidationError, "vertex_count must be non-negative"),
+    (lambda: Graph(2, [EdgeRecord(1, 0, 1, Weight(1))]), ValidationError, "edge id 1 must equal its position 0"),
+    (_set_edges, AttributeError, "Graph is immutable"),
+], ids=["negative-n", "id-off-position", "set-attribute"])
+def test_graph_refuses(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
+def test_contract_maps_the_kept_edges_in_the_order_given():
+    g = Graph.build(5, [(0, 1, 1), (1, 2, 2), (2, 3, 3), (3, 4, 4), (4, 4, 5)])
+    vmap = [0, 0, 1, 1, 2]
+    assert contract(g, vmap, [4, 2, 1]) == Graph.build(3, [(2, 2, 5), (1, 1, 3), (0, 1, 2)])
+    heavy = [Weight.from_units(7), Weight.from_units(8)]
+    assert contract(g, vmap, [3, 0], heavy) == Graph.build(3, [(1, 2, 7), (0, 0, 8)])
+    # the vertex count is one past the largest vertex of the map, kept
+    # edges or not: the identity map keeps g whole
+    assert contract(g, range(5), range(5)) == g
+    assert contract(g, [0, 0, 0, 0, 3], []) == Graph.build(4, [])
+    assert contract(Graph.build(0, []), [], []) == Graph.build(0, [])

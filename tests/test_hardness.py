@@ -57,6 +57,16 @@ def test_clique_instance_validation():
         CliqueInstance(Graph.build(4, [(0, 1)]), 3)  # disconnected
 
 
+@pytest.mark.parametrize("run, error, message", [
+    (lambda: lemma1_check(2, 3), ValidationError, "need 1 <= s <= n"),
+    (lambda: next(canonical_connected_graphs(0)), ValidationError, "n must be positive"),
+    (lambda: next(canonical_connected_graphs(8)), SizeGuardError, "canonical enumeration supports n <= 7"),
+], ids=["lemma1-s-above-n", "canonical-n0", "canonical-n8"])
+def test_verifiers_refuse_out_of_range_sizes(run, error, message):
+    with pytest.raises(error, match=message):
+        run()
+
+
 def test_decide_examples():
     assert decide_flow_monitors(DecInstance(K4, 2, 1))
     assert decide_flow_monitors(DecInstance(TRIANGLE, 1, 2))

@@ -28,6 +28,8 @@ BAD_FIELDS = [
     (CliqueInstance(K4, 3), {"q": 5}, ValidationError, "clique size q exceeds the vertex count"),
     (CliqueInstance(K4, 3), {"graph": Graph.build(3, [(0, 1), (1, 2), (2, 0), (0, 1)])},
      ValidationError, "a simple graph is required"),
+    (CliqueInstance(K4, 3), {"graph": Graph.build(3, [(0, 1), (1, 2), (2, 0), (1, 1)])},
+     ValidationError, "edge 3 is a loop"),
     (CliqueInstance(K4, 3), {"graph": Graph.build(4, [(0, 1), (1, 2), (2, 0)])},
      ValidationError, "clique instances must be connected"),
     (DecInstance(K4, 2, 1), {"k": -1}, ValidationError, "k and l must be non-negative"),

@@ -35,6 +35,7 @@ def test_parse_empty_graph():
     [
         ("e 0 1 1\n", "line 1"),
         ("p flowmon 2\ne 0 1 1\n", "line 1"),
+        ("p flowmon x 2\n", "line 1: non-integer vertex or edge count"),
         ("p flowmon 2 1\ne 0 5 1\n", "line 2"),
         ("p flowmon 2 1\ne 0 1 1.1234567\n", "line 2"),
         ("p flowmon 2 1\ne 0 1 -1\n", "line 2"),

@@ -6,8 +6,11 @@ internal invariant (a plain FlowmonError), 2 parse/validation error
 (including an unreadable or non-UTF-8 input file and an unwritable
 output path), 3 size-guard refusal, 4 inconsistent measurements. All
 output is line-oriented plain text and deterministic for fixed inputs
-and seeds. A command opens every output file before it writes any and
-prints to stdout last: one it refuses writes no file and no stdout.
+and seeds. main is the one I/O path: it reads and parses the graph a
+command names and writes the outputs its handler returns (a handler
+reads no file but infer's readings). It opens every output file before
+it writes any and prints to stdout last, so a refused command writes no
+file and no stdout; an -o naming stdout's own file goes through stdout.
 
 One table, GEN_FAMILIES, holds what gen knows of its families: each
 family's generator, by name, and the options it needs and may also
@@ -39,6 +42,7 @@ from pathlib import Path
 from . import generators
 from .errors import FlowmonError, ParseError, SizeGuardError, ValidationError
 from .flowsim import infer
+from .graph import Graph
 from .hardness import (
     LEMMA1_MAX_COMBOS,
     lemma1_check,
@@ -61,6 +65,10 @@ from .textio import (
 from .weights import Weight
 
 
+# a handler's exit code and its (path, text) outputs; main writes them
+Run = tuple[int, list[tuple[str | None, str]]]
+
+
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
@@ -68,19 +76,34 @@ def _read_text(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc}") from None
 
 
-def _write_outputs(*outputs: tuple[str | None, str]) -> None:
-    """Write each (path, text), to stdout when no path is given. Every
-    file is opened, without truncating, before any is written, and
-    stdout comes last: if a file cannot be opened or written, the files
-    this run created are removed and stdout gets nothing. A file is
-    truncated just before it is written, if it is a regular file (-o
-    /dev/stdout may name a pipe)."""
+def _names_stdout(fd: int) -> bool:
+    """Whether fd, just opened, is a second descriptor on stdout's file."""
+    try:
+        return fd != 1 and os.path.sameopenfile(fd, 1)
+    except OSError:  # descriptor 1 is closed
+        return False
+
+
+def _write_outputs(outputs: list[tuple[str | None, str]]) -> None:
+    """Write each (path, text), to stdout when no path is given or the
+    path opens stdout's own file (a second descriptor there would write
+    at offset 0). Every file is opened, without truncating, before any
+    is written, and stdout comes last, its texts in argument order: if a
+    file cannot be opened or written, the files this run created are
+    removed and stdout gets nothing. A file is truncated just before it
+    is written, if it is a regular file."""
     opened = []  # (path, created, descriptor, text) of each file opened so far
+    printed = []  # the texts for stdout
     try:
         for path, text in outputs:
             if path:
                 created = not os.path.lexists(path)
-                opened.append((path, created, os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), text))
+                fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+                if not _names_stdout(fd):
+                    opened.append((path, created, fd, text))
+                    continue
+                os.close(fd)
+            printed.append(text)
         for path, _, fd, text in opened:
             with open(fd, "w", encoding="utf-8", closefd=False) as f:
                 if stat.S_ISREG(os.fstat(fd).st_mode):
@@ -94,7 +117,7 @@ def _write_outputs(*outputs: tuple[str | None, str]) -> None:
     finally:
         for _, _, fd, _ in opened:
             os.close(fd)
-    sys.stdout.write("".join(text for path, text in outputs if not path))
+    sys.stdout.write("".join(printed))
 
 
 # gen's one table: each family's generator (a name looked up on
@@ -127,7 +150,7 @@ def _gen_readers(option: str) -> str:
     return " or ".join(f for f, (_, needs, takes) in GEN_FAMILIES.items() if option in needs + takes)
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args) -> Run:
     """Every family option defaults to None, so an option that was given
     and that the family does not read is refused before any option value
     is checked. Then come the values (an empty --readings-out is
@@ -163,8 +186,7 @@ def _cmd_gen(args) -> int:
     g, _, readings = made if isinstance(made, tuple) else (made, None, None)
     g.total_weight()  # refuse a graph the parser would refuse, before writing
     readings_output = [] if readings_out is None else [(readings_out, format_readings(readings))]
-    _write_outputs((args.output, format_graph(g)), *readings_output)
-    return 0
+    return 0, [(args.output, format_graph(g)), *readings_output]
 
 
 def _parse_weight_range(text: str) -> tuple[int, int]:
@@ -176,11 +198,9 @@ def _parse_weight_range(text: str) -> tuple[int, int]:
         raise ValidationError(f"bad weight range {text!r}; expected LO:HI") from None
 
 
-def _cmd_reduce(args) -> int:
-    g = parse_graph(_read_text(args.graph))
+def _cmd_reduce(args, g: Graph) -> Run:
     reduced, rmap = preprocess(g)
-    _write_outputs((args.output, format_graph(reduced)), (args.map_out, format_reduction_map(rmap)))
-    return 0
+    return 0, [(args.output, format_graph(reduced)), (args.map_out, format_reduction_map(rmap))]
 
 
 def _solution_lines(sol: Solution, trace: bool) -> str:
@@ -198,42 +218,32 @@ def _solution_lines(sol: Solution, trace: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_solve(args) -> int:
-    g = parse_graph(_read_text(args.graph))
-    sol = solve_pipeline(g, args.k, args.algo)
-    _write_outputs((args.output, _solution_lines(sol, args.trace)))
-    return 0
+def _cmd_solve(args, g: Graph) -> Run:
+    return 0, [(args.output, _solution_lines(solve_pipeline(g, args.k, args.algo), args.trace))]
 
 
-def _cmd_exact(args) -> int:
-    g = parse_graph(_read_text(args.graph))
-    sol = exact(g, args.k)
-    _write_outputs((args.output, _solution_lines(sol, trace=False)))
-    return 0
+def _cmd_exact(args, g: Graph) -> Run:
+    return 0, [(args.output, _solution_lines(exact(g, args.k), trace=False))]
 
 
-def _cmd_infer(args) -> int:
-    g = parse_graph(_read_text(args.graph))
+def _cmd_infer(args, g: Graph) -> Run:
     monitors = parse_edge_id_list(args.monitors)
     readings = parse_readings(_read_text(args.readings))
     determined, undetermined, consistent, _ = infer(g, monitors, readings)
     lines = [f"F {e} {determined[e]}" for e in sorted(determined)]
     lines += [f"U {e}" for e in sorted(undetermined)]
     lines.append(f"CONSISTENT {'yes' if consistent else 'no'}")
-    _write_outputs((args.output, "\n".join(lines) + "\n"))
-    return 0 if consistent else 4
+    return 0 if consistent else 4, [(args.output, "\n".join(lines) + "\n")]
 
 
-def _cmd_kernel(args) -> int:
-    g = parse_graph(_read_text(args.graph))
+def _cmd_kernel(args, g: Graph) -> Run:
     kg = kernel_graph(g, parse_edge_id_list(args.monitors))
     out = format_graph(kg.graph)
     out += "".join(f"K {i} {orig}\n" for i, orig in enumerate(kg.represents))
-    _write_outputs((args.output, out))
-    return 0
+    return 0, [(args.output, out)]
 
 
-def _cmd_hardness(args) -> int:
+def _cmd_hardness(args) -> Run:
     """--lemma1 checks lemma1 for every 1 <= s <= n <= --max-n, one
     enumeration per partition of n; it is refused (exit 3) when the
     partitions of 1..max_n exceed LEMMA1_MAX_COMBOS, from --max-n 41.
@@ -284,8 +294,7 @@ def _cmd_hardness(args) -> int:
     if not lines:
         raise ValidationError("choose --verify-star and/or --lemma1")
     lines.append(f"OVERALL {'FAIL' if failed else 'PASS'}")
-    _write_outputs((args.output, "\n".join(lines) + "\n"))
-    return 1 if failed else 0
+    return 1 if failed else 0, [(args.output, "\n".join(lines) + "\n")]
 
 
 @functools.cache
@@ -293,56 +302,46 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="flowmon")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", help="generate an instance")
+    def command(name: str, func, help: str, graph: bool = True) -> argparse.ArgumentParser:
+        """A subcommand run by func, with -o and, if graph, the graph file."""
+        p = sub.add_parser(name, help=help)
+        if graph:
+            p.add_argument("graph")
+        p.add_argument("-o", "--output", default=None)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("gen", _cmd_gen, "generate an instance", graph=False)
     p.add_argument("family", choices=GEN_FAMILIES)
     needed = {o for _, needs, _ in GEN_FAMILIES.values() for o in needs}
     for option in _FAMILY_OPTIONS:
         text = ("needed by " if option in needed else "optional for ") + _gen_readers(option)
         p.add_argument(option, default=None, help=text, **_GEN_KINDS.get(option, {"type": int}))
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("reduce", help="strip bridges, merge, contract edge groups")
-    p.add_argument("graph")
-    p.add_argument("-o", "--output", default=None)
+    p = command("reduce", _cmd_reduce, "strip bridges, merge, contract edge groups")
     p.add_argument("--map-out", default=None)
-    p.set_defaults(func=_cmd_reduce)
 
-    p = sub.add_parser("solve", help="preprocess, solve, lift back")
-    p.add_argument("graph")
+    p = command("solve", _cmd_solve, "preprocess, solve, lift back")
     p.add_argument("--algo", required=True, help="greedy1|greedy2|greedy:<sigma>|exact")
     p.add_argument("-k", type=int, required=True)
     p.add_argument("--trace", action="store_true")
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("exact", help="brute-force optimum on the raw graph")
-    p.add_argument("graph")
+    p = command("exact", _cmd_exact, "brute-force optimum on the raw graph")
     p.add_argument("-k", type=int, required=True)
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=_cmd_exact)
 
-    p = sub.add_parser("infer", help="determine flows from monitor readings")
-    p.add_argument("graph")
+    p = command("infer", _cmd_infer, "determine flows from monitor readings")
     p.add_argument("-m", "--monitors", required=True, help="comma-separated edge ids")
     p.add_argument("-r", "--readings", required=True, help="readings file")
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=_cmd_infer)
 
-    p = sub.add_parser("kernel", help="contract around a monitor set")
-    p.add_argument("graph")
+    p = command("kernel", _cmd_kernel, "contract around a monitor set")
     p.add_argument("-m", "--monitors", required=True, help="comma-separated edge ids")
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=_cmd_kernel)
 
-    p = sub.add_parser("hardness", help="run the reduction verifiers")
+    p = command("hardness", _cmd_hardness, "run the reduction verifiers", graph=False)
     p.add_argument("--verify-star", action="store_true")
     p.add_argument("--lemma1", action="store_true")
     p.add_argument("--max-n", type=int, default=7)
     p.add_argument("--random-instances", type=int, default=None, help="--verify-star; default 0")
     p.add_argument("--seed", type=int, default=None, help="--verify-star; default 0")
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=_cmd_hardness)
 
     return parser
 
@@ -357,7 +356,10 @@ def main(argv: list[str] | None = None) -> int:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return args.func(args)
+        graph = [parse_graph(_read_text(args.graph))] if "graph" in args else []
+        code, outputs = args.func(args, *graph)
+        _write_outputs(outputs)
+        return code
     except FlowmonError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -107,16 +107,11 @@ def _batches(
     the collected edges leave before the next step. If at most sigma'
     edges remain they are all taken and the run halts; if none remain
     the trace is simply truncated, and with k at least the edge count
-    one step takes them all. GREEDY_DEFAULT_BUDGET caps the subset
-    evaluations of the whole run, which guards large sigma.
+    one step of size k takes them all. GREEDY_DEFAULT_BUDGET caps the
+    subset evaluations of the whole run, which guards large sigma.
     """
-    k, sigma = cfg.k, cfg.sigma
-    if k >= len(ids):
-        everything = frozenset(ids)
-        total = Weight(sum(weights))
-        steps = (StepRecord(everything, everything, total, 0),) if ids else ()
-        return Solution(everything, frozenset(), total, GreedyTrace(steps))
-
+    k = cfg.k
+    sigma = k if k >= len(ids) else cfg.sigma
     live, wl = list(ids), list(weights)
     # residuals of the live edges modulo span(placed monitors), none zero
     # after the first step; an edge is collected by p iff its residual

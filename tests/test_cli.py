@@ -33,6 +33,19 @@ def run_cli(*argv) -> tuple[int, str]:
     return code, buf.getvalue()
 
 
+def run_module(*argv, **kwargs) -> subprocess.CompletedProcess:
+    """python -m flowmon argv in a child process that imports this flowmon."""
+    src = str(Path(flowmon.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "flowmon", *argv],
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=60,
+        **kwargs,
+    )
+
+
 @pytest.fixture()
 def fig1_files(tmp_path):
     graph = tmp_path / "fig1.graph"
@@ -81,16 +94,8 @@ def test_solve_output_shape(fig1_files):
 
 def test_python_dash_m_runs_the_cli(fig1_files):
     graph, _ = fig1_files
-    src = str(Path(flowmon.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     argv = ["solve", str(graph), "--algo", "greedy1", "-k", "2"]
-    proc = subprocess.run(
-        [sys.executable, "-m", "flowmon", *argv],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=path),
-        timeout=60,
-    )
+    proc = run_module(*argv, capture_output=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == run_cli(*argv)[1]
 
@@ -348,17 +353,98 @@ def test_output_to_dev_stdout(fig1_files, tmp_path):
     if not os.path.exists("/dev/stdout"):
         pytest.skip("no /dev/stdout")
     graph, _ = fig1_files
-    src = str(Path(flowmon.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "flowmon", "reduce", str(graph), "-o", "/dev/stdout"],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=path),
-        timeout=60,
-    )
+    proc = run_module("reduce", str(graph), "-o", "/dev/stdout", capture_output=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == run_cli("reduce", str(graph))[1]
+
+
+def test_output_to_dev_stdout_on_a_regular_file(fig1_files, tmp_path):
+    # stdout is a regular file that already holds a line, as in
+    # `{ echo c; flowmon reduce g -o /dev/stdout; } > f`: the graph must
+    # follow that line, not truncate the file or write over it from
+    # offset 0, and the map printed to stdout must follow the graph
+    if not os.path.exists("/dev/stdout"):
+        pytest.skip("no /dev/stdout")
+    graph, _ = fig1_files
+    out = tmp_path / "stdout.txt"
+    with open(out, "w", encoding="utf-8") as f:
+        f.write("c before\n")
+        f.flush()
+        proc = run_module("reduce", str(graph), "-o", "/dev/stdout", stdout=f, stderr=subprocess.PIPE)
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_text() == "c before\n" + run_cli("reduce", str(graph))[1]
+
+
+# one run of every subcommand, and the exit codes 4 (infer) and 1
+# (hardness) that still write their output: GRAPH, READINGS, BAD (every
+# edge of GRAPH read, 5 on edge 0 and 0 on the rest, which no circulation
+# gives) and SIDE (a second output file) name files
+OUTPUT_RUNS = {
+    "gen": ["gen", "fig1", "--readings-out", "SIDE"],
+    "reduce": ["reduce", "GRAPH", "--map-out", "SIDE"],
+    "solve": ["solve", "--algo", "greedy2", "-k", "3", "--trace", "GRAPH"],
+    "exact": ["exact", "-k", "3", "GRAPH"],
+    "infer": ["infer", "-m", "0,1,2,3", "-r", "READINGS", "GRAPH"],
+    "infer-inconsistent": ["infer", "-m", ",".join(map(str, range(12))), "-r", "BAD", "GRAPH"],
+    "kernel": ["kernel", "-m", "0,1,2,3", "GRAPH"],
+    "hardness-lemma1": ["hardness", "--lemma1", "--max-n", "4"],
+    "hardness-fail": ["hardness", "--lemma1", "--max-n", "4"],
+}
+OUTPUT_CODES = {"infer-inconsistent": 4, "hardness-fail": 1}
+
+
+def output_run(name, fig1_files, tmp_path, monkeypatch) -> list[str]:
+    """OUTPUT_RUNS[name] with its files named; hardness-fail fails lemma1
+    on n = 3."""
+    graph, readings = fig1_files
+    bad = tmp_path / "bad.readings"
+    bad.write_text("r 0 5\n" + "".join(f"r {e} 0\n" for e in range(1, 12)))
+    if name == "hardness-fail":
+        monkeypatch.setattr(cli, "lemma1_check", lambda n, s: n != 3)
+    files = {"GRAPH": graph, "READINGS": readings, "BAD": bad, "SIDE": tmp_path / "side.txt"}
+    return [str(files.get(a, a)) for a in OUTPUT_RUNS[name]]
+
+
+@pytest.mark.parametrize("name", OUTPUT_RUNS)
+def test_output_file_holds_what_stdout_gets(fig1_files, tmp_path, monkeypatch, name):
+    argv = output_run(name, fig1_files, tmp_path, monkeypatch)
+    side = tmp_path / "side.txt"
+    code, printed = run_cli(*argv)
+    assert code == OUTPUT_CODES.get(name, 0) and printed
+    side_printed = side.read_bytes() if side.exists() else None
+    out = tmp_path / "out.txt"
+    assert run_cli(*argv, "-o", str(out)) == (code, "")
+    assert out.read_bytes() == printed.encode()
+    assert (side.read_bytes() if side.exists() else None) == side_printed
+
+
+def count_writes(monkeypatch) -> list:
+    """Patch cli._write_outputs to record the outputs of each call."""
+    calls = []
+    write = cli._write_outputs
+    monkeypatch.setattr(cli, "_write_outputs", lambda outputs: calls.append(outputs) or write(outputs))
+    return calls
+
+
+@pytest.mark.parametrize("name", OUTPUT_RUNS)
+def test_main_writes_every_output_in_one_call(fig1_files, tmp_path, monkeypatch, name):
+    calls = count_writes(monkeypatch)
+    argv = output_run(name, fig1_files, tmp_path, monkeypatch)
+    assert run_cli(*argv)[0] == OUTPUT_CODES.get(name, 0)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["reduce", "EMPTY"],
+    ["exact", "-k", "0", "GRAPH"],
+    ["exact", "GRAPH"],
+], ids=["parse-error", "exact-k-0", "usage"])
+def test_a_refused_run_never_writes(fig1_files, tmp_path, monkeypatch, capsys, argv):
+    calls = count_writes(monkeypatch)
+    (tmp_path / "empty.graph").write_text("")
+    files = {"GRAPH": str(fig1_files[0]), "EMPTY": str(tmp_path / "empty.graph")}
+    assert run_cli(*[files.get(a, a) for a in argv]) == (2, "")
+    assert calls == []
 
 
 def test_hardness_rejects_negative_random_instances(capsys):

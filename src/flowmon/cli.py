@@ -10,7 +10,8 @@ and seeds. main is the one I/O path: it reads and parses the graph a
 command names and writes the outputs its handler returns (a handler
 reads no file but infer's readings). It opens every output file before
 it writes any and prints to stdout last, so a refused command writes no
-file and no stdout; an -o naming stdout's own file goes through stdout.
+file and no stdout; an -o naming stdout's own file goes through stdout,
+and text for a stdout closed at start-up is refused (exit 2).
 
 One table, GEN_FAMILIES, holds what gen knows of its families: each
 family's generator, by name, and the options it needs and may also
@@ -42,14 +43,9 @@ from pathlib import Path
 from . import generators
 from .errors import FlowmonError, ParseError, SizeGuardError, ValidationError
 from .flowsim import infer
+from .generators import MAX_EDGES
 from .graph import Graph
-from .hardness import (
-    LEMMA1_MAX_COMBOS,
-    lemma1_check,
-    partition_total,
-    verify_star_canonical,
-    verify_star_random,
-)
+from .hardness import LEMMA1_MAX_N, lemma1_check, verify_star_canonical, verify_star_random
 from .kernel import kernel_graph
 from .reduce import preprocess
 from .solvers import Solution, exact, solve_pipeline
@@ -77,9 +73,11 @@ def _read_text(path: str) -> str:
 
 
 def _names_stdout(fd: int) -> bool:
-    """Whether fd, just opened, is a second descriptor on stdout's file."""
+    """Whether fd, just opened, is a second descriptor on stdout's file.
+    Never when stdout was closed at start-up: descriptor 1 is then free
+    for the first file opened here."""
     try:
-        return fd != 1 and os.path.sameopenfile(fd, 1)
+        return sys.stdout is not None and fd != 1 and os.path.sameopenfile(fd, 1)
     except OSError:  # descriptor 1 is closed
         return False
 
@@ -91,7 +89,10 @@ def _write_outputs(outputs: list[tuple[str | None, str]]) -> None:
     is written, and stdout comes last, its texts in argument order: if a
     file cannot be opened or written, the files this run created are
     removed and stdout gets nothing. A file is truncated just before it
-    is written, if it is a regular file."""
+    is written, if it is a regular file. Text for a stdout closed at
+    start-up (sys.stdout is None) is refused before any file is opened."""
+    if sys.stdout is None and not all(path for path, _ in outputs):
+        raise ValidationError("cannot write to stdout: it is closed")
     opened = []  # (path, created, descriptor, text) of each file opened so far
     printed = []  # the texts for stdout
     try:
@@ -117,7 +118,8 @@ def _write_outputs(outputs: list[tuple[str | None, str]]) -> None:
     finally:
         for _, _, fd, _ in opened:
             os.close(fd)
-    sys.stdout.write("".join(printed))
+    if printed:
+        sys.stdout.write("".join(printed))
 
 
 # gen's one table: each family's generator (a name looked up on
@@ -132,10 +134,6 @@ GEN_FAMILIES = {
     "random": ("gen_random", ("-n", "-m"), ("--seed", "--min-degree", "--simple", "--weights")),
 }
 _FAMILY_OPTIONS = tuple(dict.fromkeys(o for _, needs, takes in GEN_FAMILIES.values() for o in needs + takes))
-
-# gen random refuses an -m above this before it draws an edge: a drawn
-# edge takes about 470 bytes, so the limit is about 1 GB of edges
-MAX_EDGES = 2_000_000
 
 # how the parser reads each option; any other one is an int
 _GEN_KINDS = {"--epsilon": {}, "--readings-out": {}, "--simple": {"action": "store_true"},
@@ -245,8 +243,8 @@ def _cmd_kernel(args, g: Graph) -> Run:
 
 def _cmd_hardness(args) -> Run:
     """--lemma1 checks lemma1 for every 1 <= s <= n <= --max-n, one
-    enumeration per partition of n; it is refused (exit 3) when the
-    partitions of 1..max_n exceed LEMMA1_MAX_COMBOS, from --max-n 41.
+    enumeration per partition of n; it is refused (exit 3) from --max-n
+    41 (LEMMA1_MAX_N + 1).
     --verify-star checks graphs on 4 to min(--max-n, 7) vertices plus
     --random-instances random ones seeded by --seed, and is refused
     (exit 2) when that leaves nothing to check: below --max-n 4, as the
@@ -270,11 +268,8 @@ def _cmd_hardness(args) -> Run:
     lines = []
     failed = False
     if args.lemma1:
-        total = partition_total(args.max_n, LEMMA1_MAX_COMBOS)
-        if total > LEMMA1_MAX_COMBOS:
-            raise SizeGuardError(
-                f"--lemma1 needs at least {total} partitions; the guard allows {LEMMA1_MAX_COMBOS}"
-            )
+        if args.max_n > LEMMA1_MAX_N:
+            raise SizeGuardError(f"--lemma1 --max-n {args.max_n} exceeds the limit {LEMMA1_MAX_N}")
         for n in range(1, args.max_n + 1):
             for s in range(1, n + 1):
                 ok = lemma1_check(n, s)
@@ -283,7 +278,7 @@ def _cmd_hardness(args) -> Run:
     if args.verify_star:
         reports = verify_star_canonical(min(args.max_n, 7))
         if random_instances:
-            reports.append(verify_star_random((7, 8), random_instances, seed=seed))
+            reports.append(verify_star_random(random_instances, seed=seed))
         for report in reports:
             failed |= not report.ok
             lines.append(

@@ -23,6 +23,11 @@ from .weights import Weight
 
 DEFAULT_EPSILON = Weight.parse("0.01")
 
+# gen_random's edge limit: the CLI refuses an -m above it before an edge
+# is drawn, and the min-degree repair refuses to add an edge past it; a
+# drawn edge takes about 470 bytes, so the limit is about 1 GB of edges
+MAX_EDGES = 2_000_000
+
 
 def prism_edges(rungs: int, offset: int = 0) -> list[tuple[int, int]]:
     """Circular ladder: two rung-length cycles joined by rungs."""
@@ -114,7 +119,7 @@ def gen_random(
     weight_hi: int = 1,
 ) -> Graph:
     """Seeded uniform edge sampling, optionally followed by a min-degree
-    repair pass that may add edges beyond m.
+    repair pass that may add edges beyond m, up to MAX_EDGES in all.
 
     Multigraph mode allows parallels and loops (a loop adds 2 to its
     vertex's degree); simple mode samples distinct non-loop pairs without
@@ -156,6 +161,8 @@ def gen_random(
                 neighbours.setdefault(v, []).append(u)
         for v in range(n):
             while degree[v] < min_degree:
+                if len(edges) >= MAX_EDGES:
+                    raise ValidationError(f"min_degree needs more than {MAX_EDGES} edges")
                 if simple:
                     # the k-th vertex, in index order, that is neither v
                     # nor a neighbour: randrange(count) makes the draw that

@@ -443,16 +443,16 @@ def span_search(
     the same.
 
     Branch and bound: each prefix keeps two bounds from _caps, computed
-    once a completed subset gives a value to beat. A pick is skipped,
-    with no fold and no pair read, when its bound is at most the best
-    value so far; for the last two picks r, z that bound is value +
-    table[r] + the two largest weights, or value + the largest if r is
-    0. A folded prefix is pushed only when its own bound beats the best
-    value. The bounds hold because the weights are non-negative. A
-    skipped subset is worth at most the best value, and only a strictly
-    greater value replaces the best, so the value, the subset (still the
-    first best in combinations order) and the stop are those of the full
-    enumeration.
+    when it is pushed. A pick is skipped, with no fold and no pair read,
+    when its bound is at most the best value so far (-1 until a subset
+    completes, so no bound skips before); for the last two picks r, z
+    that bound is value + table[r] + the two largest weights, or value +
+    the largest if r is 0. A folded prefix is pushed only when its own
+    bound beats the best value. The bounds hold because the weights are
+    non-negative. A skipped subset is worth at most the best value, and
+    only a strictly greater value replaces the best, so the value, the
+    subset (still the first best in combinations order) and the stop are
+    those of the full enumeration.
 
     Each prefix also tries each distinct residual once: a position whose
     residual (zero included) equals one an earlier position of the same
@@ -479,11 +479,9 @@ def span_search(
         total = sum(weights)
         # frames[d]: a prefix of d picks, [value, table, tail, offset, bound
         # after a nonzero pick less its table weight, bound after a zero
-        # pick, residuals tried]; the tail holds the last len(tail)
-        # positions. A prefix pushed before the first subset completes,
-        # when there is nothing to beat, has None for bounds until its
-        # next pick is checked.
-        frames = [[val, coset, list(residuals), 0, None, None, set()]]
+        # pick, residuals tried]; the tail holds the last len(tail) positions
+        _, pair, lone = _caps(coset, val, size, total)
+        frames = [[val, coset, list(residuals), 0, pair, lone, set()]]
     picks: list[int] = []
     while frames:
         frame = frames[-1]
@@ -500,11 +498,8 @@ def span_search(
         if r in tried:
             continue
         tried.add(r)
-        if best >= 0:
-            if pair is None:
-                frame[4:6] = pair, lone = _caps(coset, val, need, total)[1:]
-            if (pair + coset[r] if r else lone) <= best:
-                continue
+        if (pair + coset[r] if r else lone) <= best:
+            continue
         if need == 2:
             if r:
                 val += coset[r]
@@ -529,9 +524,7 @@ def span_search(
                 coset = folded
                 val += coset.pop(0)
             if coset:
-                cap, pair, lone = (
-                    _caps(coset, val, need - 1, total) if best >= 0 else (total, None, None)
-                )
+                cap, pair, lone = _caps(coset, val, need - 1, total)
                 if cap > best:
                     rest = fold_residual(tail[off + 1:], r) if r else tail[off + 1:]
                     picks.append(j)

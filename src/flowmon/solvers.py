@@ -102,7 +102,7 @@ def _batches(
     and weight in micros (the three in step); the answer speaks ids.
 
     Runs ceil(k/sigma) steps. Each step enumerates all sigma'-subsets of
-    the live edges (sigma' = k mod sigma on the final partial step) and
+    the live edges, sigma' = min(sigma, monitors still to place), and
     takes the subset maximizing subset weight plus exposed bridge weight;
     the collected edges leave before the next step. If at most sigma'
     edges remain they are all taken and the run halts; if none remain
@@ -121,13 +121,9 @@ def _batches(
     determined: list[int] = []
     steps: list[StepRecord] = []
     evals_used = 0
-    n_steps = -(-k // sigma)
-    partial_step = k // sigma + 1  # reachable only when k % sigma > 0
 
-    for t in range(1, n_steps + 1):
-        if not live:
-            break
-        sp = k % sigma if t == partial_step else sigma
+    while live and len(monitors) < k:
+        sp = min(sigma, k - len(monitors))
         if len(live) <= sp:
             monitors.extend(live)
             taken = frozenset(live)
@@ -136,7 +132,7 @@ def _batches(
         count = comb(len(live), sp)
         if evals_used + count > GREEDY_DEFAULT_BUDGET:
             raise CandidateBudgetError(
-                f"step {t} needs {count} candidate evaluations;"
+                f"step {len(steps) + 1} needs {count} candidate evaluations;"
                 f" budget {GREEDY_DEFAULT_BUDGET} exhausted"
             )
         evals_used += count

@@ -207,7 +207,7 @@ def test_criterion_07_kernel_invariants():
 
 def test_criterion_08_hardness_equivalence():
     reports = verify_star_canonical(6)
-    rnd = verify_star_random((7, 8), 300, seed=0)
+    rnd = verify_star_random(300, seed=0)
     mismatches = sum(r.mismatches for r in reports) + rnd.mismatches
     checks = sum(r.checks for r in reports) + rnd.checks
     detail = (

@@ -33,12 +33,18 @@ def run_cli(*argv) -> tuple[int, str]:
     return code, buf.getvalue()
 
 
-def run_module(*argv, **kwargs) -> subprocess.CompletedProcess:
-    """python -m flowmon argv in a child process that imports this flowmon."""
+# runs the command in its arguments with descriptor 1 closed, as `>&-` does
+CLOSE_STDOUT_AND_EXEC = "import os, sys; os.close(1); os.execv(sys.executable, sys.argv[1:])"
+
+
+def run_module(*argv, close_stdout=False, **kwargs) -> subprocess.CompletedProcess:
+    """python -m flowmon argv in a child process that imports this flowmon,
+    started with descriptor 1 closed if close_stdout."""
     src = str(Path(flowmon.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    wrapper = [sys.executable, "-c", CLOSE_STDOUT_AND_EXEC] if close_stdout else []
     return subprocess.run(
-        [sys.executable, "-m", "flowmon", *argv],
+        [*wrapper, sys.executable, "-m", "flowmon", *argv],
         text=True,
         env=dict(os.environ, PYTHONPATH=path),
         timeout=60,
@@ -278,8 +284,9 @@ def test_hardness_lemma1_size_guard(capsys, monkeypatch):
     for max_n in ("41", str(10**9)):
         code, out = run_cli("hardness", "--lemma1", "--max-n", max_n)
         assert code == 3 and out == ""
-        assert f"the guard allows {hardness.LEMMA1_MAX_COMBOS}" in capsys.readouterr().err
-    # the partitions of 1..40 fit under the guard
+        err = capsys.readouterr().err
+        assert err == f"error: --lemma1 --max-n {max_n} exceeds the limit {hardness.LEMMA1_MAX_N}\n"
+    # 40 is the limit
     monkeypatch.setattr(cli, "lemma1_check", lambda n, s: True)
     code, out = run_cli("hardness", "--lemma1", "--max-n", "40")
     assert code == 0 and out.splitlines()[-1] == "OVERALL PASS"
@@ -373,6 +380,28 @@ def test_output_to_dev_stdout_on_a_regular_file(fig1_files, tmp_path):
         proc = run_module("reduce", str(graph), "-o", "/dev/stdout", stdout=f, stderr=subprocess.PIPE)
     assert proc.returncode == 0, proc.stderr
     assert out.read_text() == "c before\n" + run_cli("reduce", str(graph))[1]
+
+
+def test_closed_stdout(fig1_files, tmp_path):
+    # Python starts with sys.stdout None when descriptor 1 is closed: a
+    # command that prints nothing runs, one that would print is refused
+    # before it opens a file, and the first file opened takes descriptor
+    # 1 without being taken for stdout
+    graph, _ = fig1_files
+    out, map_out = tmp_path / "out.graph", tmp_path / "out.map"
+
+    def closed(*argv):
+        proc = run_module(*argv, close_stdout=True, stderr=subprocess.PIPE)
+        return proc.returncode, proc.stderr
+
+    assert closed("gen", "fig1", "-o", str(out)) == (0, "")
+    assert out.read_text() == run_cli("gen", "fig1")[1]
+    out.unlink()
+    assert closed("reduce", str(graph), "-o", str(out)) == (2, "error: cannot write to stdout: it is closed\n")
+    assert not out.exists()
+    assert closed("reduce", str(graph), "-o", str(out), "--map-out", str(out)) == (0, "")
+    assert run_cli("reduce", str(graph), "--map-out", str(map_out))[0] == 0
+    assert out.read_text() == map_out.read_text()
 
 
 # one run of every subcommand, and the exit codes 4 (infer) and 1
@@ -789,6 +818,27 @@ def test_gen_edge_guard_refuses_before_drawing(tmp_path, monkeypatch, capsys):
     assert run_cli("gen", "random", "-n", "2", "-m", str(limit + 1), "-o", str(graph)) == (2, "")
     assert not graph.exists() and len(calls) == 1
     assert capsys.readouterr().err == f"error: edge count {limit + 1} exceeds the limit {limit}\n"
+
+
+@pytest.mark.parametrize("simple", [[], ["--simple"]])
+def test_gen_min_degree_repair_stays_under_the_edge_guard(tmp_path, monkeypatch, capsys, simple):
+    # the repair adds edges beyond -m: with the limit at the edge count
+    # the run needs it writes the same graph, one lower it is refused
+    # before the edge past it is added, and no file is left
+    argv = ["gen", "random", "-n", "30", "-m", "5", "--min-degree", "2", *simple]
+    code, text = run_cli(*argv)
+    edges = len(parse_graph(text).edges)
+    assert code == 0 and edges > 5
+    graph = tmp_path / "g.graph"
+    monkeypatch.setattr(generators, "MAX_EDGES", edges)
+    assert run_cli(*argv, "-o", str(graph)) == (0, "")
+    assert graph.read_text() == text
+    graph.unlink()
+    monkeypatch.setattr(generators, "MAX_EDGES", edges - 1)
+    assert run_cli(*argv, "-o", str(graph)) == (2, "")
+    assert not graph.exists()
+    err = capsys.readouterr().err
+    assert err == f"error: min_degree needs more than {edges - 1} edges\n"
 
 
 def test_gen_refuses_an_empty_readings_out(tmp_path, monkeypatch, capsys):

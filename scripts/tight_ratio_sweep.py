@@ -14,7 +14,7 @@ import argparse
 from math import comb
 
 from flowmon.generators import gen_greedy1_tight, gen_greedy2_tight
-from flowmon.solvers import exact, make_solver
+from flowmon.solvers import SolverConfig, exact, sigma_greedy
 from flowmon.weights import Weight
 
 EXACT_CEILING = 300_000  # brute-force only while C(m, k) stays this small
@@ -32,8 +32,8 @@ def main() -> None:
     for k in range(4, args.kmax + 1):
         g1 = gen_greedy1_tight(k, eps)
         g2 = gen_greedy2_tight(k, eps)
-        gain1 = make_solver("greedy1")(g1, k).gain
-        gain2 = make_solver("greedy2")(g2, k).gain
+        gain1 = sigma_greedy(g1, SolverConfig(k=k, sigma=1)).gain
+        gain2 = sigma_greedy(g2, SolverConfig(k=k, sigma=2)).gain
         m = len(g1.edges)
         if comb(m, k) <= EXACT_CEILING:
             opt = exact(g1, k).gain

@@ -18,7 +18,6 @@ from .errors import (
     WeightOverflowError,
 )
 from .flowsim import (
-    Circulation,
     InferenceResult,
     conservation_violations,
     infer,
@@ -57,7 +56,6 @@ from .weights import Weight
 __version__ = "0.1.0"
 
 __all__ = [
-    "Circulation",
     "CandidateBudgetError",
     "EdgeRecord",
     "FlowmonError",

@@ -1,4 +1,4 @@
-"""Circulations, monitor measurements, and conservation-based inference.
+"""Random circulations, monitor measurements, and conservation-based inference.
 
 A circulation assigns each edge a signed integer flow, oriented from the
 edge's stored u to its stored v; flow conservation holds at every vertex.
@@ -21,19 +21,12 @@ the graph.
 from __future__ import annotations
 
 import random
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import FlowmonError, ValidationError
 from .graph import Graph, kernel_labels, search_forest, spanning_forest
 
 Measurements = Mapping[int, int]
-
-
-class Circulation(NamedTuple):
-    """Dense per-edge flow values; flow[e] runs from edges[e].u to
-    edges[e].v, and the reverse direction is its negation."""
-
-    flow: tuple[int, ...]
 
 
 class InferenceResult(NamedTuple):
@@ -43,20 +36,21 @@ class InferenceResult(NamedTuple):
     violations: tuple[tuple[int, ...], ...] = ()
 
 
-def conservation_violations(g: Graph, circ: Circulation) -> list[int]:
+def conservation_violations(g: Graph, flow: Sequence[int]) -> list[int]:
     """Vertices where inflow minus outflow is non-zero. Loops cancel."""
     resid = [0] * g.vertex_count
     for e in g.edges:
-        f = circ.flow[e.id]
+        f = flow[e.id]
         resid[e.v] += f
         resid[e.u] -= f
     return [v for v in range(g.vertex_count) if resid[v] != 0]
 
 
-def random_circulation(g: Graph, seed: int, flow_range: int = 100) -> Circulation:
-    """Seeded circulation: every non-forest edge (loops included) draws a
-    uniform integer in [-R, R]; forest edges are then forced leaf-inward
-    so conservation holds exactly."""
+def random_circulation(g: Graph, seed: int, flow_range: int = 100) -> tuple[int, ...]:
+    """Seeded circulation, one flow per edge, flow[e] running from
+    edges[e].u to edges[e].v (its negation the other way): every
+    non-forest edge (loops included) draws a uniform integer in [-R, R];
+    forest edges are then forced leaf-inward so conservation holds."""
     if flow_range < 1:
         raise ValidationError("flow_range must be positive")
     rng = random.Random(seed)
@@ -83,15 +77,14 @@ def random_circulation(g: Graph, seed: int, flow_range: int = 100) -> Circulatio
             _, x, y, _ = edges[eid]
             flow[eid] = -resid[v] if y == v else resid[v]
             resid[x + y - v] += resid[v]
-    circ = Circulation(tuple(flow))
-    if conservation_violations(g, circ):
+    if conservation_violations(g, flow):
         raise FlowmonError("random circulation violates conservation")
-    return circ
+    return tuple(flow)
 
 
-def measure(circ: Circulation, monitors: Iterable[int]) -> dict[int, int]:
-    """Restriction of a circulation to the monitored edges."""
-    return {e: circ.flow[e] for e in sorted(monitors)}
+def measure(flow: Sequence[int], monitors: Iterable[int]) -> dict[int, int]:
+    """Restriction of a circulation's flow to the monitored edges."""
+    return {e: flow[e] for e in sorted(monitors)}
 
 
 def infer(g: Graph, monitors: Iterable[int], readings: Measurements) -> InferenceResult:

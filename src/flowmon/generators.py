@@ -47,8 +47,6 @@ def gen_ladder(n: int) -> Graph:
 def gen_cycle(n: int) -> Graph:
     if n < 1:
         raise ValidationError("cycle length must be positive")
-    if n == 1:
-        return Graph.build(1, [(0, 0)])
     return Graph.build(n, [(i, (i + 1) % n) for i in range(n)])
 
 
@@ -135,14 +133,17 @@ def gen_random(
         raise ValidationError("edges need vertices")
     if not 0 <= weight_lo <= weight_hi:
         raise ValidationError("need 0 <= weight_lo <= weight_hi")
+    pairs = comb(n, 2)
+    if simple and m > pairs:
+        raise ValidationError(f"a simple graph on {n} vertices holds at most {pairs} edges")
+    if simple and min_degree > max(n - 1, 0):
+        raise ValidationError("min_degree out of reach for a simple graph")
+    # MAX_EDGES edges give a degree sum of at most 2 * MAX_EDGES
+    if n * min_degree > 2 * MAX_EDGES:
+        raise ValidationError(f"min_degree needs more than {MAX_EDGES} edges")
     rng = random.Random(seed)
     edges: list[tuple[int, int]] = []
     if simple:
-        pairs = comb(n, 2)
-        if m > pairs:
-            raise ValidationError(f"a simple graph on {n} vertices holds at most {pairs} edges")
-        if min_degree > max(n - 1, 0):
-            raise ValidationError("min_degree out of reach for a simple graph")
         edges.extend(_unrank_pair(n, i) for i in rng.sample(range(pairs), m))
     else:
         for _ in range(m):

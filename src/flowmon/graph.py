@@ -166,8 +166,11 @@ def contract(
 
 
 def make_mask(g: Graph, removed_ids: Iterable[int]) -> bytearray:
+    """The per-edge 0/1 mask of removed_ids, each in 0..m-1 (check_edge_ids)."""
+    ids = list(removed_ids)
+    g.check_edge_ids(ids)
     mask = bytearray(len(g.edges))
-    for e in removed_ids:
+    for e in ids:
         mask[e] = 1
     return mask
 
@@ -317,7 +320,6 @@ def gain(g: Graph, monitors: Iterable[int]) -> Weight:
     bridge of G - M; this is the objective every solver maximizes.
     """
     mon = frozenset(monitors)
-    g.check_edge_ids(mon)
     mask = make_mask(g, mon)
     w = g.weights_micros
     total = sum(w[e] for e in mon) + sum(w[e] for e in bridge_ids(g, mask))

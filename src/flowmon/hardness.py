@@ -30,8 +30,8 @@ from .graph import (
     span_search,
     spanning_forest,
 )
+from .solvers import _check_exact_size
 
-DECIDE_DEFAULT_BUDGET = 2_000_000
 CLIQUE_MAX_COMBOS = 5_000_000
 # the partitions of 1..40 (215,307) take 2.5-2.8 s through lemma1_check
 # on one Xeon vCPU; --lemma1 --max-n 41 is the first run refused
@@ -102,7 +102,8 @@ def reduce_clique(inst: CliqueInstance) -> DecInstance:
 
 def decide_flow_monitors(inst: DecInstance) -> bool:
     """Is there a set of exactly k edges whose removal leaves at least l
-    bridges? Exhaustive over the k-subsets, with a size guard.
+    bridges? Exhaustive over the k-subsets, behind exact's size guard
+    (solvers._check_exact_size): the same C(m, k), limit and message.
 
     A k-set M leaves b bridges exactly when k + b edges have a cut label
     in the span of M's labels, so one span_search over the labels with
@@ -113,11 +114,7 @@ def decide_flow_monitors(inst: DecInstance) -> bool:
     m = len(g.edges)
     if k > m:
         return False
-    if comb(m, k) > DECIDE_DEFAULT_BUDGET:
-        raise SizeGuardError(
-            f"decision needs C({m},{k}) = {comb(m, k)} evaluations;"
-            f" the guard allows {DECIDE_DEFAULT_BUDGET}"
-        )
+    _check_exact_size(m, k)
     if l == 0:
         return True
     best, _, _ = span_search(cut_labels(g), [1] * m, k, k + l)

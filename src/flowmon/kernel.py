@@ -33,7 +33,6 @@ def kernel_graph(g: Graph, monitors: Iterable[int]) -> KernelGraph:
     id order.
     """
     mon = frozenset(monitors)
-    g.check_edge_ids(mon)
     _, _, extra, labels = kernel_labels(g, mon)
     kept = sorted(mon.union(extra))
     return KernelGraph(contract(g, labels, kept), tuple(labels), tuple(kept))

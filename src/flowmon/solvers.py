@@ -23,14 +23,14 @@ trace's candidates field does; a run that would exceed one is refused
 before it enumerates (CLI exit 3).
 
 solve_pipeline is the end-to-end path the CLI uses, for a solver named
-as make_solver names it. It builds no reduced graph: preprocessing
-contracts each edge group to its deputy and strips the bridges, which
-keeps exactly the cuts of G made only of deputies, so G's own labels on
-the deputies, with the group weights, answer every question the batch
-loop would ask of the reduced graph, with the same monitors, gains,
-tie-breaks and trace. The extras are read off one bridge walk of G
-minus the monitors, so a solve walks G twice: once to label it, once to
-check the answer.
+greedy1, greedy2, greedy:<sigma> or exact. It builds no reduced graph:
+preprocessing contracts each edge group to its deputy and strips the
+bridges, which keeps exactly the cuts of G made only of deputies, so G's
+own labels on the deputies, with the group weights, answer every
+question the batch loop would ask of the reduced graph, with the same
+monitors, gains, tie-breaks and trace. The extras are read off one
+bridge walk of G minus the monitors, so a solve walks G twice: once to
+label it, once to check the answer.
 
 Determinism: among equal-gain candidate sets the lexicographically
 smallest sorted id tuple wins, so traces are reproducible and tests can
@@ -42,7 +42,7 @@ from __future__ import annotations
 from itertools import compress
 from math import comb
 from operator import itemgetter, not_
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import CandidateBudgetError, Checked, FlowmonError, SizeGuardError, ValidationError
 from .graph import Graph, bridge_ids, cut_labels, make_mask, span_search, spanning_forest
@@ -163,7 +163,8 @@ def sigma_greedy(g: Graph, cfg: SolverConfig) -> Solution:
 
 def _check_exact_size(m: int, k: int) -> None:
     """Refuse an exhaustive search over m edges whose C(m, min(k, m))
-    subsets exceed EXACT_DEFAULT_BUDGET."""
+    subsets exceed EXACT_DEFAULT_BUDGET: exact, solve --algo exact and
+    hardness.decide_flow_monitors all enumerate behind this one guard."""
     size = min(k, m)
     total = comb(m, size)
     if total > EXACT_DEFAULT_BUDGET:
@@ -210,15 +211,6 @@ def _batch_size(name: str) -> int | None:
     return sigma
 
 
-def make_solver(name: str) -> Callable[[Graph, int], Solution]:
-    """The Graph solver named greedy1, greedy2, greedy:<sigma> (sigma >= 1)
-    or exact."""
-    sigma = _batch_size(name)
-    if sigma is None:
-        return exact
-    return lambda g, k: sigma_greedy(g, SolverConfig(k=k, sigma=sigma))
-
-
 def full_determination(g: Graph) -> frozenset[int]:
     """Monitors that determine every edge: the complement of a spanning
     forest. Size is m - n + (number of components)."""
@@ -227,7 +219,7 @@ def full_determination(g: Graph) -> frozenset[int]:
 
 def solve_pipeline(g: Graph, k: int, algo: str) -> Solution:
     """Solve on the deputies of G's edge groups with the solver named
-    `algo` (make_solver's names), in G's own ids.
+    `algo` (greedy1, greedy2, greedy:<sigma> or exact), in G's own ids.
 
     The name is checked first, then k, which must be at least 1, even on
     a graph with no edges. With k >= m the answer is trivially all

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import oracles
 from flowmon import graph, reduce, solvers
 from flowmon.graph import Graph
+from flowmon.solvers import SolverConfig, sigma_greedy
 
 settings.register_profile(
     "suite",
@@ -109,3 +110,8 @@ def record_graph_calls(monkeypatch, *names):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, recording)
     return calls
+
+
+def greedy(sigma: int):
+    """sigma_greedy with batch size sigma, as a solver g, k -> Solution."""
+    return lambda g, k: sigma_greedy(g, SolverConfig(k=k, sigma=sigma))

@@ -26,12 +26,12 @@ from flowmon.graph import (
 from flowmon.hardness import lemma1_check, verify_star_canonical, verify_star_random
 from flowmon.kernel import check_kernel_bound, kernel_graph
 from flowmon.reduce import lift_monitors, preprocess
-from flowmon.solvers import exact, full_determination, make_solver, solve_pipeline
+from flowmon.solvers import exact, full_determination, solve_pipeline
 from flowmon.weights import Weight
 
-from conftest import seeded_multigraph
+from conftest import greedy, seeded_multigraph
 
-greedy1, greedy2 = make_solver("greedy1"), make_solver("greedy2")
+greedy1, greedy2 = greedy(1), greedy(2)
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -120,15 +120,15 @@ def test_criterion_05_inference_ground_truth():
         rng = random.Random(10_000 + seed)
         g = seeded_multigraph(10_000 + seed)
         m = len(g.edges)
-        circ = random_circulation(g, seed=seed, flow_range=50)
+        flow = random_circulation(g, seed=seed, flow_range=50)
         mon = frozenset(rng.sample(range(m), rng.randint(0, m))) if m else frozenset()
-        res = infer(g, mon, measure(circ, mon))
+        res = infer(g, mon, measure(flow, mon))
         expected = mon | frozenset(bridge_ids(g, make_mask(g, mon)))
         unit = Graph.build(g.vertex_count, [(e.u, e.v) for e in g.edges])
         ok = (
             res.consistent
             and set(res.determined) == expected
-            and all(res.determined[e] == circ.flow[e] for e in res.determined)
+            and all(res.determined[e] == flow[e] for e in res.determined)
             and res.undetermined == frozenset(range(m)) - expected
             and len(res.determined) == gain(unit, mon).micros // 10**6
         )
@@ -151,8 +151,8 @@ def test_criterion_06_full_determination():
         if len(mon) != len(g.edges) - g.vertex_count + 1:
             bad += 1
             continue
-        circ = random_circulation(g, seed=seed)
-        res = infer(g, mon, measure(circ, mon))
+        flow = random_circulation(g, seed=seed)
+        res = infer(g, mon, measure(flow, mon))
         if res.undetermined or not res.consistent:
             bad += 1
     report(6, bad == 0, f"100 connected graphs, failures={bad}")

@@ -29,21 +29,21 @@ def test_random_circulation_refuses_a_zero_flow_range():
 
 def test_random_circulation_tree_is_zero():
     g = Graph.build(4, [(0, 1), (1, 2), (2, 3)])
-    circ = random_circulation(g, seed=1)
-    assert circ.flow == (0, 0, 0)
+    flow = random_circulation(g, seed=1)
+    assert flow == (0, 0, 0)
 
 
 def test_random_circulation_cycle_constant():
     g = gen_cycle(5)
-    circ = random_circulation(g, seed=3)
-    values = set(abs(f) for f in circ.flow)
+    flow = random_circulation(g, seed=3)
+    values = set(abs(f) for f in flow)
     assert len(values) == 1  # one value circulates; signs follow storage order
 
 
 @given(multigraphs(max_n=7, max_m=12), st.integers(0, 2**32))
 def test_random_circulation_conserves(g, seed):
-    circ = random_circulation(g, seed)
-    assert conservation_violations(g, circ) == []
+    flow = random_circulation(g, seed)
+    assert conservation_violations(g, flow) == []
 
 
 def test_random_circulation_flows_are_pinned():
@@ -59,7 +59,7 @@ def test_random_circulation_flows_are_pinned():
             gen_random(n, seed % 23, seed),
             random_connected_multigraph(n, n - 1 + seed % 9, seed),
         )):
-            flow = random_circulation(g, 2 * seed + i, 1 + (2 * seed + i) % 50).flow
+            flow = random_circulation(g, 2 * seed + i, 1 + (2 * seed + i) % 50)
             digest.update(repr(flow).encode() + b"\n")
             pairs = [tuple(sorted((e.u, e.v))) for e in g.edges if not e.is_loop]
             loops += any(e.is_loop for e in g.edges)
@@ -78,10 +78,10 @@ def test_random_circulation_deterministic():
 
 def test_measure_restriction():
     g = gen_cycle(3)
-    circ = random_circulation(g, 5)
-    assert measure(circ, set()) == {}
-    assert measure(circ, {0, 1, 2}) == {e: circ.flow[e] for e in range(3)}
-    assert measure(circ, {1}) == {1: circ.flow[1]}
+    flow = random_circulation(g, 5)
+    assert measure(flow, set()) == {}
+    assert measure(flow, {0, 1, 2}) == {e: flow[e] for e in range(3)}
+    assert measure(flow, {1}) == {1: flow[1]}
 
 
 def test_infer_worked_example_values():
@@ -149,14 +149,14 @@ def test_infer_input_validation():
 @given(multigraphs(max_n=7, max_m=12), st.integers(0, 10**6), st.data())
 def test_infer_round_trips_ground_truth(g, seed, data):
     m = len(g.edges)
-    circ = random_circulation(g, seed)
+    flow = random_circulation(g, seed)
     ids = sorted(data.draw(st.sets(st.integers(0, m - 1), max_size=m))) if m else []
     mon = frozenset(ids)
-    res = infer(g, mon, measure(circ, mon))
+    res = infer(g, mon, measure(flow, mon))
     expected_keys = mon | frozenset(bridge_ids(g, make_mask(g, mon)))
     assert set(res.determined) == expected_keys
     for e, value in res.determined.items():
-        assert value == circ.flow[e]
+        assert value == flow[e]
     assert res.undetermined == frozenset(range(m)) - expected_keys
     assert res.consistent
     # the definitional link: determined count equals unit-weight gain
@@ -167,19 +167,19 @@ def test_infer_round_trips_ground_truth(g, seed, data):
 @given(multigraphs(max_n=7, max_m=12), st.integers(0, 10**6))
 def test_full_determination_monitors_determine_all(g, seed):
     mon = full_determination(g)
-    circ = random_circulation(g, seed)
-    res = infer(g, mon, measure(circ, mon))
+    flow = random_circulation(g, seed)
+    res = infer(g, mon, measure(flow, mon))
     assert res.undetermined == frozenset()
     assert res.consistent
-    assert all(res.determined[e] == circ.flow[e] for e in range(len(g.edges)))
+    assert all(res.determined[e] == flow[e] for e in range(len(g.edges)))
 
 
 def test_perturbed_reading_breaks_consistency():
     # with every edge monitored the audit reduces to per-vertex
     # conservation, so bumping any non-loop reading must be caught
     g, _, _ = gen_fig1()
-    circ = random_circulation(g, seed=9)
-    readings = measure(circ, range(12))
+    flow = random_circulation(g, seed=9)
+    readings = measure(flow, range(12))
     assert infer(g, frozenset(range(12)), readings).consistent
     bumped = dict(readings)
     bumped[4] += 1

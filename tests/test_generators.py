@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from flowmon import generators
 from flowmon.errors import ValidationError
 from flowmon.generators import (
     gen_circulant,
@@ -137,6 +138,27 @@ def test_generators_refuse_bad_sizes(build, message):
 def test_gen_random_refuses_a_negative_min_degree():
     with pytest.raises(ValidationError, match="min_degree must be non-negative"):
         gen_random(5, 4, seed=0, min_degree=-3)
+
+
+def test_gen_random_refuses_a_repair_past_the_edge_limit_before_drawing(monkeypatch):
+    # 10 vertices of degree 3 need a degree sum of 30, more than 14 edges
+    # give: refused before the generator is seeded, and after the
+    # argument checks, simple-mode ones included
+    monkeypatch.setattr(generators, "MAX_EDGES", 14)
+
+    def unseeded(*args):
+        raise AssertionError("random.Random was built")
+
+    monkeypatch.setattr(generators.random, "Random", unseeded)
+    for simple in (False, True):
+        with pytest.raises(ValidationError, match="^min_degree needs more than 14 edges$"):
+            gen_random(10, 0, seed=0, min_degree=3, simple=simple)
+    with pytest.raises(ValidationError, match="holds at most 45 edges"):
+        gen_random(10, 46, seed=0, min_degree=3, simple=True)
+    with pytest.raises(ValidationError, match="min_degree out of reach"):
+        gen_random(10, 0, seed=0, min_degree=10, simple=True)
+    with pytest.raises(ValidationError, match="need 0 <= weight_lo <= weight_hi"):
+        gen_random(10, 0, seed=0, min_degree=3, weight_lo=2)
 
 
 def test_gen_random_min_degree_repair():

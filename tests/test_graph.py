@@ -173,6 +173,14 @@ def test_kernel_labels_do_not_flood_fill(monkeypatch):
     assert (sorted(exposed), labels) == ([1, 2, 3], [0, 1, 2, 3, 4, 4, 4])
 
 
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_kernel_labels_refuse_edge_ids_out_of_range(bad):
+    # -1 would mark the last edge, 3 would end in a bare IndexError
+    triangle = Graph.build(3, [(0, 1), (1, 2), (0, 2)])
+    with pytest.raises(ValidationError, match=f"^edge id {bad} out of range for graph with 3 edges$"):
+        kernel_labels(triangle, [bad])
+
+
 def test_tree_passes_do_not_recurse_on_deep_graphs():
     # a 200,000-edge cycle with a 1,000-edge path hanging off vertex 0
     cycle, tail = 200_000, 1_000

@@ -26,6 +26,7 @@ from flowmon.hardness import (
 )
 
 from conftest import multigraphs
+from flowmon.solvers import EXACT_DEFAULT_BUDGET, exact
 from oracles import decide_by_traversal
 
 K4 = Graph.build(4, list(combinations(range(4), 2)))
@@ -92,7 +93,27 @@ def test_decide_matches_traversal(g):
 def test_decide_size_guard():
     big = Graph.build(10, [(i, j) for i in range(10) for j in range(i + 1, 10)])
     with pytest.raises(SizeGuardError):
-        decide_flow_monitors(DecInstance(big, 20, 1))  # C(45,20) > DECIDE_DEFAULT_BUDGET
+        decide_flow_monitors(DecInstance(big, 20, 1))  # C(45,20) > EXACT_DEFAULT_BUDGET
+
+
+def test_decide_and_exact_share_one_size_guard():
+    # K10's 45 edges: C(45, k) passes for k <= 5 and k >= 40 only; with
+    # l = 0 decide answers right after its guard, and exact refuses
+    # before it enumerates, so only refused k run exact
+    big = Graph.build(10, list(combinations(range(10), 2)))
+    for k in range(46):
+        refused = comb(45, k) > EXACT_DEFAULT_BUDGET
+        if not refused:
+            assert decide_flow_monitors(DecInstance(big, k, 0))
+            continue
+        with pytest.raises(SizeGuardError) as dec:
+            decide_flow_monitors(DecInstance(big, k, 0))
+        with pytest.raises(SizeGuardError) as ex:
+            exact(big, k)
+        assert str(dec.value) == str(ex.value) == (
+            f"exhaustive search needs C(45,{k}) = {comb(45, k)} evaluations;"
+            f" the guard allows {EXACT_DEFAULT_BUDGET}"
+        )
 
 
 def test_has_clique_examples():

@@ -8,7 +8,7 @@ import pickle
 import pytest
 
 from flowmon.errors import ValidationError, WeightOverflowError
-from flowmon.flowsim import Circulation, InferenceResult
+from flowmon.flowsim import InferenceResult
 from flowmon.graph import EdgeRecord, Graph
 from flowmon.hardness import CliqueInstance, DecInstance, StarReport
 from flowmon.kernel import KernelGraph
@@ -67,7 +67,6 @@ def _records():
         trace.steps[0],
         trace,
         Solution(frozenset({0}), frozenset({1}), Weight(2), trace),
-        Circulation((1, -1)),
         InferenceResult({0: 1}, frozenset({1}), True),
         KernelGraph(K4, (0, 0, 0, 0), (0, 1)),
         ReductionMap((0, 0), {0: 0}, (0,), (0,), frozenset({1})),

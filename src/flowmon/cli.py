@@ -237,7 +237,7 @@ def _cmd_infer(args, g: Graph) -> Run:
 def _cmd_kernel(args, g: Graph) -> Run:
     kg = kernel_graph(g, parse_edge_id_list(args.monitors))
     out = format_graph(kg.graph)
-    out += "".join(f"K {i} {orig}\n" for i, orig in enumerate(kg.represents))
+    out += "".join([f"K {i} {orig}\n" for i, orig in enumerate(kg.represents)])
     return 0, [(args.output, out)]
 
 

@@ -39,34 +39,33 @@ class InferenceResult(NamedTuple):
 def conservation_violations(g: Graph, flow: Sequence[int]) -> list[int]:
     """Vertices where inflow minus outflow is non-zero. Loops cancel."""
     resid = [0] * g.vertex_count
-    for e in g.edges:
-        f = flow[e.id]
-        resid[e.v] += f
-        resid[e.u] -= f
+    for u, v, f in zip(g.us, g.vs, flow):
+        resid[v] += f
+        resid[u] -= f
     return [v for v in range(g.vertex_count) if resid[v] != 0]
 
 
 def random_circulation(g: Graph, seed: int, flow_range: int = 100) -> tuple[int, ...]:
     """Seeded circulation, one flow per edge, flow[e] running from
-    edges[e].u to edges[e].v (its negation the other way): every
+    g.us[e] to g.vs[e] (its negation the other way): every
     non-forest edge (loops included) draws a uniform integer in [-R, R];
     forest edges are then forced leaf-inward so conservation holds."""
     if flow_range < 1:
         raise ValidationError("flow_range must be positive")
     rng = random.Random(seed)
     forest = spanning_forest(g)
-    edges = g.edges
-    flow = [0] * len(edges)
-    free = bytearray(len(edges))
+    us, vs = g.us, g.vs
+    flow = [0] * len(us)
+    free = bytearray(len(us))
     resid = [0] * g.vertex_count  # net inflow from the free edges
-    for e in edges:
-        if e.id in forest:
+    for eid, u, v in zip(range(len(us)), us, vs):
+        if eid in forest:
             continue
         f = rng.randint(-flow_range, flow_range)
-        flow[e.id] = f
-        free[e.id] = 1
-        resid[e.v] += f
-        resid[e.u] -= f
+        flow[eid] = f
+        free[eid] = 1
+        resid[v] += f
+        resid[u] -= f
 
     # forest edges are forced leaf-inward: the flow into the subtree
     # hanging below an edge must cancel that subtree's residual
@@ -74,7 +73,7 @@ def random_circulation(g: Graph, seed: int, flow_range: int = 100) -> tuple[int,
     for v in reversed(order):
         eid = entry[v]
         if eid >= 0:
-            _, x, y, _ = edges[eid]
+            x, y = us[eid], vs[eid]
             flow[eid] = -resid[v] if y == v else resid[v]
             resid[x + y - v] += resid[v]
     if conservation_violations(g, flow):
@@ -118,39 +117,35 @@ def infer(g: Graph, monitors: Iterable[int], readings: Measurements) -> Inferenc
         if e not in readings:
             raise ValidationError(f"missing reading for monitor edge {e}")
 
-    edges = g.edges
+    us, vs = g.us, g.vs
     order, entry, exposed, labels = kernel_labels(g, mon)
     # net monitor inflow per vertex; a loop, or a monitor inside one
     # component of G - M - B, cancels on every side of every bridge
     sub = [0] * g.vertex_count
     for e in mon:
-        _, u, v, _ = edges[e]
-        sub[u] -= readings[e]
-        sub[v] += readings[e]
+        sub[us[e]] -= readings[e]
+        sub[vs[e]] += readings[e]
     for v in reversed(order):
         eid = entry[v]
         if eid >= 0:
-            _, x, y, _ = edges[eid]
-            sub[x + y - v] += sub[v]
+            sub[us[eid] + vs[eid] - v] += sub[v]
     total = sub[:]  # a root's subtree is its whole tree
     for v in order:
         eid = entry[v]
         if eid >= 0:
-            _, x, y, _ = edges[eid]
-            total[v] = total[x + y - v]
+            total[v] = total[us[eid] + vs[eid] - v]
 
     determined: dict[int, int] = {e: readings[e] for e in sorted(mon)}
     for b in sorted(exposed):
-        _, u, v, _ = edges[b]
+        u, v = us[b], vs[b]
         determined[b] = sub[u] if entry[u] == b else total[v] - sub[v]
-    undetermined = frozenset(range(len(edges))) - determined.keys()
+    undetermined = frozenset(range(len(us))) - determined.keys()
 
     # audit: net determined flow across each kernel-component boundary is zero
     ncomp = max(labels) + 1 if labels else 0
     net = [0] * ncomp
     for e, f in determined.items():
-        rec = edges[e]
-        cu, cv = labels[rec.u], labels[rec.v]
+        cu, cv = labels[us[e]], labels[vs[e]]
         if cu != cv:
             net[cu] -= f
             net[cv] += f

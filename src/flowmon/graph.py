@@ -2,9 +2,13 @@
 
 Parallel edges and self-loops are first class: an edge is identified by
 its dense integer id, never by its endpoints. Graphs are immutable once
-built. There is one traversal, search_forest: it takes a removal mask
-rather than copying the graph and grows the depth-first forest that
-every pass reads: component_labels (its trees), bridge_ids,
+built, and store their edges as columns indexed by id: the endpoints us
+and vs and the weights in millionths. Parsing and contract fill the
+columns directly; the EdgeRecord view (Graph.edges) and the adjacency
+lists are built from them on first use, so a graph that is only printed
+gets neither. There is one traversal, search_forest: it takes a removal
+mask rather than copying the graph and grows the depth-first forest
+that every pass reads: component_labels (its trees), bridge_ids,
 kernel_labels (whose forest flowsim.infer and random_circulation also
 walk) and _label_forest, behind cut_labels, whose forest and labels give
 reduce.preprocess all it reads of G. _forest_pieces labels every vertex
@@ -27,8 +31,8 @@ gives.
 
 The adjacency lists deliberately omit self-loops: a loop never affects
 connectivity, components, or bridges, so traversals can skip it. Code
-that needs loops (weights, kernel construction, flow sums) iterates the
-edge list directly.
+that needs loops (weights, kernel construction, flow sums) reads the
+columns directly, as every linear pass does.
 
 contract derives every graph built from another: reduce's, the kernel
 graph and the hardness witness.
@@ -37,7 +41,7 @@ graph and the hardness witness.
 from __future__ import annotations
 
 from itertools import compress, count, repeat
-from operator import itemgetter, not_
+from operator import attrgetter, not_
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ValidationError
@@ -45,9 +49,10 @@ from .weights import Weight
 
 
 class EdgeRecord(NamedTuple):
-    """One edge. Like every flowmon record it is a named tuple: immutable,
-    cheap to build (parsing and every contraction build one per edge),
-    and equal to the plain tuple of its fields, (id, u, v, weight)."""
+    """One edge. Like every flowmon record it is a named tuple: immutable
+    and equal to the plain tuple of its fields, (id, u, v, weight). A
+    Graph keeps its edges as columns; it builds these records only when
+    its edges view is first read."""
 
     id: int
     u: int
@@ -67,38 +72,77 @@ def edge_records(us: Iterable[int], vs: Iterable[int], weights: Iterable[Weight]
 
 
 class Graph:
-    """Immutable multigraph; vertex indices are 0..vertex_count-1."""
+    """Immutable multigraph; vertex indices are 0..vertex_count-1.
 
-    __slots__ = ("vertex_count", "edges", "adjacency", "weights_micros")
+    The edges are three columns indexed by edge id: the endpoints `us`
+    and `vs` and the weights in millionths, `weights_micros`. The edges
+    view (EdgeRecords) and the adjacency lists are built from the
+    columns when first read, and kept."""
+
+    __slots__ = ("vertex_count", "us", "vs", "weights_micros", "_edges", "_adjacency")
 
     def __init__(self, vertex_count: int, edges: Iterable[EdgeRecord]):
         """Validate the records (each id equals its position, endpoints
-        lie in range) and build the loop-free adjacency lists and the
-        weight column, in one pass that unpacks each record once."""
+        lie in range) and store them as columns, in one pass that
+        unpacks each record once; the records become the edges view."""
         edges = tuple(edges)
         if vertex_count < 0:
             raise ValidationError("vertex_count must be non-negative")
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(vertex_count)]
-        micros = []
+        us, vs, micros = [], [], []
         for i, (eid, u, v, w) in enumerate(edges):
             if eid != i:
                 raise ValidationError(f"edge id {eid} must equal its position {i}")
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise ValidationError(f"edge {i} endpoints ({u},{v}) out of range")
-            if u != v:
-                adj[u].append((v, i))
-                adj[v].append((u, i))
+            us.append(u)
+            vs.append(v)
             micros.append(w.micros)
-        object.__setattr__(self, "vertex_count", vertex_count)
-        object.__setattr__(self, "edges", edges)
-        # tuple() of a list, not of a generator: on CPython 3.11, tuples
-        # grown from generators past 10 items left memory the allocator
-        # kept, and peak RSS rose by 2 MiB over 12,000 graphs of 11-18 edges
-        object.__setattr__(self, "adjacency", tuple([tuple(a) for a in adj]))
-        object.__setattr__(self, "weights_micros", tuple(micros))
+        _store(self, vertex_count, us, vs, micros, edges)
+
+    @classmethod
+    def _from_columns(
+        cls, vertex_count: int, us: list[int], vs: list[int], micros: list[int]
+    ) -> "Graph":
+        """The graph with these columns, checked by no one here: the
+        caller vouches that the three have one length, that every
+        endpoint lies in 0..vertex_count-1 and every weight in
+        0..MAX_MICROS. The parsers check all of it before they call, and
+        contract maps a graph's own columns through its vertex map."""
+        g = object.__new__(cls)
+        _store(g, vertex_count, us, vs, micros, None)
+        return g
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
+
+    @property
+    def edges(self) -> tuple[EdgeRecord, ...]:
+        """The edges as EdgeRecords in id order, built from the columns
+        on first read (edge_records), one Weight per distinct weight."""
+        if self._edges is None:
+            micros = self.weights_micros
+            weight = {w: Weight(w) for w in set(micros)}
+            weights = map(weight.__getitem__, micros)
+            object.__setattr__(self, "_edges", tuple(edge_records(self.us, self.vs, weights)))
+        return self._edges
+
+    @property
+    def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Each vertex's (neighbour, edge id) pairs, loops left out, in
+        descending id order, built on first read: search_forest pops the
+        lowest id first."""
+        if self._adjacency is None:
+            adj: list[list[tuple[int, int]]] = [[] for _ in range(self.vertex_count)]
+            m = len(self.us)
+            for eid, u, v in zip(range(m - 1, -1, -1), reversed(self.us), reversed(self.vs)):
+                if u != v:
+                    adj[u].append((v, eid))
+                    adj[v].append((u, eid))
+            # tuple() of a list, not of a generator: on CPython 3.11, tuples
+            # grown from generators past 10 items left memory the allocator
+            # kept, and peak RSS rose by 2 MiB over 12,000 graphs of 11-18 edges
+            object.__setattr__(self, "_adjacency", tuple([tuple(a) for a in adj]))
+        return self._adjacency
 
     @classmethod
     def build(cls, vertex_count: int, edges: Iterable[tuple]) -> "Graph":
@@ -125,7 +169,7 @@ class Graph:
         return Weight(sum(self.weights_micros))
 
     def check_edge_ids(self, ids: Iterable[int]) -> None:
-        m = len(self.edges)
+        m = len(self.weights_micros)
         for e in ids:
             if not (0 <= e < m):
                 raise ValidationError(f"edge id {e} out of range for graph with {m} edges")
@@ -134,11 +178,13 @@ class Graph:
         return (
             isinstance(other, Graph)
             and self.vertex_count == other.vertex_count
-            and self.edges == other.edges
+            and self.us == other.us
+            and self.vs == other.vs
+            and self.weights_micros == other.weights_micros
         )
 
     def __hash__(self) -> int:
-        return hash((self.vertex_count, self.edges))
+        return hash((self.vertex_count, self.us, self.vs, self.weights_micros))
 
     def __reduce__(self):
         # pickle rebuilds through __init__, which validates the records;
@@ -146,7 +192,18 @@ class Graph:
         return Graph, (self.vertex_count, self.edges)
 
     def __repr__(self) -> str:
-        return f"Graph(n={self.vertex_count}, m={len(self.edges)})"
+        return f"Graph(n={self.vertex_count}, m={len(self.weights_micros)})"
+
+
+def _store(
+    g: Graph, vertex_count: int, us: list[int], vs: list[int], micros: list[int], edges
+) -> None:
+    """Set every slot of a new graph: the columns as tuples, the edges
+    view if the records are at hand, and no adjacency yet."""
+    for name, value in zip(
+        Graph.__slots__, (vertex_count, tuple(us), tuple(vs), tuple(micros), edges, None)
+    ):
+        object.__setattr__(g, name, value)
 
 
 def contract(
@@ -156,20 +213,23 @@ def contract(
     `kept` edges, renumbered 0, 1, ... in the order given: each endpoint
     mapped through vertex_map, each weight kept or, given `weights`,
     taken in step from it. Every graph flowmon derives from another is
-    built here, through edge_records."""
-    rows = list(map(g.edges.__getitem__, kept))
+    built here, column by column, with no record per edge."""
+    kept = list(kept)
     relabel = vertex_map.__getitem__
-    us = map(relabel, map(itemgetter(1), rows))
-    vs = map(relabel, map(itemgetter(2), rows))
-    ws = map(itemgetter(3), rows) if weights is None else weights
-    return Graph(max(vertex_map, default=-1) + 1, edge_records(us, vs, ws))
+    us = list(map(relabel, map(g.us.__getitem__, kept)))
+    vs = list(map(relabel, map(g.vs.__getitem__, kept)))
+    if weights is None:
+        micros = list(map(g.weights_micros.__getitem__, kept))
+    else:
+        micros = list(map(attrgetter("micros"), weights))
+    return Graph._from_columns(max(vertex_map, default=-1) + 1, us, vs, micros)
 
 
 def make_mask(g: Graph, removed_ids: Iterable[int]) -> bytearray:
     """The per-edge 0/1 mask of removed_ids, each in 0..m-1 (check_edge_ids)."""
     ids = list(removed_ids)
     g.check_edge_ids(ids)
-    mask = bytearray(len(g.edges))
+    mask = bytearray(len(g.weights_micros))
     for e in ids:
         mask[e] = 1
     return mask
@@ -182,7 +242,7 @@ def component_labels(g: Graph, removed: Sequence[int] | None = None) -> list[int
     `removed` is a per-edge 0/1 mask of edges to ignore.
     """
     order, entry = search_forest(g, removed)
-    return _forest_pieces(g, order, entry, bytes(len(g.edges)))
+    return _forest_pieces(g, order, entry, bytes(len(g.weights_micros)))
 
 
 def component_count(g: Graph) -> int:
@@ -207,9 +267,12 @@ def search_forest(g: Graph, removed: Sequence[int] | None = None) -> tuple[list[
     followed. Walking the order backwards visits every subtree before
     its parent. The search is depth-first, so every unmasked edge outside
     the forest that is not a loop joins a vertex to one of its
-    ancestors. An explicit stack of adjacency iterators replaces
-    recursion, so path-shaped graphs of any depth are fine. With no
-    mask every edge is followed, without a lookup per edge.
+    ancestors. A vertex's whole adjacency is pushed on one explicit
+    stack, lowest id on top, and a vertex is entered when it is first
+    popped; so path-shaped graphs of any depth are fine, and each vertex
+    is entered through the edge a recursive search, trying edges in id
+    order, would enter it by. With no mask every edge is followed,
+    without a lookup per edge.
     """
     n, adjacency = g.vertex_count, g.adjacency
     entry = [-1] * n
@@ -220,17 +283,24 @@ def search_forest(g: Graph, removed: Sequence[int] | None = None) -> tuple[list[
             continue
         seen[root] = True
         order.append(root)
-        stack = [iter(adjacency[root])]
-        while stack:
-            for w, eid in stack[-1]:
-                if not seen[w] and (removed is None or not removed[eid]):
+        stack = list(adjacency[root])
+        pop, push = stack.pop, stack.extend
+        if removed is None:
+            while stack:
+                w, eid = pop()
+                if not seen[w]:
                     seen[w] = True
                     entry[w] = eid
                     order.append(w)
-                    stack.append(iter(adjacency[w]))
-                    break
-            else:
-                stack.pop()
+                    push(adjacency[w])
+        else:
+            while stack:
+                w, eid = pop()
+                if not (seen[w] or removed[eid]):
+                    seen[w] = True
+                    entry[w] = eid
+                    order.append(w)
+                    push(adjacency[w])
     return order, entry
 
 
@@ -239,14 +309,13 @@ def _forest_pieces(g: Graph, order: list[int], entry: list[int], cut: bytes) -> 
     the tree edges the per-edge mask `cut` marks, numbered 0, 1, ... by
     lowest vertex. The preorder walk hands each vertex its parent's piece
     top unless its entry edge is cut; vertex order then numbers the tops."""
-    edges = g.edges
+    us, vs = g.us, g.vs
     top = list(range(g.vertex_count))
     for v in order:
         eid = entry[v]
         if eid >= 0 and not cut[eid]:
-            e = edges[eid]
-            top[v] = top[e.u + e.v - v]
-    number = {t: c for c, t in enumerate(dict.fromkeys(top))}
+            top[v] = top[us[eid] + vs[eid] - v]
+    number = dict(zip(dict.fromkeys(top), count()))
     return list(map(number.__getitem__, top))
 
 
@@ -259,17 +328,21 @@ def _forest_bridges(g: Graph, removed: Sequence[int]) -> tuple[list[int], list[i
     later end in preorder and -1 at the earlier. One leaf-to-root pass
     sums these over the subtree below each tree edge. Tree edges are told
     apart by id, so a parallel edge covers its twin and neither is a
-    bridge. Self-loops cover nothing and are never bridges.
+    bridge. A self-loop adds +1 and -1 at one vertex, so it covers
+    nothing and is never a bridge.
     """
     order, entry = search_forest(g, removed)
     pos = [0] * g.vertex_count
     for i, v in enumerate(order):
         pos[v] = i
-    edges = g.edges
+    us, vs = g.us, g.vs
+    skip = bytearray(removed)  # the masked edges, then the tree edges too
+    for eid in entry:
+        if eid >= 0:
+            skip[eid] = 1
     cover = [0] * g.vertex_count
-    for eid, u, v, _ in edges:
-        if removed[eid] or u == v or entry[u] == eid or entry[v] == eid:
-            continue
+    for eid in compress(range(len(skip)), map(not_, skip)):
+        u, v = us[eid], vs[eid]
         if pos[u] < pos[v]:
             u, v = v, u
         cover[u] += 1
@@ -280,15 +353,14 @@ def _forest_bridges(g: Graph, removed: Sequence[int]) -> tuple[list[int], list[i
         if eid >= 0:
             if not cover[v]:
                 out.append(eid)
-            e = edges[eid]
-            cover[e.u + e.v - v] += cover[v]
+            cover[us[eid] + vs[eid] - v] += cover[v]
     return order, entry, out
 
 
 def bridge_ids(g: Graph, removed: Sequence[int] | None = None) -> list[int]:
     """Bridges of the graph minus the masked edges, as a list of edge ids,
     read off the cover counts of one depth-first forest (_forest_bridges)."""
-    return _forest_bridges(g, bytes(len(g.edges)) if removed is None else removed)[2]
+    return _forest_bridges(g, bytes(len(g.weights_micros)) if removed is None else removed)[2]
 
 
 def kernel_labels(
@@ -349,28 +421,26 @@ def _label_forest(g: Graph) -> tuple[list[int], list[int], list[int], list[int]]
     edge (see cut_labels) and the ascending ids of the edges outside the
     forest, the i-th labelled 1 << i; preprocess reads all it needs off it."""
     order, entry = search_forest(g)
-    edges = g.edges
-    in_forest = bytearray(len(edges))
+    us, vs = g.us, g.vs
+    m = len(us)
+    in_forest = bytearray(m)
     for eid in entry:
         if eid >= 0:
             in_forest[eid] = 1
-    nontree = list(compress(range(len(edges)), map(not_, in_forest)))
-    labels = [0] * len(edges)
+    nontree = list(compress(range(m), map(not_, in_forest)))
+    labels = [0] * m
     acc = [0] * g.vertex_count
     bit = 1
     for eid in nontree:
-        _, u, v, _ = edges[eid]
         labels[eid] = bit
-        acc[u] ^= bit
-        acc[v] ^= bit
+        acc[us[eid]] ^= bit
+        acc[vs[eid]] ^= bit
         bit <<= 1
     for v in reversed(order):
         eid = entry[v]
         if eid >= 0:
             labels[eid] = acc[v]
-            # two attribute reads beat unpacking the record here
-            e = edges[eid]
-            acc[e.u if e.v == v else e.v] ^= acc[v]
+            acc[us[eid] + vs[eid] - v] ^= acc[v]
     return order, entry, labels, nontree
 
 
@@ -557,7 +627,7 @@ def spanning_forest(g: Graph) -> frozenset[int]:
     they join two components. Deterministic; loops are never accepted."""
     parent = list(range(g.vertex_count))
     chosen = []
-    for eid, u, v, _ in g.edges:
+    for eid, u, v in zip(count(), g.us, g.vs):
         ru, rv = _find_root(parent, u), _find_root(parent, v)
         if ru != rv:
             parent[ru] = rv

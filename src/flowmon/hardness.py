@@ -16,7 +16,7 @@ n, which covers every composition.
 from __future__ import annotations
 
 import random
-from itertools import combinations, cycle, islice, permutations
+from itertools import combinations, count, cycle, islice, permutations
 from math import comb
 from typing import Iterable, Iterator, NamedTuple
 
@@ -45,12 +45,12 @@ class ReductionInfeasible(ValidationError):
 
 def require_simple(g: Graph) -> None:
     seen = set()
-    for e in g.edges:
-        if e.u == e.v:
-            raise ValidationError(f"edge {e.id} is a loop; a simple graph is required")
-        key = (min(e.u, e.v), max(e.u, e.v))
+    for eid, u, v in zip(count(), g.us, g.vs):
+        if u == v:
+            raise ValidationError(f"edge {eid} is a loop; a simple graph is required")
+        key = (min(u, v), max(u, v))
         if key in seen:
-            raise ValidationError(f"edge {e.id} duplicates {key}; a simple graph is required")
+            raise ValidationError(f"edge {eid} duplicates {key}; a simple graph is required")
         seen.add(key)
 
 
@@ -90,7 +90,7 @@ def reduce_clique(inst: CliqueInstance) -> DecInstance:
     """Map (G, q) to the decision instance (G, k, l) with l = n - q and
     k = m - C(q,2) - l; both must come out positive."""
     n = inst.graph.vertex_count
-    m = len(inst.graph.edges)
+    m = len(inst.graph.weights_micros)
     l = n - inst.q
     k = m - comb(inst.q, 2) - l
     if k <= 0 or l <= 0:
@@ -111,7 +111,7 @@ def decide_flow_monitors(inst: DecInstance) -> bool:
     k + l; no subset needs a traversal.
     """
     g, k, l = inst.graph, inst.k, inst.l
-    m = len(g.edges)
+    m = len(g.weights_micros)
     if k > m:
         return False
     _check_exact_size(m, k)
@@ -123,9 +123,9 @@ def decide_flow_monitors(inst: DecInstance) -> bool:
 
 def _neighbor_masks(g: Graph) -> list[int]:
     nb = [0] * g.vertex_count
-    for e in g.edges:
-        nb[e.u] |= 1 << e.v
-        nb[e.v] |= 1 << e.u
+    for u, v in zip(g.us, g.vs):
+        nb[u] |= 1 << v
+        nb[v] |= 1 << u
     return nb
 
 
@@ -158,7 +158,7 @@ def forward_witness(g: Graph, q: int, clique: Iterable[int]) -> frozenset[int]:
     cl = frozenset(clique)
     merged = min(cl)
     vmap = [merged if v in cl else v for v in range(g.vertex_count)]
-    outside = [e.id for e in g.edges if not (e.u in cl and e.v in cl)]
+    outside = [e for e, u, v in zip(count(), g.us, g.vs) if not (u in cl and v in cl)]
     tree = spanning_forest(contract(g, vmap, outside))
     return frozenset(e for i, e in enumerate(outside) if i not in tree)
 

@@ -41,4 +41,4 @@ def kernel_graph(g: Graph, monitors: Iterable[int]) -> KernelGraph:
 def check_kernel_bound(kg: KernelGraph, k: int) -> bool:
     """Edge-count bound |E| <= k + |V| - 1; holds for every kernel built
     from at most k monitors."""
-    return len(kg.graph.edges) <= k + kg.graph.vertex_count - 1
+    return len(kg.graph.weights_micros) <= k + kg.graph.vertex_count - 1

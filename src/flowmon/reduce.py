@@ -60,7 +60,8 @@ def strip_bridges(g: Graph) -> tuple[Graph, frozenset[int]]:
     Surviving edges are renumbered densely in their original order.
     """
     dropped = frozenset(bridge_ids(g))
-    out = contract(g, range(g.vertex_count), [e for e in range(len(g.edges)) if e not in dropped])
+    kept = [e for e in range(len(g.weights_micros)) if e not in dropped]
+    out = contract(g, range(g.vertex_count), kept)
     if bridge_ids(out):
         raise FlowmonError("bridge stripping did not reach a fixed point")
     return out, dropped
@@ -89,7 +90,7 @@ def merge_components(g: Graph) -> tuple[Graph, tuple[int, ...]]:
     vertices are renumbered densely. Edge ids and weights are unchanged.
     """
     vmap = tuple(_glue_at_zero(range(g.vertex_count), component_labels(g).__getitem__).values())
-    return contract(g, vmap, range(len(g.edges))), vmap
+    return contract(g, vmap, range(len(g.weights_micros))), vmap
 
 
 def _label_groups(labels: Sequence[int]) -> list[list[int]]:
@@ -172,18 +173,17 @@ def preprocess(g: Graph) -> tuple[Graph, ReductionMap]:
     # each reduced vertex, a union of pieces, is first met at its lowest
     head = _forest_pieces(g, order, entry, cut)
     parent = list(range(len(head)))
-    edges = g.edges
+    us, vs = g.us, g.vs
     for eid in nontree:
         if not cut[eid]:
-            _, a, b, _ = edges[eid]
-            parent[_find_root(parent, head[a])] = _find_root(parent, head[b])
+            parent[_find_root(parent, head[us[eid]])] = _find_root(parent, head[vs[eid]])
     reduced = [_find_root(parent, p) for p in range(max(head, default=-1) + 1)]
     # the tree deputies join the reduced vertices into the components of
     # G - B, the pieces of the forest cut at the bridges alone; a non-tree
     # deputy joins two vertices of one such piece and is skipped. Merging
     # glues the lowest reduced vertex of each component to vertex 0
     for eid in deputy_orig:
-        _, a, b, _ = edges[eid]
+        a, b = us[eid], vs[eid]
         if entry[a] == eid or entry[b] == eid:
             parent[_find_root(parent, head[a])] = _find_root(parent, head[b])
     name = _glue_at_zero(reduced, partial(_find_root, parent))

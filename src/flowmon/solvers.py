@@ -158,7 +158,7 @@ def _batches(
 
 def sigma_greedy(g: Graph, cfg: SolverConfig) -> Solution:
     """The batched greedy (_batches) on all of g's edges."""
-    return _batches(range(len(g.edges)), cut_labels(g), g.weights_micros, cfg)
+    return _batches(range(len(g.weights_micros)), cut_labels(g), g.weights_micros, cfg)
 
 
 def _check_exact_size(m: int, k: int) -> None:
@@ -184,7 +184,7 @@ def exact(g: Graph, k: int) -> Solution:
     subset count exceeds EXACT_DEFAULT_BUDGET.
     """
     cfg = SolverConfig(k=k, sigma=k)
-    m = len(g.edges)
+    m = len(g.weights_micros)
     _check_exact_size(m, k)
     sol = _batches(range(m), cut_labels(g), g.weights_micros, cfg)
     return Solution(sol.monitors, sol.determined_extras, sol.gain)
@@ -214,7 +214,7 @@ def _batch_size(name: str) -> int | None:
 def full_determination(g: Graph) -> frozenset[int]:
     """Monitors that determine every edge: the complement of a spanning
     forest. Size is m - n + (number of components)."""
-    return frozenset(range(len(g.edges))) - spanning_forest(g)
+    return frozenset(range(len(g.weights_micros))) - spanning_forest(g)
 
 
 def solve_pipeline(g: Graph, k: int, algo: str) -> Solution:
@@ -239,7 +239,7 @@ def solve_pipeline(g: Graph, k: int, algo: str) -> Solution:
     """
     sigma = _batch_size(algo)
     cfg = SolverConfig(k=k, sigma=sigma or k)
-    m = len(g.edges)
+    m = len(g.weights_micros)
     if k >= m:
         return Solution(frozenset(range(m)), frozenset(), g.total_weight())
     labels = cut_labels(g)

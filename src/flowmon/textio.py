@@ -6,29 +6,32 @@ Graph format:
     c ...              (comment, anywhere)
 
 Edge ids are assigned in file order. The graph parser builds one Weight
-per distinct weight token, with the same checks on every line. Readings
-files hold one `r <edge_id> <signed-int>` line per monitored edge.
+per distinct weight token, with the same checks on every line, and
+fills the Graph's endpoint and weight columns directly: having checked
+every line itself, it hands them to Graph._from_columns, which checks
+nothing again, and no EdgeRecord is built. Readings files hold one
+`r <edge_id> <signed-int>` line per monitored edge.
 
 The graph parser has a fast path for the canonical layout, the one
 format_graph writes: the header `p flowmon <n> <m>` with n and m in plain
 decimal, then exactly m lines `e <u> <v> <w>`, fields split by single
 spaces, every line ended by a newline, and no comment or blank line. It
 reads the body as one flat token list, with C-level split, slicing,
-map(int, ...) and min/max, and builds exactly the Graph the line loop
-builds: the same int() on each endpoint, the same range checks, one
-Weight.parse per distinct weight token in order of first appearance,
-and the same MAX_MICROS bound on the total. It never raises: any other
+map(int, ...) and min/max, and fills exactly the columns the line loop
+fills, straight from its token slices: the same int() on each
+endpoint, the same range checks, one Weight.parse per distinct weight
+token in order of first appearance, and the same MAX_MICROS bound on
+the total. It never raises: any other
 input, and every input with an error, goes to the line loop, so every
 message and line number is the line loop's.
 """
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import Mapping
 
 from .errors import ParseError, WeightOverflowError
-from .graph import EdgeRecord, Graph, edge_records
+from .graph import Graph
 from .weights import MAX_MICROS, Weight
 
 MAX_FLOW = 2**63 - 1
@@ -70,25 +73,25 @@ def _parse_canonical(text: str) -> Graph | None:
         len(tokens) != 4 * m
         or body.count("\n") != m
         or body.count(" ") != 3 * m
-        or len(body) != sum(map(len, tokens)) + 4 * m
+        or len(body) != len("".join(tokens)) + 4 * m
         or m and not (body.startswith("e ") and body.endswith("\n") and body.count("\ne ") == m - 1)
     ):
         return None
     weight_tokens = tokens[3::4]
-    weights = dict.fromkeys(weight_tokens)
+    micros = dict.fromkeys(weight_tokens)
     try:
         us = list(map(int, tokens[1::4]))
         vs = list(map(int, tokens[2::4]))
-        for token in weights:
-            weights[token] = Weight.parse(token)
+        for token in micros:
+            micros[token] = Weight.parse(token).micros
     except (ValueError, ParseError, WeightOverflowError):
         return None
     if m and (min(min(us), min(vs)) < 0 or max(max(us), max(vs)) >= n):
         return None
-    micros = {token: w.micros for token, w in weights.items()}
-    if sum(map(micros.__getitem__, weight_tokens)) > MAX_MICROS:
+    column = list(map(micros.__getitem__, weight_tokens))
+    if sum(column) > MAX_MICROS:
         return None
-    return Graph(n, edge_records(us, vs, map(weights.__getitem__, weight_tokens)))
+    return Graph._from_columns(n, us, vs, column)
 
 
 def _parse_lines(text: str) -> Graph:
@@ -96,12 +99,14 @@ def _parse_lines(text: str) -> Graph:
 
     Each line is split once: it is blank when it has no fields and a
     comment when its first field starts with "c". Each distinct weight
-    token is parsed once per call and its Weight shared by every edge
-    that carries it (a Weight is immutable); only tokens that parsed are
-    cached, so a bad token raises at its own line."""
+    token is parsed once per call and its value in millionths used for
+    every edge that carries it; only tokens that parsed are cached, so a
+    bad token raises at its own line."""
     n = m = None
-    records: list[EdgeRecord] = []
-    weights: dict[str, Weight] = {}
+    us: list[int] = []
+    vs: list[int] = []
+    micros: list[int] = []
+    weights: dict[str, int] = {}
     total = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         fields = raw.split()
@@ -131,27 +136,30 @@ def _parse_lines(text: str) -> Graph:
         w = weights.get(token)
         if w is None:
             try:
-                w = weights[token] = Weight.parse(token)
+                w = weights[token] = Weight.parse(token).micros
             except (ParseError, WeightOverflowError) as exc:
                 raise ParseError(f"line {lineno}: {exc}") from None
-        if len(records) >= m:
+        if len(micros) >= m:
             raise ParseError(f"line {lineno}: more than the declared {m} edges")
-        total += w.micros
+        total += w
         if total > MAX_MICROS:
             raise ParseError(f"line {lineno}: total weight exceeds {MAX_MICROS} millionths")
-        records.append(EdgeRecord(len(records), u, v, w))
+        us.append(u)
+        vs.append(v)
+        micros.append(w)
     if n is None:
         raise ParseError("line 1: missing 'p flowmon <n> <m>' header")
-    if len(records) != m:
-        raise ParseError(f"declared {m} edges but found {len(records)}")
-    return Graph(n, records)
+    if len(micros) != m:
+        raise ParseError(f"declared {m} edges but found {len(micros)}")
+    return Graph._from_columns(n, us, vs, micros)
 
 
 def format_graph(g: Graph) -> str:
-    """Each distinct weight is converted to text once."""
-    text = {w: str(w) for w in set(map(itemgetter(3), g.edges))}
-    lines = [f"p flowmon {g.vertex_count} {len(g.edges)}"]
-    lines.extend(f"e {u} {v} {text[w]}" for _, u, v, w in g.edges)
+    """Read off the columns; each distinct weight is converted to text once."""
+    micros = g.weights_micros
+    text = {w: str(Weight(w)) for w in set(micros)}
+    lines = [f"p flowmon {g.vertex_count} {len(micros)}"]
+    lines.extend([f"e {u} {v} {text[w]}" for u, v, w in zip(g.us, g.vs, micros)])
     return "\n".join(lines) + "\n"
 
 

@@ -26,14 +26,17 @@ graph, with the three maps composed; it pins preprocess's reduced graph
 and every ReductionMap field. parse_graph_by_lines is the graph parser
 as it was before it split each line once and parsed each distinct
 weight token once, and pins parse_graph to the same Graph or the same
-ParseError text. kernel_labels_by_stages is kernel_labels' bridges and
-labels as they were before it read the components off its depth-first
-forest: bridge_ids, then components_naive with the bridges masked as
-well. Wherever a stage oracle needs the components of a masked graph
-(that one, _contract_groups_by_components and infer_by_traversal's
-audit) it takes them from components_naive, not from the library's
-component_labels, which reads the same forest pieces as the code under
-test. span_search_exhaustive is span_search as it was before
+ParseError text. search_forest_by_iterators is search_forest as it was
+before it pushed each vertex's whole adjacency: a stack of adjacency
+iterators, each resumed where it stopped; it pins search_forest to the
+same preorder and entry edges. kernel_labels_by_stages is
+kernel_labels' bridges and labels as they were before it read the
+components off its depth-first forest: bridge_ids, then
+components_naive with the bridges masked as well. Wherever a stage
+oracle needs the components of a masked graph (that one,
+_contract_groups_by_components and infer_by_traversal's audit) it takes
+them from components_naive, not from the library's component_labels,
+which reads the same forest pieces as the code under test. span_search_exhaustive is span_search as it was before
 its branch and bound and before it tried each distinct residual once
 per prefix: every position of every prefix read to the end; it pins
 span_search, and through it the solvers and the hardness decision, to
@@ -505,6 +508,40 @@ def parse_graph_by_lines(text: str) -> Graph:
     if len(records) != m:
         raise ParseError(f"declared {m} edges but found {len(records)}")
     return Graph(n, records)
+
+
+def search_forest_by_iterators(g: Graph, removed: Sequence[int] | None = None) -> tuple[list[int], list[int]]:
+    """Depth-first forest of g minus the masked edges, grown from each
+    unvisited vertex in index order: the vertices in preorder and each
+    one's entry edge id (-1 for roots). An explicit stack of iterators
+    over adjacency lists in ascending id order, loops left out, and the
+    first unvisited neighbour through an unmasked edge is entered."""
+    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(g.vertex_count)]
+    for e in g.edges:
+        if not e.is_loop:
+            adjacency[e.u].append((e.v, e.id))
+            adjacency[e.v].append((e.u, e.id))
+    n = g.vertex_count
+    entry = [-1] * n
+    seen = [False] * n
+    order: list[int] = []
+    for root in range(n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        order.append(root)
+        stack = [iter(adjacency[root])]
+        while stack:
+            for w, eid in stack[-1]:
+                if not seen[w] and (removed is None or not removed[eid]):
+                    seen[w] = True
+                    entry[w] = eid
+                    order.append(w)
+                    stack.append(iter(adjacency[w]))
+                    break
+            else:
+                stack.pop()
+    return order, entry
 
 
 def kernel_labels_by_stages(g: Graph, monitors: Iterable[int]) -> tuple[list[int], list[int]]:

@@ -19,9 +19,12 @@ from hypothesis import strategies as st
 
 import flowmon
 from flowmon import cli, generators, hardness, textio
+from flowmon import graph as graph_mod
 from flowmon.cli import main
 from flowmon.flowsim import measure, random_circulation
 from flowmon.graph import Graph
+from flowmon.kernel import kernel_graph
+from flowmon.reduce import preprocess
 from flowmon.textio import format_graph, format_readings, parse_graph
 from flowmon.weights import MAX_MICROS, Weight
 
@@ -180,6 +183,31 @@ def test_kernel_output(fig1_files):
     lines = out.splitlines()
     assert lines[0] == "p flowmon 5 8"
     assert sum(l.startswith("K ") for l in lines) == 8
+
+
+def test_no_command_builds_edge_records(tmp_path, monkeypatch):
+    # parsing fills a graph's columns, every pass reads them, and the
+    # EdgeRecord view is never built; the graphs kernel and reduce
+    # return are only printed, so they never get an adjacency either
+    g = generators.gen_random(30, 45, seed=4, weight_lo=1, weight_hi=9)
+    path = tmp_path / "g.graph"
+    path.write_text(format_graph(g))
+    readings = tmp_path / "g.readings"
+    readings.write_text(format_readings(measure(random_circulation(g, seed=1), [0, 5, 9])))
+    clique = format_graph(generators.random_connected_multigraph(8, 13, seed=2, simple=True))
+
+    def refuse(*columns):
+        raise AssertionError("edge records built")
+
+    monkeypatch.setattr(graph_mod, "edge_records", refuse)
+    runs = [["solve", "--algo", algo, "-k", "3"] for algo in ("greedy1", "greedy2", "exact")]
+    runs += [["reduce"], ["infer", "-m", "0,5,9", "-r", str(readings)], ["kernel", "-m", "0,5,9"]]
+    runs += [["exact", "-k", "2"]]
+    for argv in runs:
+        assert run_cli(*argv, str(path))[0] == 0
+    hardness.decide_flow_monitors(hardness.reduce_clique(hardness.CliqueInstance(parse_graph(clique), 4)))
+    assert kernel_graph(parse_graph(path.read_text()), [0, 5, 9]).graph._adjacency is None
+    assert preprocess(parse_graph(path.read_text()))[0]._adjacency is None
 
 
 def test_parse_error_exit_code(tmp_path):

@@ -1,3 +1,4 @@
+import pickle
 from itertools import combinations
 
 import pytest
@@ -25,7 +26,7 @@ from flowmon.graph import (
     spanning_forest,
 )
 from flowmon.reduce import preprocess
-from flowmon.weights import Weight
+from flowmon.weights import MAX_MICROS, Weight
 
 from conftest import bridgeless_graphs, multigraphs
 from oracles import (
@@ -36,6 +37,7 @@ from oracles import (
     gain_micros_by_definition,
     kernel_labels_by_stages,
     label_span,
+    search_forest_by_iterators,
     span_search_exhaustive,
     two_cut_classes_by_pairs,
 )
@@ -143,6 +145,60 @@ def test_search_forest_is_a_dfs(g, data):
     assert_dfs_forest(g, mask, order, entry)
     # no mask follows every edge, as an all-zero mask does
     assert search_forest(g) == search_forest(g, bytes(m))
+
+
+@pytest.mark.differential
+@settings(max_examples=300)
+@given(multigraphs(max_n=10, max_m=16), st.data())
+def test_search_forest_grows_the_iterator_forest(g, data):
+    # loops, parallel edges, isolated vertices and several components:
+    # the same preorder and entry edges as the stack of iterators
+    m = len(g.weights_micros)
+    mask = make_mask(g, data.draw(st.sets(st.integers(0, m - 1))) if m else ())
+    assert search_forest(g) == search_forest_by_iterators(g)
+    assert search_forest(g, mask) == search_forest_by_iterators(g, mask)
+
+
+@st.composite
+def _edge_columns(draw):
+    """A vertex count and the three edge columns of a random multigraph,
+    weights anywhere in 0..MAX_MICROS."""
+    n = draw(st.integers(0, 8))
+    m = draw(st.integers(0, 12)) if n else 0
+    us = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m)) if n else []
+    vs = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m)) if n else []
+    micros = draw(st.lists(st.sampled_from([0, 1, 1_500_000, MAX_MICROS]) | st.integers(0, 10**7),
+                           min_size=m, max_size=m))
+    return n, us, vs, micros
+
+
+@pytest.mark.differential
+@given(_edge_columns())
+def test_column_built_graph_equals_the_record_built_one(columns):
+    n, us, vs, micros = columns
+    records = [EdgeRecord(i, u, v, Weight(w)) for i, (u, v, w) in enumerate(zip(us, vs, micros))]
+    by_records = Graph(n, records)
+    by_columns = Graph._from_columns(n, us, vs, micros)
+    for g in (by_records, by_columns):
+        assert (g.vertex_count, g.us, g.vs, g.weights_micros) == (n, tuple(us), tuple(vs), tuple(micros))
+        assert g.edges == tuple(records)
+    assert by_columns == by_records and hash(by_columns) == hash(by_records)
+    # each graph flowmon derives is column-built too
+    assert contract(by_records, range(n), range(len(us))) == by_records
+    for g in (by_records, by_columns):
+        back = pickle.loads(pickle.dumps(g))
+        assert back == g and back.edges == g.edges and hash(back) == hash(g)
+
+
+def test_edges_and_adjacency_are_built_on_first_read():
+    g = Graph._from_columns(3, [0, 1, 2, 2], [1, 2, 0, 2], [1, 2, 3, 4])
+    assert g._edges is None and g._adjacency is None
+    # each vertex's neighbours in descending edge id, the loop left out
+    assert g.adjacency == (((2, 2), (1, 0)), ((2, 1), (0, 0)), ((0, 2), (1, 1)))
+    assert g._edges is None
+    assert g.edges == (EdgeRecord(0, 0, 1, Weight(1)), EdgeRecord(1, 1, 2, Weight(2)),
+                       EdgeRecord(2, 2, 0, Weight(3)), EdgeRecord(3, 2, 2, Weight(4)))
+    assert g.edges is g.edges and g.adjacency is g.adjacency
 
 
 @pytest.mark.differential

@@ -145,7 +145,8 @@ def _fractional_graphs(draw):
 
 def _parse_outcome(parse, text):
     try:
-        return parse(text)
+        g = parse(text)
+        return g, g.edges
     except ParseError as exc:
         return f"ParseError: {exc}"
 

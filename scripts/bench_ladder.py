@@ -33,9 +33,9 @@ its wall-clock runs.
 The instances are circ (generators.gen_circulant, m = 2n) and rand
 (generators.random_connected_multigraph with n = 2m / 5, seed 3), at
 m = 4000, 20000 and 100000; --quick keeps m = 4000. Each file records
-the median of --repeats runs (at least 3) per case, a case being one
-stage on one instance. A case that runs past --cap-s seconds, or needs
-more than --cap-mib MiB of address space beyond what the process holds
+the median of REPEATS runs per case, a case being one stage on one
+instance. A case that runs past CAP_S seconds, or needs more than
+CAP_MIB MiB of address space beyond what the process holds
 when it starts, is stopped (SIGALRM, and RLIMIT_AS on this process
 only, read against /proc/self/statm, so Linux) and recorded as
 "over-cap"; its later repeats are skipped. Each instance is named with
@@ -64,6 +64,9 @@ SCHEMA = 1
 REF_ITERATIONS = 12_000
 REF_NOMINAL_S = 0.001  # reference loop time that defines a host-adjusted second
 LADDER = (4000, 20000, 100000)
+REPEATS = 3
+CAP_S = 20.0
+CAP_MIB = 256
 OVER_CAP = "over-cap"
 STAGES = {
     "parse": lambda text, g, mon, readings: textio.parse_graph(text),
@@ -111,17 +114,17 @@ def _address_space() -> int:
         return int(f.read().split()[0]) * resource.getpagesize()
 
 
-def time_case(stage, text: str, mon, readings, repeats: int, cap_s: float, cap_mib: int):
+def time_case(stage, text: str, mon, readings):
     """One stage's medians and runs, in seconds, or OVER_CAP."""
     runs, refs = [], []
     _, hard = resource.getrlimit(resource.RLIMIT_AS)
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         g = textio.parse_graph(text)
         refs.append(reference_s())
         gc.collect()
         gc.disable()
-        resource.setrlimit(resource.RLIMIT_AS, (_address_space() + (cap_mib << 20), hard))
-        signal.setitimer(signal.ITIMER_REAL, cap_s)
+        resource.setrlimit(resource.RLIMIT_AS, (_address_space() + (CAP_MIB << 20), hard))
+        signal.setitimer(signal.ITIMER_REAL, CAP_S)
         try:
             t0 = time.perf_counter()
             stage(text, g, mon, readings)
@@ -138,7 +141,7 @@ def time_case(stage, text: str, mon, readings, repeats: int, cap_s: float, cap_m
             "runs_s": runs, "refs_s": refs}
 
 
-def run(sizes, repeats: int, cap_s: float, cap_mib: int, log) -> dict:
+def run(sizes, log) -> dict:
     signal.signal(signal.SIGALRM, _alarm)
     out = []
     for name, g0 in instances(sizes):
@@ -151,7 +154,7 @@ def run(sizes, repeats: int, cap_s: float, cap_mib: int, log) -> dict:
         del probe
         cases = {}
         for stage_name, stage in STAGES.items():
-            case = cases[stage_name] = time_case(stage, text, mon, readings, repeats, cap_s, cap_mib)
+            case = cases[stage_name] = time_case(stage, text, mon, readings)
             shown = case if case == OVER_CAP else f"{case['median_s'] * 1e3:.2f} ms"
             print(f"{name:12} {stage_name:14} {shown}", file=log, flush=True)
         out.append({
@@ -167,10 +170,10 @@ def run(sizes, repeats: int, cap_s: float, cap_mib: int, log) -> dict:
         "implementation": platform.python_implementation(),
         "platform": platform.platform(),
         "machine": platform.machine(),
-        "repeats": repeats,
+        "repeats": REPEATS,
         "ref_nominal_s": REF_NOMINAL_S,
-        "cap_s": cap_s,
-        "cap_mib": cap_mib,
+        "cap_s": CAP_S,
+        "cap_mib": CAP_MIB,
         "monitors": "m // 50 edges, seeded by m",
         "instances": out,
     }
@@ -180,13 +183,8 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--out", required=True, help="JSON file to write")
     p.add_argument("--quick", action="store_true", help=f"only m = {LADDER[0]}")
-    p.add_argument("--repeats", type=int, default=3)
-    p.add_argument("--cap-s", type=float, default=20.0)
-    p.add_argument("--cap-mib", type=int, default=256)
     args = p.parse_args(argv)
-    if args.repeats < 3:
-        p.error("--repeats must be at least 3")
-    report = run(LADDER[:1] if args.quick else LADDER, args.repeats, args.cap_s, args.cap_mib, sys.stderr)
+    report = run(LADDER[:1] if args.quick else LADDER, sys.stderr)
     with open(args.out, "w") as f:
         json.dump(report, f, indent=1)
         f.write("\n")

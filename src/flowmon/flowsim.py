@@ -37,7 +37,10 @@ class InferenceResult(NamedTuple):
 
 
 def conservation_violations(g: Graph, flow: Sequence[int]) -> list[int]:
-    """Vertices where inflow minus outflow is non-zero. Loops cancel."""
+    """Vertices where inflow minus outflow is non-zero. Loops cancel.
+    `flow` holds one value per edge."""
+    if len(flow) != len(g.us):
+        raise ValidationError(f"flow has {len(flow)} values for {len(g.us)} edges")
     resid = [0] * g.vertex_count
     for u, v, f in zip(g.us, g.vs, flow):
         resid[v] += f

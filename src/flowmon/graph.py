@@ -41,11 +41,11 @@ graph and the hardness witness.
 from __future__ import annotations
 
 from itertools import compress, count, repeat
-from operator import attrgetter, not_
+from operator import not_
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ValidationError
-from .weights import Weight
+from .weights import Weight, check_micros
 
 
 class EdgeRecord(NamedTuple):
@@ -207,13 +207,14 @@ def _store(
 
 
 def contract(
-    g: Graph, vertex_map: Sequence[int], kept: Iterable[int], weights: Iterable[Weight] | None = None
+    g: Graph, vertex_map: Sequence[int], kept: Iterable[int], weights: Iterable[int] | None = None
 ) -> Graph:
     """The graph on max(vertex_map) + 1 vertices whose edges are g's
     `kept` edges, renumbered 0, 1, ... in the order given: each endpoint
-    mapped through vertex_map, each weight kept or, given `weights`,
-    taken in step from it. Every graph flowmon derives from another is
-    built here, column by column, with no record per edge."""
+    mapped through vertex_map, each weight kept or, given `weights` in
+    millionths, taken in step from it and checked against MAX_MICROS.
+    Every graph flowmon derives from another is built here, column by
+    column, with no record per edge."""
     kept = list(kept)
     relabel = vertex_map.__getitem__
     us = list(map(relabel, map(g.us.__getitem__, kept)))
@@ -221,7 +222,7 @@ def contract(
     if weights is None:
         micros = list(map(g.weights_micros.__getitem__, kept))
     else:
-        micros = list(map(attrgetter("micros"), weights))
+        micros = list(map(check_micros, weights))
     return Graph._from_columns(max(vertex_map, default=-1) + 1, us, vs, micros)
 
 
@@ -271,8 +272,7 @@ def search_forest(g: Graph, removed: Sequence[int] | None = None) -> tuple[list[
     stack, lowest id on top, and a vertex is entered when it is first
     popped; so path-shaped graphs of any depth are fine, and each vertex
     is entered through the edge a recursive search, trying edges in id
-    order, would enter it by. With no mask every edge is followed,
-    without a lookup per edge.
+    order, would enter it by.
     """
     n, adjacency = g.vertex_count, g.adjacency
     entry = [-1] * n
@@ -285,22 +285,13 @@ def search_forest(g: Graph, removed: Sequence[int] | None = None) -> tuple[list[
         order.append(root)
         stack = list(adjacency[root])
         pop, push = stack.pop, stack.extend
-        if removed is None:
-            while stack:
-                w, eid = pop()
-                if not seen[w]:
-                    seen[w] = True
-                    entry[w] = eid
-                    order.append(w)
-                    push(adjacency[w])
-        else:
-            while stack:
-                w, eid = pop()
-                if not (seen[w] or removed[eid]):
-                    seen[w] = True
-                    entry[w] = eid
-                    order.append(w)
-                    push(adjacency[w])
+        while stack:
+            w, eid = pop()
+            if not (seen[w] or (removed is not None and removed[eid])):
+                seen[w] = True
+                entry[w] = eid
+                order.append(w)
+                push(adjacency[w])
     return order, entry
 
 

@@ -31,7 +31,6 @@ from .graph import (
     component_labels,
     contract,
 )
-from .weights import Weight
 
 
 class ReductionMap(NamedTuple):
@@ -194,7 +193,7 @@ def preprocess(g: Graph) -> tuple[Graph, ReductionMap]:
     w = g.weights_micros
     by_deputy = sorted(classes, key=itemgetter(-1))
     survivors = [cls[-1] for cls in by_deputy]
-    weights = [Weight(sum(map(w.__getitem__, cls))) for cls in by_deputy]
+    weights = [sum(map(w.__getitem__, cls)) for cls in by_deputy]
     new_id_of_orig = {orig: i for i, orig in enumerate(survivors)}
     deputy_of_group = tuple(new_id_of_orig[d] for d in deputy_orig)
     rmap = ReductionMap(vertex_map, group_of, deputy_of_group, tuple(survivors), dropped)

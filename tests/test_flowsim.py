@@ -46,6 +46,14 @@ def test_random_circulation_conserves(g, seed):
     assert conservation_violations(g, flow) == []
 
 
+@pytest.mark.parametrize("flow", [(), (1, 1), (1, 1, 1, 1)], ids=["empty", "short", "long"])
+def test_conservation_violations_refuses_a_flow_of_the_wrong_length(flow):
+    # zip over the columns would stop at the shorter side and read the
+    # missing edges as zero flow: () would pass as conserved
+    with pytest.raises(ValidationError, match="values for 3 edges"):
+        conservation_violations(TRIANGLE, flow)
+
+
 def test_random_circulation_flows_are_pinned():
     # 400 seeded graphs: gen_random ones with loops, parallel edges and
     # several components, and connected ones with the same extras; the

@@ -562,7 +562,7 @@ def test_contract_maps_the_kept_edges_in_the_order_given():
     g = Graph.build(5, [(0, 1, 1), (1, 2, 2), (2, 3, 3), (3, 4, 4), (4, 4, 5)])
     vmap = [0, 0, 1, 1, 2]
     assert contract(g, vmap, [4, 2, 1]) == Graph.build(3, [(2, 2, 5), (1, 1, 3), (0, 1, 2)])
-    heavy = [Weight.from_units(7), Weight.from_units(8)]
+    heavy = [7_000_000, 8_000_000]
     assert contract(g, vmap, [3, 0], heavy) == Graph.build(3, [(1, 2, 7), (0, 0, 8)])
     # the vertex count is one past the largest vertex of the map, kept
     # edges or not: the identity map keeps g whole

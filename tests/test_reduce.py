@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 
 from flowmon import graph as graph_mod
 from flowmon import reduce as reduce_mod
-from flowmon.errors import FlowmonError, ValidationError
+from flowmon.errors import FlowmonError, ValidationError, WeightOverflowError
 from flowmon.generators import gen_cycle, gen_fig1, gen_greedy1_tight, gen_ladder
-from flowmon.graph import Graph, bridge_ids, component_labels, gain, is_c_edge_connected
+from flowmon.graph import EdgeRecord, Graph, bridge_ids, component_labels, gain, is_c_edge_connected
 from flowmon.reduce import (
     contract_groups,
     edge_groups,
@@ -18,7 +18,7 @@ from flowmon.reduce import (
     strip_bridges,
 )
 from flowmon.solvers import exact
-from flowmon.weights import Weight
+from flowmon.weights import MAX_MICROS, Weight
 
 from conftest import bridgeless_graphs, multigraphs, record_graph_calls
 from oracles import (
@@ -157,6 +157,14 @@ def test_contract_cycle_to_loop():
     assert reduced.edges[0].is_loop
     assert reduced.edges[0].weight == Weight.from_units(4)
     assert rmap.orig_edge_of_reduced == (3,)  # deputy is the highest id
+
+
+def test_contract_refuses_a_group_weight_past_max_micros():
+    # each edge is in range, but the cycle's one group sums past the bound
+    half = Weight(MAX_MICROS // 2 + 1)
+    g = Graph(2, [EdgeRecord(0, 0, 1, half), EdgeRecord(1, 1, 0, half)])
+    with pytest.raises(WeightOverflowError):
+        contract_groups(g)
 
 
 def test_contract_3ec_graph_unchanged_shape():

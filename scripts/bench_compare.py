@@ -5,6 +5,12 @@
 One line per stage of each instance in both files: the old and the new
 host-adjusted median and new / old (below 1 is faster). An instance whose digest
 differs between the files timed another graph, and is flagged instead.
+
+A ratio is marked "within spread" when the two files' host-adjusted runs
+overlap: each run is its runs_s scaled by the file's ref_nominal_s over
+the reference time taken just before it (refs_s), as bench_ladder.py
+adjusts them. Runs of one commit drift from file to file, so a marked
+ratio does not tell the two files apart.
 """
 
 from __future__ import annotations
@@ -16,6 +22,16 @@ import sys
 
 def _shown(case) -> str:
     return case if isinstance(case, str) else f"{case['median_s'] * 1e3:.2f} ms"
+
+
+def _adjusted(case, nominal: float) -> list[float]:
+    return [t * nominal / ref for t, ref in zip(case["runs_s"], case["refs_s"])]
+
+
+def _overlap(prior, case, old_nominal: float, new_nominal: float) -> bool:
+    """Whether the two cases' host-adjusted runs share some range."""
+    a, b = _adjusted(prior, old_nominal), _adjusted(case, new_nominal)
+    return max(min(a), min(b)) <= min(max(a), max(b))
 
 
 def compare(old: dict, new: dict) -> list[str]:
@@ -32,9 +48,12 @@ def compare(old: dict, new: dict) -> list[str]:
             prior = was["stages"].get(stage)
             if prior is None:
                 continue
-            ratio = "" if isinstance(case, str) or isinstance(prior, str) else (
-                f"x{case['median_s'] / prior['median_s']:.3f}")
-            lines.append(f"{inst['name']:12} {stage:14} {_shown(prior):>12} {_shown(case):>12} {ratio}")
+            ratio = ""
+            if not (isinstance(case, str) or isinstance(prior, str)):
+                ratio = f"x{case['median_s'] / prior['median_s']:.3f}"
+                if _overlap(prior, case, old["ref_nominal_s"], new["ref_nominal_s"]):
+                    ratio += " within spread"
+            lines.append(f"{inst['name']:12} {stage:14} {_shown(prior):>12} {_shown(case):>12} {ratio}".rstrip())
     return lines
 
 

@@ -182,7 +182,6 @@ def _cmd_gen(args) -> Run:
     # fig1's generator also returns its monitors and readings
     made = getattr(generators, generator)(**given)
     g, _, readings = made if isinstance(made, tuple) else (made, None, None)
-    g.total_weight()  # refuse a graph the parser would refuse, before writing
     readings_output = [] if readings_out is None else [(readings_out, format_readings(readings))]
     return 0, [(args.output, format_graph(g)), *readings_output]
 

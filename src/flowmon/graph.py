@@ -3,12 +3,15 @@
 Parallel edges and self-loops are first class: an edge is identified by
 its dense integer id, never by its endpoints. Graphs are immutable once
 built, and store their edges as columns indexed by id: the endpoints us
-and vs and the weights in millionths. Parsing and contract fill the
-columns directly; the EdgeRecord view (Graph.edges) and the adjacency
-lists are built from them on first use, so a graph that is only printed
-gets neither. There is one traversal, search_forest: it takes a removal
-mask rather than copying the graph and grows the depth-first forest
-that every pass reads: component_labels (its trees), bridge_ids,
+and vs and the weights in millionths. Graph(n, us, vs, weights_micros)
+is the one constructor, and the parsers, contract, Graph.build and
+unpickling all pass its checks; one of them bounds the weights' total
+by MAX_MICROS, so no weight sum over a graph can overflow partway
+through a solve. The EdgeRecord view (Graph.edges) and the adjacency
+lists are built from the columns on first use, so a graph that is only
+printed gets neither. There is one traversal, search_forest: it takes a
+removal mask rather than copying the graph and grows the depth-first
+forest that every pass reads: component_labels (its trees), bridge_ids,
 kernel_labels (whose forest flowsim.infer and random_circulation also
 walk) and _label_forest, behind cut_labels, whose forest and labels give
 reduce.preprocess all it reads of G. _forest_pieces labels every vertex
@@ -45,7 +48,7 @@ from operator import not_
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ValidationError
-from .weights import Weight, check_micros
+from .weights import SCALE, Weight, check_micros
 
 
 class EdgeRecord(NamedTuple):
@@ -81,36 +84,27 @@ class Graph:
 
     __slots__ = ("vertex_count", "us", "vs", "weights_micros", "_edges", "_adjacency")
 
-    def __init__(self, vertex_count: int, edges: Iterable[EdgeRecord]):
-        """Validate the records (each id equals its position, endpoints
-        lie in range) and store them as columns, in one pass that
-        unpacks each record once; the records become the edges view."""
-        edges = tuple(edges)
-        if vertex_count < 0:
+    def __init__(
+        self, vertex_count: int, us: Sequence[int], vs: Sequence[int], weights_micros: Sequence[int]
+    ):
+        """Check the columns and keep them as tuples: a non-negative
+        vertex count, one length, every endpoint in 0..vertex_count-1, no
+        negative weight and a total within MAX_MICROS, so that no sum of a
+        graph's weights can overflow. The checks are C-level min, max and
+        sum; only a failure looks for the bad edge. Pass lists: a tuple
+        grown from an iterator can keep allocator memory (see adjacency)."""
+        n, us, vs, micros = vertex_count, tuple(us), tuple(vs), tuple(weights_micros)
+        if n < 0:
             raise ValidationError("vertex_count must be non-negative")
-        us, vs, micros = [], [], []
-        for i, (eid, u, v, w) in enumerate(edges):
-            if eid != i:
-                raise ValidationError(f"edge id {eid} must equal its position {i}")
-            if not (0 <= u < vertex_count and 0 <= v < vertex_count):
-                raise ValidationError(f"edge {i} endpoints ({u},{v}) out of range")
-            us.append(u)
-            vs.append(v)
-            micros.append(w.micros)
-        _store(self, vertex_count, us, vs, micros, edges)
-
-    @classmethod
-    def _from_columns(
-        cls, vertex_count: int, us: list[int], vs: list[int], micros: list[int]
-    ) -> "Graph":
-        """The graph with these columns, checked by no one here: the
-        caller vouches that the three have one length, that every
-        endpoint lies in 0..vertex_count-1 and every weight in
-        0..MAX_MICROS. The parsers check all of it before they call, and
-        contract maps a graph's own columns through its vertex map."""
-        g = object.__new__(cls)
-        _store(g, vertex_count, us, vs, micros, None)
-        return g
+        if not len(us) == len(vs) == len(micros):
+            raise ValidationError("the edge columns must have one length")
+        if us and (min(min(us), min(vs)) < 0 or max(max(us), max(vs)) >= n):
+            i = next(i for i, u, v in zip(count(), us, vs) if not (0 <= u < n and 0 <= v < n))
+            raise ValidationError(f"edge {i} endpoints ({us[i]},{vs[i]}) out of range")
+        check_micros(min(micros, default=0))  # no weight is negative
+        check_micros(sum(micros))  # and their total fits MAX_MICROS
+        for name, value in zip(self.__slots__, (n, us, vs, micros, None, None)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -151,19 +145,22 @@ class Graph:
         A weight may be a Weight, a whole number of units, or a decimal
         string; bare (u, v) pairs get unit weight.
         """
-        records = []
-        for i, item in enumerate(edges):
+        us, vs, micros = [], [], []
+        for item in edges:
             if len(item) == 2:
-                u, v = item
-                w = Weight.from_units(1)
+                (u, v), w = item, SCALE
             else:
                 u, v, w = item
                 if isinstance(w, int):
-                    w = Weight.from_units(w)
+                    w *= SCALE
                 elif isinstance(w, str):
-                    w = Weight.parse(w)
-            records.append(EdgeRecord(i, u, v, w))
-        return cls(vertex_count, records)
+                    w = Weight.parse(w).micros
+                else:
+                    w = w.micros
+            us.append(u)
+            vs.append(v)
+            micros.append(w)
+        return cls(vertex_count, us, vs, micros)
 
     def total_weight(self) -> Weight:
         return Weight(sum(self.weights_micros))
@@ -187,23 +184,12 @@ class Graph:
         return hash((self.vertex_count, self.us, self.vs, self.weights_micros))
 
     def __reduce__(self):
-        # pickle rebuilds through __init__, which validates the records;
-        # the default would set the slots, which __setattr__ refuses
-        return Graph, (self.vertex_count, self.edges)
+        # pickle rebuilds from the columns through __init__, which checks
+        # them; the default would set the slots, which __setattr__ refuses
+        return Graph, (self.vertex_count, self.us, self.vs, self.weights_micros)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.vertex_count}, m={len(self.weights_micros)})"
-
-
-def _store(
-    g: Graph, vertex_count: int, us: list[int], vs: list[int], micros: list[int], edges
-) -> None:
-    """Set every slot of a new graph: the columns as tuples, the edges
-    view if the records are at hand, and no adjacency yet."""
-    for name, value in zip(
-        Graph.__slots__, (vertex_count, tuple(us), tuple(vs), tuple(micros), edges, None)
-    ):
-        object.__setattr__(g, name, value)
 
 
 def contract(
@@ -212,18 +198,15 @@ def contract(
     """The graph on max(vertex_map) + 1 vertices whose edges are g's
     `kept` edges, renumbered 0, 1, ... in the order given: each endpoint
     mapped through vertex_map, each weight kept or, given `weights` in
-    millionths, taken in step from it and checked against MAX_MICROS.
-    Every graph flowmon derives from another is built here, column by
-    column, with no record per edge."""
+    millionths, taken in step from it. Every graph flowmon derives from
+    another is built here, column by column, with no record per edge,
+    and the Graph constructor checks it like any other."""
     kept = list(kept)
     relabel = vertex_map.__getitem__
     us = list(map(relabel, map(g.us.__getitem__, kept)))
     vs = list(map(relabel, map(g.vs.__getitem__, kept)))
-    if weights is None:
-        micros = list(map(g.weights_micros.__getitem__, kept))
-    else:
-        micros = list(map(check_micros, weights))
-    return Graph._from_columns(max(vertex_map, default=-1) + 1, us, vs, micros)
+    micros = list(map(g.weights_micros.__getitem__, kept) if weights is None else weights)
+    return Graph(max(vertex_map, default=-1) + 1, us, vs, micros)
 
 
 def make_mask(g: Graph, removed_ids: Iterable[int]) -> bytearray:

@@ -7,30 +7,29 @@ Graph format:
 
 Edge ids are assigned in file order. The graph parser builds one Weight
 per distinct weight token, with the same checks on every line, and
-fills the Graph's endpoint and weight columns directly: having checked
-every line itself, it hands them to Graph._from_columns, which checks
-nothing again, and no EdgeRecord is built. Readings files hold one
-`r <edge_id> <signed-int>` line per monitored edge.
+fills the Graph's endpoint and weight columns directly; the Graph
+constructor checks them again, and no EdgeRecord is built. Readings
+files hold one `r <edge_id> <signed-int>` line per monitored edge.
 
 The graph parser has a fast path for the canonical layout, the one
 format_graph writes: the header `p flowmon <n> <m>` with n and m in plain
 decimal, then exactly m lines `e <u> <v> <w>`, fields split by single
 spaces, every line ended by a newline, and no comment or blank line. It
 reads the body as one flat token list, with C-level split, slicing,
-map(int, ...) and min/max, and fills exactly the columns the line loop
-fills, straight from its token slices: the same int() on each
-endpoint, the same range checks, one Weight.parse per distinct weight
-token in order of first appearance, and the same MAX_MICROS bound on
-the total. It never raises: any other
-input, and every input with an error, goes to the line loop, so every
-message and line number is the line loop's.
+map(int, ...), and fills exactly the columns the line loop fills,
+straight from its token slices: the same int() on each endpoint and
+one Weight.parse per distinct weight token in order of first
+appearance. The endpoint ranges and the MAX_MICROS bound on the total
+are the Graph constructor's checks. It never raises: any other input,
+and every input with an error, goes to the line loop, so every message
+and line number is the line loop's.
 """
 
 from __future__ import annotations
 
 from typing import Mapping
 
-from .errors import ParseError, WeightOverflowError
+from .errors import ParseError, ValidationError, WeightOverflowError
 from .graph import Graph
 from .weights import MAX_MICROS, Weight
 
@@ -84,14 +83,9 @@ def _parse_canonical(text: str) -> Graph | None:
         vs = list(map(int, tokens[2::4]))
         for token in micros:
             micros[token] = Weight.parse(token).micros
-    except (ValueError, ParseError, WeightOverflowError):
+        return Graph(n, us, vs, list(map(micros.__getitem__, weight_tokens)))
+    except (ValueError, ParseError, ValidationError):
         return None
-    if m and (min(min(us), min(vs)) < 0 or max(max(us), max(vs)) >= n):
-        return None
-    column = list(map(micros.__getitem__, weight_tokens))
-    if sum(column) > MAX_MICROS:
-        return None
-    return Graph._from_columns(n, us, vs, column)
 
 
 def _parse_lines(text: str) -> Graph:
@@ -151,7 +145,7 @@ def _parse_lines(text: str) -> Graph:
         raise ParseError("line 1: missing 'p flowmon <n> <m>' header")
     if len(micros) != m:
         raise ParseError(f"declared {m} edges but found {len(micros)}")
-    return Graph._from_columns(n, us, vs, micros)
+    return Graph(n, us, vs, micros)
 
 
 def format_graph(g: Graph) -> str:

@@ -430,7 +430,7 @@ def _contract_groups_by_components(g: Graph) -> tuple[Graph, ReductionMap]:
     for i, orig in enumerate(survivors):
         rec = g.edges[orig]
         records.append(EdgeRecord(i, vmap[rec.u], vmap[rec.v], group_weight[group_of[orig]]))
-    reduced = Graph(max(vmap, default=-1) + 1, records)
+    reduced = Graph.build(max(vmap, default=-1) + 1, [rec[1:] for rec in records])
     rmap = ReductionMap(
         vertex_map=tuple(vmap),
         group_of=group_of,
@@ -507,7 +507,7 @@ def parse_graph_by_lines(text: str) -> Graph:
         raise ParseError("line 1: missing 'p flowmon <n> <m>' header")
     if len(records) != m:
         raise ParseError(f"declared {m} edges but found {len(records)}")
-    return Graph(n, records)
+    return Graph.build(n, [rec[1:] for rec in records])
 
 
 def search_forest_by_iterators(g: Graph, removed: Sequence[int] | None = None) -> tuple[list[int], list[int]]:

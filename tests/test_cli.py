@@ -653,12 +653,17 @@ def test_solve_refuses_sigma_below_one_for_every_k(tmp_path, capsys, algo, k):
     assert "batch size sigma must be at least 1" in capsys.readouterr().err
 
 
-def test_gen_writes_no_readings_for_an_overweight_graph(tmp_path, monkeypatch):
-    heavy = Graph.build(2, [(0, 1, 9_000_000_000_000)] * 2)
-    monkeypatch.setattr(generators, "gen_fig1", lambda: (heavy, frozenset({0}), {0: 1}))
+def test_gen_writes_no_readings_for_an_overweight_graph(tmp_path, monkeypatch, capsys):
+    # the generator's own Graph.build refuses the graph, before gen writes
+    def heavy_fig1():
+        heavy = Graph.build(2, [(0, 1, 9_000_000_000_000)] * 2)
+        return heavy, frozenset({0}), {0: 1}
+
+    monkeypatch.setattr(generators, "gen_fig1", heavy_fig1)
     graph, readings = tmp_path / "f.graph", tmp_path / "f.readings"
     code, out = run_cli("gen", "fig1", "-o", str(graph), "--readings-out", str(readings))
     assert code == 2 and out == ""
+    assert capsys.readouterr().err == f"error: weight exceeds {MAX_MICROS} millionths\n"
     assert not graph.exists() and not readings.exists()
 
 

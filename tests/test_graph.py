@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowmon import graph as graph_mod
-from flowmon.errors import ValidationError
+from flowmon.errors import ValidationError, WeightOverflowError
 from flowmon.flowsim import infer
 from flowmon.graph import (
     EdgeRecord,
@@ -162,13 +162,17 @@ def test_search_forest_grows_the_iterator_forest(g, data):
 @st.composite
 def _edge_columns(draw):
     """A vertex count and the three edge columns of a random multigraph,
-    weights anywhere in 0..MAX_MICROS."""
+    each weight anywhere in 0..MAX_MICROS less the weights before it, so
+    that the total stays within MAX_MICROS."""
     n = draw(st.integers(0, 8))
     m = draw(st.integers(0, 12)) if n else 0
     us = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m)) if n else []
     vs = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m)) if n else []
-    micros = draw(st.lists(st.sampled_from([0, 1, 1_500_000, MAX_MICROS]) | st.integers(0, 10**7),
-                           min_size=m, max_size=m))
+    micros, room = [], MAX_MICROS
+    for _ in range(m):
+        w = draw(st.sampled_from([0, min(1_500_000, room), room]) | st.integers(0, min(room, 10**7)))
+        micros.append(w)
+        room -= w
     return n, us, vs, micros
 
 
@@ -177,8 +181,8 @@ def _edge_columns(draw):
 def test_column_built_graph_equals_the_record_built_one(columns):
     n, us, vs, micros = columns
     records = [EdgeRecord(i, u, v, Weight(w)) for i, (u, v, w) in enumerate(zip(us, vs, micros))]
-    by_records = Graph(n, records)
-    by_columns = Graph._from_columns(n, us, vs, micros)
+    by_records = Graph.build(n, [rec[1:] for rec in records])
+    by_columns = Graph(n, us, vs, micros)
     for g in (by_records, by_columns):
         assert (g.vertex_count, g.us, g.vs, g.weights_micros) == (n, tuple(us), tuple(vs), tuple(micros))
         assert g.edges == tuple(records)
@@ -190,8 +194,45 @@ def test_column_built_graph_equals_the_record_built_one(columns):
         assert back == g and back.edges == g.edges and hash(back) == hash(g)
 
 
+@given(_edge_columns())
+def test_graph_refuses_columns_whose_total_passes_max_micros(columns):
+    n, us, vs, micros = columns
+    n = max(n, 1)
+    with pytest.raises(WeightOverflowError, match=f"weight exceeds {MAX_MICROS} millionths"):
+        Graph(n, [*us, 0], [*vs, 0], [*micros, MAX_MICROS - sum(micros) + 1])
+
+
+def test_build_refuses_weights_whose_total_passes_max_micros():
+    # each weight fits on its own, but gain, sigma_greedy, exact and
+    # solve_pipeline would each sum past MAX_MICROS partway through
+    w = MAX_MICROS // 10**6
+    with pytest.raises(WeightOverflowError, match=f"weight exceeds {MAX_MICROS} millionths"):
+        Graph.build(3, [(0, 1, w), (1, 2, w), (2, 0, 1)])
+
+
+class _ForgedGraph:
+    """Pickles as a Graph whose second endpoint column is out of range."""
+
+    def __reduce__(self):
+        return Graph, (2, (0,), (5,), (1,))
+
+
+def test_pickle_round_trips_the_columns_through_the_constructor(monkeypatch):
+    g = Graph.build(3, [(0, 1, 2), (1, 2, "1.5"), (2, 2, 0)])
+
+    def refuse(*columns):
+        raise AssertionError("edge records built")
+
+    monkeypatch.setattr(graph_mod, "edge_records", refuse)
+    back = pickle.loads(pickle.dumps(g))
+    assert back == g and back._edges is None and back._adjacency is None
+    # unpickling runs the constructor's checks
+    with pytest.raises(ValidationError, match=r"edge 0 endpoints \(0,5\) out of range"):
+        pickle.loads(pickle.dumps(_ForgedGraph()))
+
+
 def test_edges_and_adjacency_are_built_on_first_read():
-    g = Graph._from_columns(3, [0, 1, 2, 2], [1, 2, 0, 2], [1, 2, 3, 4])
+    g = Graph(3, [0, 1, 2, 2], [1, 2, 0, 2], [1, 2, 3, 4])
     assert g._edges is None and g._adjacency is None
     # each vertex's neighbours in descending edge id, the loop left out
     assert g.adjacency == (((2, 2), (1, 0)), ((2, 1), (0, 0)), ((0, 2), (1, 1)))
@@ -545,17 +586,24 @@ def test_graph_validation():
 
 
 def _set_edges():
-    Graph(1, []).edges = ()
+    Graph.build(1, []).edges = ()
 
 
 @pytest.mark.parametrize("build, error, message", [
-    (lambda: Graph(-1, []), ValidationError, "vertex_count must be non-negative"),
-    (lambda: Graph(2, [EdgeRecord(1, 0, 1, Weight(1))]), ValidationError, "edge id 1 must equal its position 0"),
+    (lambda: Graph(-1, [], [], []), ValidationError, "vertex_count must be non-negative"),
+    (lambda: Graph(2, [0, 1], [1], [1, 1]), ValidationError, "the edge columns must have one length"),
+    (lambda: Graph(2, [0, 1, 0], [1, 2, 5], [1, 1, 1]), ValidationError, r"edge 1 endpoints \(1,2\) out of range"),
+    (lambda: Graph(2, [0, 1, -1], [1, 0, 0], [1, 1, 1]), ValidationError, r"edge 2 endpoints \(-1,0\) out of range"),
+    (lambda: Graph(2, [0, 1], [1, 0], [3, -1]), ValidationError, "weights are non-negative"),
+    (lambda: Graph(2, [0, 1], [1, 0], [MAX_MICROS // 2 + 1] * 2), WeightOverflowError,
+     f"weight exceeds {MAX_MICROS} millionths"),
     (_set_edges, AttributeError, "Graph is immutable"),
-], ids=["negative-n", "id-off-position", "set-attribute"])
+], ids=["negative-n", "column-lengths", "endpoint-past-n", "endpoint-negative", "negative-weight",
+        "total-past-max-micros", "set-attribute"])
 def test_graph_refuses(build, error, message):
-    with pytest.raises(error, match=message):
+    with pytest.raises(error, match=message) as refused:
         build()
+    assert refused.type is error
 
 
 def test_contract_maps_the_kept_edges_in_the_order_given():

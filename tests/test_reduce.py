@@ -8,7 +8,7 @@ from flowmon import graph as graph_mod
 from flowmon import reduce as reduce_mod
 from flowmon.errors import FlowmonError, ValidationError, WeightOverflowError
 from flowmon.generators import gen_cycle, gen_fig1, gen_greedy1_tight, gen_ladder
-from flowmon.graph import EdgeRecord, Graph, bridge_ids, component_labels, gain, is_c_edge_connected
+from flowmon.graph import Graph, bridge_ids, component_labels, gain, is_c_edge_connected
 from flowmon.reduce import (
     contract_groups,
     edge_groups,
@@ -160,11 +160,11 @@ def test_contract_cycle_to_loop():
 
 
 def test_contract_refuses_a_group_weight_past_max_micros():
-    # each edge is in range, but the cycle's one group sums past the bound
-    half = Weight(MAX_MICROS // 2 + 1)
-    g = Graph(2, [EdgeRecord(0, 0, 1, half), EdgeRecord(1, 1, 0, half)])
+    # each edge is in range, but the cycle's one group would sum past the
+    # bound: the constructor refuses the graph, so no contraction sees it
+    half = MAX_MICROS // 2 + 1
     with pytest.raises(WeightOverflowError):
-        contract_groups(g)
+        Graph(2, [0, 1], [1, 0], [half, half])
 
 
 def test_contract_3ec_graph_unchanged_shape():

@@ -137,10 +137,14 @@ _micros = st.one_of(
 
 
 @st.composite
-def _fractional_graphs(draw):
+def _fractional_texts(draw):
+    """The text format_graph writes for a random graph with fractional
+    weights, written here line by line: the weights may total past
+    MAX_MICROS, which no Graph holds and both parsers refuse."""
     n = draw(st.integers(1, 6))
     edge = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), _micros.map(Weight))
-    return Graph.build(n, draw(st.lists(edge, max_size=12)))
+    edges = draw(st.lists(edge, max_size=12))
+    return "".join([f"p flowmon {n} {len(edges)}\n", *[f"e {u} {v} {w}\n" for u, v, w in edges]])
 
 
 def _parse_outcome(parse, text):
@@ -183,7 +187,7 @@ def _near_misses(draw):
 
 @pytest.mark.differential
 @settings(max_examples=500)
-@given(st.one_of(st.text(), _graph_texts, _fractional_graphs().map(format_graph), _near_misses()))
+@given(st.one_of(st.text(), _graph_texts, _fractional_texts(), _near_misses()))
 # a 3-field line then a 5-field line, and 5 then 3: the tokens realign
 @example("p flowmon 3 2\ne 0 1\n1 e 1 2 1\n")
 @example("p flowmon 3 2\ne 0 1\ne e 1 2 1\n")

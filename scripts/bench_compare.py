@@ -3,8 +3,10 @@
     python scripts/bench_compare.py OLD.json NEW.json
 
 One line per stage of each instance in both files: the old and the new
-host-adjusted median and new / old (below 1 is faster). An instance whose digest
-differs between the files timed another graph, and is flagged instead.
+host-adjusted median and new / old (below 1 is faster). A stage only the
+new file times is printed with its new median, marked "new". An instance
+whose digest differs between the files timed another graph, and is
+flagged instead.
 
 A ratio is marked "within spread" when the two files' host-adjusted runs
 overlap: each run is its runs_s scaled by the file's ref_nominal_s over
@@ -47,6 +49,7 @@ def compare(old: dict, new: dict) -> list[str]:
         for stage, case in inst["stages"].items():
             prior = was["stages"].get(stage)
             if prior is None:
+                lines.append(f"{inst['name']:12} {stage:14} {'':>12} {_shown(case):>12} new")
                 continue
             ratio = ""
             if not (isinstance(case, str) or isinstance(prior, str)):

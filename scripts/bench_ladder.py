@@ -13,7 +13,8 @@ paused as the CLI pauses it:
     kernel_labels  graph.kernel_labels(g, M)
     infer          flowsim.infer(g, M, readings)
     kernel_graph   kernel.kernel_graph(g, M)
-    _label_forest  graph._label_forest, the labelled forest behind preprocess and solve
+    _label_forest  cutspace._label_forest, the labelled forest behind preprocess and solve
+    deputies       cutspace.deputies, those labels grouped into the deputy view
     preprocess     reduce.preprocess
     solve          solvers.solve_pipeline(g, 8, "greedy1")
 
@@ -58,7 +59,7 @@ import statistics
 import sys
 import time
 
-from flowmon import flowsim, generators, graph, kernel, reduce, solvers, textio
+from flowmon import cutspace, flowsim, generators, graph, kernel, reduce, solvers, textio
 
 SCHEMA = 1
 REF_ITERATIONS = 12_000
@@ -74,7 +75,8 @@ STAGES = {
     "kernel_labels": lambda text, g, mon, readings: graph.kernel_labels(g, mon),
     "infer": lambda text, g, mon, readings: flowsim.infer(g, mon, readings),
     "kernel_graph": lambda text, g, mon, readings: kernel.kernel_graph(g, mon),
-    "_label_forest": lambda text, g, mon, readings: graph._label_forest(g),
+    "_label_forest": lambda text, g, mon, readings: cutspace._label_forest(g),
+    "deputies": lambda text, g, mon, readings: cutspace.deputies(g),
     "preprocess": lambda text, g, mon, readings: reduce.preprocess(g),
     "solve": lambda text, g, mon, readings: solvers.solve_pipeline(g, 8, "greedy1"),
 }

@@ -6,7 +6,7 @@ l = n - q and k = m - q(q-1)/2 - l. The verifiers here brute-force both
 sides of that equivalence on small instances: exhaustively over canonical
 (isomorphism-class) connected graphs up to 7 vertices, plus seeded random
 connected graphs beyond that. The decision side counts, for each k-set,
-the edges whose cut label lies in the set's span (graph.span_search),
+the edges whose cut label lies in the set's span (cutspace.span_search),
 not the bridges of a traversal per subset. A composition lemma used by
 the reduction (sum of C(a_i, 2) over positive parts summing to n is
 maximized exactly by one big part) is checked over every partition of
@@ -20,16 +20,10 @@ from itertools import combinations, count, cycle, islice, permutations
 from math import comb
 from typing import Iterable, Iterator, NamedTuple
 
+from .cutspace import cut_labels, span_search
 from .errors import Checked, SizeGuardError, ValidationError
 from .generators import random_connected_multigraph
-from .graph import (
-    Graph,
-    component_count,
-    contract,
-    cut_labels,
-    span_search,
-    spanning_forest,
-)
+from .graph import Graph, component_count, contract, spanning_forest
 from .solvers import _check_exact_size
 
 CLIQUE_MAX_COMBOS = 5_000_000

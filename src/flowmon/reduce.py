@@ -1,5 +1,5 @@
 """Instance preprocessing: strip bridges, merge components, contract
-2-cut edge groups, all read off one labelled depth-first forest.
+2-cut edge groups, all read off one deputy view (cutspace.deputies).
 
 A bridge of the input graph can only ever carry zero flow, so bridges are
 removed up front and reported separately. Distinct components are then
@@ -17,20 +17,12 @@ _glue_at_zero numbers the glued vertices for merging and preprocess.
 from __future__ import annotations
 
 from functools import partial
-from itertools import compress, count
-from operator import itemgetter, not_
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from itertools import chain, count
+from typing import Callable, Iterable, Mapping, NamedTuple
 
+from .cutspace import _label_forest, _label_groups, deputies
 from .errors import FlowmonError, ValidationError
-from .graph import (
-    Graph,
-    _find_root,
-    _forest_pieces,
-    _label_forest,
-    bridge_ids,
-    component_labels,
-    contract,
-)
+from .graph import Graph, _find_root, _forest_pieces, bridge_ids, component_labels, contract
 
 
 class ReductionMap(NamedTuple):
@@ -92,18 +84,6 @@ def merge_components(g: Graph) -> tuple[Graph, tuple[int, ...]]:
     return contract(g, vmap, range(len(g.weights_micros))), vmap
 
 
-def _label_groups(labels: Sequence[int]) -> list[list[int]]:
-    """Edge ids grouped by equal non-zero label, each group ascending and
-    the groups in order of their lowest id: the edge groups of a graph
-    with these cut labels once its bridges (the zero labels) are gone.
-    preprocess and solvers.solve_pipeline both group with it."""
-    groups: dict[int, list[int]] = {}
-    for e, label in enumerate(labels):
-        if label:
-            groups.setdefault(label, []).append(e)
-    return list(groups.values())
-
-
 def edge_groups(g: Graph) -> tuple[frozenset[int], ...]:
     """Equivalence classes of "these two edges form a 2-cut".
 
@@ -145,8 +125,8 @@ def lift_monitors(m_reduced: Iterable[int], rmap: ReductionMap) -> frozenset[int
 
 def preprocess(g: Graph) -> tuple[Graph, ReductionMap]:
     """strip_bridges, merge_components and contract_groups as one
-    contraction, read off one labelled depth-first forest of g
-    (graph._label_forest) and built as one graph.
+    contraction, read off g's deputy view (cutspace.deputies: one
+    labelled depth-first forest) and built as one graph.
 
     Bridges are the zero labels. Stripping them and gluing components
     changes no cut, so the edge groups are the equal non-zero labels.
@@ -158,13 +138,9 @@ def preprocess(g: Graph) -> tuple[Graph, ReductionMap]:
     merging glues at vertex 0. Output is 3-edge-connected; a single
     vertex with loops is possible. The map speaks original ids.
     """
-    order, entry, labels, nontree = _label_forest(g)
-    classes = _label_groups(labels)
-    cut = bytearray(map(not_, labels))  # the bridges, then the deputies too
-    dropped = frozenset(compress(range(len(labels)), cut))
-    deputy_orig = [cls[-1] for cls in classes]
-    group_of = {e: gi for gi, cls in enumerate(classes) for e in cls}
-    for e in deputy_orig:
+    order, entry, _, nontree, groups, ids, weights, stripped = deputies(g)
+    cut = bytearray(len(g.weights_micros))  # the bridges and the deputies
+    for e in chain(stripped, ids):
         cut[e] = 1
 
     # the pieces, numbered by lowest vertex, joined by union-find across
@@ -181,7 +157,7 @@ def preprocess(g: Graph) -> tuple[Graph, ReductionMap]:
     # G - B, the pieces of the forest cut at the bridges alone; a non-tree
     # deputy joins two vertices of one such piece and is skipped. Merging
     # glues the lowest reduced vertex of each component to vertex 0
-    for eid in deputy_orig:
+    for eid in ids:
         a, b = us[eid], vs[eid]
         if entry[a] == eid or entry[b] == eid:
             parent[_find_root(parent, head[a])] = _find_root(parent, head[b])
@@ -190,11 +166,8 @@ def preprocess(g: Graph) -> tuple[Graph, ReductionMap]:
     vertex_map = tuple(map(piece_name.__getitem__, head))
 
     # the reduced edges: the deputies in ascending id, with group weights
-    w = g.weights_micros
-    by_deputy = sorted(classes, key=itemgetter(-1))
-    survivors = [cls[-1] for cls in by_deputy]
-    weights = [sum(map(w.__getitem__, cls)) for cls in by_deputy]
-    new_id_of_orig = {orig: i for i, orig in enumerate(survivors)}
-    deputy_of_group = tuple(new_id_of_orig[d] for d in deputy_orig)
-    rmap = ReductionMap(vertex_map, group_of, deputy_of_group, tuple(survivors), dropped)
-    return contract(g, vertex_map, survivors, weights), rmap
+    new_id = {orig: i for i, orig in enumerate(ids)}
+    group_of = {e: gi for gi, cls in enumerate(groups) for e in cls}
+    deputy_of_group = tuple(new_id[cls[-1]] for cls in groups)
+    rmap = ReductionMap(vertex_map, group_of, deputy_of_group, tuple(ids), stripped)
+    return contract(g, vertex_map, ids, weights), rmap

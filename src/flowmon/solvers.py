@@ -6,31 +6,26 @@ bridges it exposes); collected edges leave the working graph before the
 next batch. exact, the oracle the approximation guarantees are tested
 against, is the same search taken as one batch of size k. Both are thin
 Graph wrappers over one batch loop, _batches, which reads nothing but
-edge ids, their cut-space labels (see graph.cut_labels) and their
+edge ids, their cut-space labels (see cutspace.cut_labels) and their
 weights: the edges a candidate set determines are those whose label
-lies in the span of the candidate's labels. graph.span_search walks the
-candidates prefix by prefix with the residuals folded modulo each
-prefix's span: a prefix costs one pass over the live residuals and its
-table of weight per coset, and the last two monitors are read off that
-table with at most two lookups per candidate, instead of a bridge
-traversal per candidate. It skips every prefix whose weight bound
-cannot beat the best batch found so far, and every monitor whose
-residual repeats one already tried at its prefix, and still returns the
-first best batch (weights are non-negative). Each step's folded
-residuals are the next step's live labels. The enumeration budgets are
-fixed constants and count every candidate, read or skipped, as the
-trace's candidates field does; a run that would exceed one is refused
-before it enumerates (CLI exit 3).
+lies in the span of the candidate's labels. Each batch is one
+cutspace.span_search, a branch and bound over the label residuals
+folded modulo each prefix's span, with no traversal per candidate; it
+returns the first best batch, as the full enumeration would. Each
+step's folded residuals are the next step's live labels. The
+enumeration budgets are fixed constants and count every candidate,
+read or skipped, as the trace's candidates field does; a run that
+would exceed one is refused before it enumerates (CLI exit 3).
 
 solve_pipeline is the end-to-end path the CLI uses, for a solver named
 greedy1, greedy2, greedy:<sigma> or exact. It builds no reduced graph:
-preprocessing contracts each edge group to its deputy and strips the
-bridges, which keeps exactly the cuts of G made only of deputies, so G's
-own labels on the deputies, with the group weights, answer every
-question the batch loop would ask of the reduced graph, with the same
-monitors, gains, tie-breaks and trace. The extras are read off one
-bridge walk of G minus the monitors, so a solve walks G twice: once to
-label it, once to check the answer.
+it reads the deputy view that preprocessing contracts
+(cutspace.deputies), and the reduced graph keeps exactly the cuts of G
+made only of deputies, so G's own labels on the deputies, with the
+group weights, answer every question the batch loop would ask of the
+reduced graph, with the same monitors, gains, tie-breaks and trace.
+The extras are read off one bridge walk of G minus the monitors, so a
+solve walks G twice: once to label it, once to check the answer.
 
 Determinism: among equal-gain candidate sets the lexicographically
 smallest sorted id tuple wins, so traces are reproducible and tests can
@@ -41,12 +36,11 @@ from __future__ import annotations
 
 from itertools import compress
 from math import comb
-from operator import itemgetter, not_
 from typing import NamedTuple, Sequence
 
+from .cutspace import cut_labels, deputies, span_search
 from .errors import CandidateBudgetError, Checked, FlowmonError, SizeGuardError, ValidationError
-from .graph import Graph, bridge_ids, cut_labels, make_mask, span_search, spanning_forest
-from .reduce import _label_groups
+from .graph import Graph, bridge_ids, make_mask, spanning_forest
 from .weights import Weight
 
 EXACT_DEFAULT_BUDGET = 2_000_000
@@ -223,35 +217,30 @@ def solve_pipeline(g: Graph, k: int, algo: str) -> Solution:
 
     The name is checked first, then k, which must be at least 1, even on
     a graph with no edges. With k >= m the answer is trivially all
-    edges. Otherwise G is labelled once (cut_labels). The bridges, its
-    zero labels, are stripped: their flow is known (zero) without
-    spending monitors, they come back in zero_flow and never count
-    toward gain. The edge groups are the equal non-zero labels, each
-    with its highest id as deputy. The cuts of the reduced graph
-    (reduce.preprocess) are the cuts of G made only of deputies, so the
-    batch loop runs on the deputies in ascending id order, with their G
-    labels and their groups' total weights, and picks what it picks on
-    the reduced graph: same monitors, gain, size guard, budget and trace,
-    in original ids. The extras are the bridges of G minus the monitors,
-    less the stripped bridges, read off one masked walk of G; their
-    total with the monitors must equal the solver's gain, which checks
-    the grouping and the solver together (FlowmonError otherwise).
+    edges. Otherwise G is labelled and grouped once (cutspace.deputies).
+    Its bridges, the zero labels, are stripped: their flow is known
+    (zero), they come back in zero_flow and never count toward gain. The
+    deputies with their groups' total weights are the edges of the
+    reduced graph (reduce.preprocess), whose cuts are the cuts of G made
+    only of deputies, so the batch loop runs on them with their G labels
+    and picks what it picks on the reduced graph: same monitors, gain,
+    size guard, budget and trace, in original ids. The extras are the
+    bridges of G minus the monitors, less the stripped bridges, read off
+    one masked walk of G; their total with the monitors must equal the
+    solver's gain, which checks the grouping and the solver together
+    (FlowmonError otherwise).
     """
     sigma = _batch_size(algo)
     cfg = SolverConfig(k=k, sigma=sigma or k)
     m = len(g.weights_micros)
     if k >= m:
         return Solution(frozenset(range(m)), frozenset(), g.total_weight())
-    labels = cut_labels(g)
-    classes = sorted(_label_groups(labels), key=itemgetter(-1))
-    deputies = [cls[-1] for cls in classes]
-    w = g.weights_micros
-    weights = [sum(map(w.__getitem__, cls)) if len(cls) > 1 else w[cls[0]] for cls in classes]
+    _, _, labels, _, _, ids, weights, stripped = deputies(g)
     if sigma is None:
-        _check_exact_size(len(deputies), k)
-    sub = _batches(deputies, list(map(labels.__getitem__, deputies)), weights, cfg)
-    stripped = frozenset(compress(range(m), map(not_, labels)))
+        _check_exact_size(len(ids), k)
+    sub = _batches(ids, list(map(labels.__getitem__, ids)), weights, cfg)
     extras = frozenset(bridge_ids(g, make_mask(g, sub.monitors))) - stripped
+    w = g.weights_micros
     total = sum(map(w.__getitem__, sub.monitors)) + sum(map(w.__getitem__, extras))
     if total != sub.gain.micros:
         raise FlowmonError(f"lifted gain {total} differs from the solver's {sub.gain.micros}")

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
 import oracles
-from flowmon import graph, reduce, solvers
+from flowmon import cutspace, graph, reduce, solvers
 from flowmon.graph import Graph
 from flowmon.solvers import SolverConfig, sigma_greedy
 
@@ -76,14 +76,14 @@ def seeded_multigraph(seed: int, max_n=8, max_m=12, min_w=1, max_w=5) -> Graph:
 
 @pytest.fixture()
 def search_counts(monkeypatch):
-    """Pair reads and fold_residual calls made by graph.span_search and
+    """Pair reads and fold_residual calls made by cutspace.span_search and
     by oracles.span_search_exhaustive, counted per (module, kind). With
     size >= 2 both searches call max once per pair read, and the solvers
     reach no other max in those modules, so a counting max shadows the
     builtin in each module's globals."""
     counts = Counter()
-    fold = graph.fold_residual
-    for name, module in (("graph", graph), ("oracles", oracles)):
+    fold = cutspace.fold_residual
+    for name, module in (("cutspace", cutspace), ("oracles", oracles)):
         def counting_max(*args, name=name):
             counts[name, "pair reads"] += 1
             return max(*args)
@@ -98,15 +98,18 @@ def search_counts(monkeypatch):
 
 
 def record_graph_calls(monkeypatch, *names):
-    """The graph module functions named, wrapped wherever graph, reduce
-    or solvers bind them; returns name -> the graph of each call."""
+    """The graph or cutspace functions named, wrapped wherever graph,
+    cutspace, reduce or solvers bind them; returns name -> the graph of
+    each call."""
     calls = {name: [] for name in names}
     for name in names:
-        def recording(g, *args, name=name, real=getattr(graph, name)):
+        real = getattr(graph, name, None) or getattr(cutspace, name)
+
+        def recording(g, *args, name=name, real=real):
             calls[name].append(g)
             return real(g, *args)
 
-        for module in (graph, reduce, solvers):
+        for module in (graph, cutspace, reduce, solvers):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, recording)
     return calls

@@ -59,13 +59,13 @@ from math import comb
 from typing import Callable, Iterable, Sequence
 
 from flowmon import solvers
+from flowmon.cutspace import fold_residual
 from flowmon.errors import CandidateBudgetError, ParseError, ValidationError, WeightOverflowError
 from flowmon.flowsim import InferenceResult, Measurements
 from flowmon.graph import (
     EdgeRecord,
     Graph,
     bridge_ids,
-    fold_residual,
     make_mask,
     reachable_from,
 )

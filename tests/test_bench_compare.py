@@ -51,3 +51,20 @@ def test_marks_a_ratio_whose_adjusted_runs_overlap(tmp_path, capsys, bench_compa
     assert lines[1].endswith("x1.800")
     assert lines[2].endswith("x0.500")
     assert lines[3].endswith("over-cap")
+
+
+def test_prints_a_stage_only_the_new_file_times_as_new(tmp_path, capsys, bench_compare):
+    # a stage added to the ladder has no old median to divide by
+    old = _file({"parse": _case([0.002, 0.003, 0.004], [0.001] * 3)})
+    new = _file({
+        "parse": _case([0.002, 0.003, 0.004], [0.001] * 3),
+        "deputies": _case([0.001, 0.0015, 0.002], [0.001] * 3),
+    })
+    paths = [tmp_path / "old.json", tmp_path / "new.json"]
+    for path, data in zip(paths, (old, new)):
+        path.write_text(json.dumps(data))
+    assert bench_compare.main([str(p) for p in paths]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[1] for line in lines] == ["parse", "deputies"]
+    assert lines[0].endswith("x1.000 within spread")
+    assert lines[1].split()[2:] == ["1.50", "ms", "new"]

@@ -131,7 +131,7 @@ def test_cold_start_loads_no_dataclasses_and_every_module():
     assert "dataclasses" not in added and "inspect" not in added
     assert {m for m in added if m.startswith("flowmon")} == {
         "flowmon", *(f"flowmon.{m}" for m in (
-            "cli", "errors", "flowsim", "generators", "graph", "hardness",
+            "cli", "cutspace", "errors", "flowsim", "generators", "graph", "hardness",
             "kernel", "reduce", "solvers", "textio", "weights"))}
 
 

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowmon import cutspace
 from flowmon import graph as graph_mod
+from flowmon.cutspace import cut_labels, fold_residual, span_search
 from flowmon.errors import ValidationError, WeightOverflowError
 from flowmon.flowsim import infer
 from flowmon.graph import (
@@ -15,14 +17,11 @@ from flowmon.graph import (
     component_count,
     component_labels,
     contract,
-    cut_labels,
     gain,
-    fold_residual,
     is_c_edge_connected,
     kernel_labels,
     make_mask,
     search_forest,
-    span_search,
     spanning_forest,
 )
 from flowmon.reduce import preprocess
@@ -464,7 +463,7 @@ def test_span_search_keeps_the_first_of_tied_subsets(search_counts):
     res, wts = [6, 4, 2, 5], [1, 1, 1, 1]
     assert span_search(res, wts, 2, 5) == (3, (0, 1), [0, 0, 0, 1])
     assert span_search_exhaustive(res, wts, 2, 5) == (3, (0, 1), [0, 0, 0, 1])
-    assert search_counts["graph", "pair reads"] == 1
+    assert search_counts["cutspace", "pair reads"] == 1
     assert search_counts["oracles", "pair reads"] == 3
 
 
@@ -515,7 +514,7 @@ def _caps_by_subsets(coset, val, need):
 def test_caps_match_a_full_sort_by_subsets(weights, need):
     coset = {x: wt for x, wt in enumerate(weights, start=1)}
     val = 10
-    assert graph_mod._caps(coset, val, need, val + sum(weights)) == _caps_by_subsets(
+    assert cutspace._caps(coset, val, need, val + sum(weights)) == _caps_by_subsets(
         coset, val, need
     )
 
@@ -528,8 +527,8 @@ def test_span_search_tries_each_repeated_residual_once(search_counts):
     expected = (8, (0, 1, 4, 6), [0] * 8 + [16, 16, 32, 32, 64, 64])
     assert span_search(res, [1] * 14, 4, 15) == expected
     assert span_search_exhaustive(res, [1] * 14, 4, 15) == expected
-    assert search_counts["graph", "folds"] == 26
-    assert search_counts["graph", "pair reads"] == 41
+    assert search_counts["cutspace", "folds"] == 26
+    assert search_counts["cutspace", "pair reads"] == 41
     assert search_counts["oracles", "folds"] == 75
     assert search_counts["oracles", "pair reads"] == 286
 
@@ -542,7 +541,7 @@ def test_span_search_tries_a_repeated_zero_once(search_counts):
     expected = (15, (2, 3, 4), [0, 0, 0, 0, 0])
     assert span_search(res, wts, 3, 16) == expected
     assert span_search_exhaustive(res, wts, 3, 16) == expected
-    assert search_counts["graph", "pair reads"] == 4
+    assert search_counts["cutspace", "pair reads"] == 4
     assert search_counts["oracles", "pair reads"] == 6
 
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from flowmon import graph as graph_mod
 from flowmon import reduce as reduce_mod
+from flowmon.cutspace import deputies
 from flowmon.errors import FlowmonError, ValidationError, WeightOverflowError
 from flowmon.generators import gen_cycle, gen_fig1, gen_greedy1_tight, gen_ladder
 from flowmon.graph import Graph, bridge_ids, component_labels, gain, is_c_edge_connected
@@ -17,7 +18,7 @@ from flowmon.reduce import (
     preprocess,
     strip_bridges,
 )
-from flowmon.solvers import exact
+from flowmon.solvers import exact, solve_pipeline
 from flowmon.weights import MAX_MICROS, Weight
 
 from conftest import bridgeless_graphs, multigraphs, record_graph_calls
@@ -313,6 +314,30 @@ def _assert_same_reduction(g):
 def test_preprocess_matches_stages(g):
     # loops, parallels, zero weights, isolated vertices, several components
     _assert_same_reduction(g)
+
+
+@pytest.mark.differential
+@settings(max_examples=400)
+@given(multigraphs(max_n=10, max_m=14, min_w=0))
+def test_deputy_view_is_the_reduced_graph(g):
+    # the deputies and their group weights are the reduced graph's edges,
+    # in its edge order: the premise solve_pipeline runs on
+    view = deputies(g)
+    reduced, rmap = preprocess_by_stages(g)
+    assert view.ids == list(rmap.orig_edge_of_reduced)
+    assert view.weights == list(reduced.weights_micros)
+    assert view.stripped == rmap.stripped_bridges
+    assert {e: gi for gi, cls in enumerate(view.groups) for e in cls} == rmap.group_of
+
+
+@pytest.mark.parametrize(
+    "run", [preprocess, lambda g: solve_pipeline(g, 2, "greedy1")], ids=["preprocess", "solve"]
+)
+def test_preprocess_and_solve_read_one_deputy_view(monkeypatch, run):
+    calls = record_graph_calls(monkeypatch, "deputies", "_label_forest")
+    g = gen_fig1()[0]
+    run(g)
+    assert calls == {"deputies": [g], "_label_forest": [g]}
 
 
 @pytest.mark.differential

@@ -195,9 +195,9 @@ def test_exact_skips_most_pair_reads_and_folds(search_counts):
     bounded = exact(g, 6)
     with mock.patch.object(solvers, "span_search", span_search_exhaustive):
         assert exact(g, 6) == bounded
-    assert 0 < search_counts["graph", "pair reads"] * 2 <= search_counts["oracles", "pair reads"]
+    assert 0 < search_counts["cutspace", "pair reads"] * 2 <= search_counts["oracles", "pair reads"]
     # a folded prefix whose bound cannot beat the best is never pushed
-    assert 0 < search_counts["graph", "folds"] * 3 <= search_counts["oracles", "folds"] * 2
+    assert 0 < search_counts["cutspace", "folds"] * 3 <= search_counts["oracles", "folds"] * 2
 
 
 @given(multigraphs(max_n=6, max_m=10), st.integers(1, 4))

@@ -25,9 +25,9 @@ seeded sample of m // 50 edges and the readings are a seeded random
 circulation measured on M, both found on a graph of their own.
 
 The host's speed drifts by a third and more within minutes, so each run
-is also host-adjusted as perfbench/run.py adjusts its operations: a
-fixed pure-Python reference loop is timed just before it, and the run
-time is scaled by REF_NOMINAL_S over the loop's time. A case's
+is also host-adjusted with perfbench/run.py's own clock, imported from
+it: its reference loop (reference_s) is timed just before the run, and
+the run time is scaled by REF_NOMINAL_S over the loop's time. A case's
 "median_s" is the median of its adjusted runs, "raw_median_s" that of
 its wall-clock runs.
 
@@ -50,6 +50,7 @@ from __future__ import annotations
 import argparse
 import gc
 import hashlib
+import importlib.util
 import json
 import platform
 import random
@@ -58,12 +59,19 @@ import signal
 import statistics
 import sys
 import time
+from pathlib import Path
 
 from flowmon import cutspace, flowsim, generators, graph, kernel, reduce, solvers, textio
 
+# one host clock: the reference loop and nominal time of perfbench/run.py,
+# which loads no flowmon module until its main runs
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_run", Path(__file__).resolve().parents[1] / "perfbench" / "run.py")
+_bench = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_bench)
+REF_NOMINAL_S, reference_s = _bench.REF_NOMINAL_S, _bench.reference_s
+
 SCHEMA = 1
-REF_ITERATIONS = 12_000
-REF_NOMINAL_S = 0.001  # reference loop time that defines a host-adjusted second
 LADDER = (4000, 20000, 100000)
 REPEATS = 3
 CAP_S = 20.0
@@ -95,19 +103,6 @@ def instances(sizes):
     for m in sizes:
         yield f"circ-{m}", generators.gen_circulant(m // 2)
         yield f"rand-{m}", generators.random_connected_multigraph(2 * m // 5, m, seed=3)
-
-
-def reference_s() -> float:
-    """The host's speed right now: median of three timings of the
-    reference loop perfbench/run.py times."""
-    times = []
-    for _ in range(3):
-        t0 = time.perf_counter()
-        total = 0
-        for i in range(REF_ITERATIONS):
-            total += i * i % 7
-        times.append(time.perf_counter() - t0)
-    return sorted(times)[1]
 
 
 def _address_space() -> int:

@@ -11,7 +11,8 @@ command names and writes the outputs its handler returns (a handler
 reads no file but infer's readings). It opens every output file before
 it writes any and prints to stdout last, so a refused command writes no
 file and no stdout; an -o naming stdout's own file goes through stdout,
-and text for a stdout closed at start-up is refused (exit 2).
+and two outputs naming one regular file, or text for a stdout closed at
+start-up, are refused (exit 2).
 
 One table, GEN_FAMILIES, holds what gen knows of its families: each
 family's generator, by name, and the options it needs and may also
@@ -87,14 +88,16 @@ def _write_outputs(outputs: list[tuple[str | None, str]]) -> None:
     path opens stdout's own file (a second descriptor there would write
     at offset 0). Every file is opened, without truncating, before any
     is written, and stdout comes last, its texts in argument order: if a
-    file cannot be opened or written, the files this run created are
-    removed and stdout gets nothing. A file is truncated just before it
-    is written, if it is a regular file. Text for a stdout closed at
-    start-up (sys.stdout is None) is refused before any file is opened."""
+    file cannot be opened or written, or two paths open one regular file
+    (X and ./X, say), the files this run created are removed and stdout
+    gets nothing. A file is truncated just before it is written, if it
+    is a regular file. Text for a stdout closed at start-up (sys.stdout
+    is None) is refused before any file is opened."""
     if sys.stdout is None and not all(path for path, _ in outputs):
         raise ValidationError("cannot write to stdout: it is closed")
     opened = []  # (path, created, descriptor, text) of each file opened so far
     printed = []  # the texts for stdout
+    files = set()  # (st_dev, st_ino) of each file opened
     try:
         for path, text in outputs:
             if path:
@@ -102,6 +105,10 @@ def _write_outputs(outputs: list[tuple[str | None, str]]) -> None:
                 fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
                 if not _names_stdout(fd):
                     opened.append((path, created, fd, text))
+                    st = os.fstat(fd)
+                    if stat.S_ISREG(st.st_mode) and (st.st_dev, st.st_ino) in files:
+                        raise OSError("another output names the same file")
+                    files.add((st.st_dev, st.st_ino))
                     continue
                 os.close(fd)
             printed.append(text)

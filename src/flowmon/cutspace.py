@@ -7,8 +7,8 @@ is in M or is a bridge of G - M iff its label lies in the span of M's
 labels. Bridges have label 0, and two edges of a bridgeless graph form
 a 2-cut iff their labels are equal. _label_forest builds the labels in
 one pass over graph.search_forest's forest, and deputies groups them
-into the view of G that reduce.preprocess contracts and
-solvers.solve_pipeline solves on. span_search is the one evaluator over
+into the one view of G that every 2-cut reader (reduce, solve_pipeline,
+graph.is_c_edge_connected) takes. span_search is the one evaluator over
 them: each sigma_greedy batch, exact and the hardness decision is one
 search over label residuals folded incrementally, not a masked
 traversal per candidate, and a branch and bound (Land & Doig, 1960)
@@ -61,17 +61,6 @@ def cut_labels(g: Graph) -> list[int]:
     return _label_forest(g)[2]
 
 
-def _label_groups(labels: Sequence[int]) -> list[list[int]]:
-    """Edge ids grouped by equal non-zero label, each group ascending and
-    the groups in order of their lowest id: the edge groups of a graph
-    with these cut labels once its bridges (the zero labels) are gone."""
-    groups: dict[int, list[int]] = {}
-    for e, label in enumerate(labels):
-        if label:
-            groups.setdefault(label, []).append(e)
-    return list(groups.values())
-
-
 class Deputies(NamedTuple):
     """G labelled and grouped once: the reduced graph's edges are `ids`
     (each group's highest id, ascending) with `weights` (group totals in
@@ -91,7 +80,11 @@ class Deputies(NamedTuple):
 def deputies(g: Graph) -> Deputies:
     """The deputy view of g, off one _label_forest pass."""
     order, entry, labels, nontree = _label_forest(g)
-    groups = _label_groups(labels)
+    by_label: dict[int, list[int]] = {}
+    for e, label in enumerate(labels):
+        if label:
+            by_label.setdefault(label, []).append(e)
+    groups = list(by_label.values())
     by_deputy = sorted(groups, key=itemgetter(-1))
     w = g.weights_micros
     weights = [sum(map(w.__getitem__, cls)) if len(cls) > 1 else w[cls[0]] for cls in by_deputy]

@@ -368,11 +368,11 @@ def is_c_edge_connected(g: Graph, c: int) -> bool:
         raise ValidationError("c must be 1, 2, or 3")
     if g.vertex_count <= 1:
         return True
-    from .cutspace import _label_forest  # here, as cutspace imports graph
-    _, entry, labels, _ = _label_forest(g)
-    if entry.count(-1) != 1:  # the forest has one tree
+    from .cutspace import deputies  # here, as cutspace imports graph
+    d = deputies(g)
+    if d.entry.count(-1) != 1:  # the forest has one tree
         return False
-    return c == 1 or 0 not in labels and (c == 2 or len(set(labels)) == len(labels))
+    return c == 1 or not d.stripped and (c == 2 or len(d.groups) == len(d.labels))
 
 
 def _find_root(parent: list[int], x: int) -> int:

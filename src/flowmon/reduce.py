@@ -20,7 +20,7 @@ from functools import partial
 from itertools import chain, count
 from typing import Callable, Iterable, Mapping, NamedTuple
 
-from .cutspace import _label_forest, _label_groups, deputies
+from .cutspace import Deputies, deputies
 from .errors import FlowmonError, ValidationError
 from .graph import Graph, _find_root, _forest_pieces, bridge_ids, component_labels, contract
 
@@ -84,27 +84,30 @@ def merge_components(g: Graph) -> tuple[Graph, tuple[int, ...]]:
     return contract(g, vmap, range(len(g.weights_micros))), vmap
 
 
+def _bridgeless_view(g: Graph) -> Deputies:
+    """g's deputy view, refused unless g is 2-edge-connected."""
+    d = deputies(g)
+    if d.entry.count(-1) > 1 or d.stripped:
+        raise ValidationError("edge groups are defined on 2-edge-connected graphs")
+    return d
+
+
 def edge_groups(g: Graph) -> tuple[frozenset[int], ...]:
     """Equivalence classes of "these two edges form a 2-cut".
 
     Requires a 2-edge-connected input. On such a graph two edges form a
-    2-cut iff their cut labels are equal, so the classes are the groups
-    of equal labels, in order of their lowest edge id. One linear pass.
+    2-cut iff their cut labels are equal, so the classes are the deputy
+    view's groups, in order of their lowest edge id. One linear pass.
     Self-loops have a bit of their own and are always singletons.
     """
-    _, entry, labels, _ = _label_forest(g)
-    if entry.count(-1) > 1 or 0 in labels:
-        raise ValidationError("edge groups are defined on 2-edge-connected graphs")
-    return tuple(frozenset(cls) for cls in _label_groups(labels))
+    return tuple(map(frozenset, _bridgeless_view(g).groups))
 
 
 def contract_groups(g: Graph) -> tuple[Graph, ReductionMap]:
     """Collapse every edge group to its deputy, the highest-id member,
-    carrying the group's total weight. Raises ValidationError unless g is
-    connected and bridgeless, where preprocess's one label pass strips and
-    merges nothing and so is this contraction."""
-    edge_groups(g)
-    return preprocess(g)
+    carrying the group's total weight: preprocess, on a g that is
+    connected and bridgeless (ValidationError otherwise)."""
+    return _contract(g, _bridgeless_view(g))
 
 
 def lift_monitors(m_reduced: Iterable[int], rmap: ReductionMap) -> frozenset[int]:
@@ -125,20 +128,22 @@ def lift_monitors(m_reduced: Iterable[int], rmap: ReductionMap) -> frozenset[int
 
 def preprocess(g: Graph) -> tuple[Graph, ReductionMap]:
     """strip_bridges, merge_components and contract_groups as one
-    contraction, read off g's deputy view (cutspace.deputies: one
-    labelled depth-first forest) and built as one graph.
+    contraction of g's deputy view (cutspace.deputies), built as one
+    graph. Output is 3-edge-connected, possibly one vertex with loops;
+    the map speaks original ids."""
+    return _contract(g, deputies(g))
 
-    Bridges are the zero labels. Stripping them and gluing components
-    changes no cut, so the edge groups are the equal non-zero labels.
-    No edge covers a bridge, so the reduced vertices, the components of
-    G - B - deputies, are the pieces of the forest cut at the bridges and
-    the tree deputies (graph._forest_pieces), joined across the non-tree
-    edges that are not deputies (at most the cycle rank of them). The
-    tree deputies join those into the components of G - B, which
-    merging glues at vertex 0. Output is 3-edge-connected; a single
-    vertex with loops is possible. The map speaks original ids.
-    """
-    order, entry, _, nontree, groups, ids, weights, stripped = deputies(g)
+
+def _contract(g: Graph, d: Deputies) -> tuple[Graph, ReductionMap]:
+    """preprocess off g's deputy view d. Bridges are the zero labels.
+    Stripping them and gluing components changes no cut, so the edge
+    groups are the equal non-zero labels. No edge covers a bridge, so the
+    reduced vertices, the components of G - B - deputies, are the pieces
+    of the forest cut at the bridges and the tree deputies
+    (graph._forest_pieces), joined across the non-tree edges that are
+    not deputies (at most the cycle rank of them). The tree deputies join
+    those into the components of G - B, which merging glues at vertex 0."""
+    order, entry, _, nontree, groups, ids, weights, stripped = d
     cut = bytearray(len(g.weights_micros))  # the bridges and the deputies
     for e in chain(stripped, ids):
         cut[e] = 1

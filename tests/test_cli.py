@@ -427,9 +427,47 @@ def test_closed_stdout(fig1_files, tmp_path):
     out.unlink()
     assert closed("reduce", str(graph), "-o", str(out)) == (2, "error: cannot write to stdout: it is closed\n")
     assert not out.exists()
-    assert closed("reduce", str(graph), "-o", str(out), "--map-out", str(out)) == (0, "")
-    assert run_cli("reduce", str(graph), "--map-out", str(map_out))[0] == 0
-    assert out.read_text() == map_out.read_text()
+    assert closed("reduce", str(graph), "-o", str(out), "--map-out", str(map_out)) == (0, "")
+    code, reduced = run_cli("reduce", str(graph), "--map-out", str(tmp_path / "expected.map"))
+    assert code == 0 and out.read_text() == reduced
+    assert map_out.read_text() == (tmp_path / "expected.map").read_text()
+
+
+@pytest.mark.parametrize(
+    "argv, before",
+    [
+        (("reduce", "GRAPH", "-o", "X", "--map-out", "X"), None),
+        (("reduce", "GRAPH", "-o", "X", "--map-out", "./X"), None),
+        (("reduce", "GRAPH", "-o", "X", "--map-out", "./X"), "kept\n"),
+        (("gen", "fig1", "-o", "X", "--readings-out", "./X"), None),
+        (("gen", "fig1", "-o", "X", "--readings-out", "./X"), "kept\n"),
+        (("gen", "fig1", "-o", "LINK", "--readings-out", "X"), "kept\n"),
+    ],
+    ids=["same-path", "dot-path", "dot-path-kept", "gen-dot-path", "gen-dot-path-kept", "gen-symlink-kept"],
+)
+def test_two_outputs_naming_one_file_exit_2(fig1_files, tmp_path, monkeypatch, capsys, argv, before):
+    # two outputs opening one regular file would leave only the second
+    # text there: refused before anything is written, a file this run
+    # created is removed and an existing one keeps its bytes
+    graph, _ = fig1_files
+    monkeypatch.chdir(tmp_path)
+    target = tmp_path / "X"
+    if before is not None:
+        target.write_text(before)
+    (tmp_path / "LINK").symlink_to(target)
+    code, out = run_cli(*[str(graph) if a == "GRAPH" else a for a in argv])
+    assert code == 2 and out == ""
+    assert (target.read_text() if target.exists() else None) == before
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write ") and err.endswith(": another output names the same file\n")
+
+
+def test_two_outputs_to_dev_null(fig1_files):
+    # /dev/null is not a regular file: both outputs may name it
+    if not os.path.exists("/dev/null"):
+        pytest.skip("no /dev/null")
+    graph, _ = fig1_files
+    assert run_cli("reduce", str(graph), "-o", "/dev/null", "--map-out", "/dev/null") == (0, "")
 
 
 # one run of every subcommand, and the exit codes 4 (infer) and 1

@@ -195,6 +195,7 @@ def test_contract_fig1_deputy():
 @given(bridgeless_graphs(max_n=6, max_extra=4))
 def test_contract_result_is_3ec_and_weight_preserving(g):
     reduced, rmap = contract_groups(g)
+    assert (reduced, rmap) == preprocess(g)
     assert is_c_edge_connected(reduced, 3)
     assert reduced.total_weight() == g.total_weight()
     for gi, deputy in enumerate(rmap.deputy_of_group):
@@ -331,11 +332,19 @@ def test_deputy_view_is_the_reduced_graph(g):
 
 
 @pytest.mark.parametrize(
-    "run", [preprocess, lambda g: solve_pipeline(g, 2, "greedy1")], ids=["preprocess", "solve"]
+    "run, g",
+    [
+        (preprocess, gen_fig1()[0]),
+        (lambda g: solve_pipeline(g, 2, "greedy1"), gen_fig1()[0]),
+        (edge_groups, gen_ladder(8)),
+        (contract_groups, gen_ladder(8)),
+        (lambda g: is_c_edge_connected(g, 3), gen_ladder(8)),
+    ],
+    ids=["preprocess", "solve", "edge_groups", "contract_groups", "is_c_edge_connected"],
 )
-def test_preprocess_and_solve_read_one_deputy_view(monkeypatch, run):
+def test_preprocess_and_solve_read_one_deputy_view(monkeypatch, run, g):
+    # every 2-cut reader labels and groups g once, through one deputy view
     calls = record_graph_calls(monkeypatch, "deputies", "_label_forest")
-    g = gen_fig1()[0]
     run(g)
     assert calls == {"deputies": [g], "_label_forest": [g]}
 

@@ -17,6 +17,8 @@ paused as the CLI pauses it:
     deputies       cutspace.deputies, those labels grouped into the deputy view
     preprocess     reduce.preprocess
     solve          solvers.solve_pipeline(g, 8, "greedy1")
+    solve_k=m/8    solvers.solve_pipeline(g, m // 8, "greedy1"), the greedy1 k-ladder
+    solve_k=m/4    solvers.solve_pipeline(g, m // 4, "greedy1")
 
 Every stage but parse runs on a graph parsed just before it, untimed, so
 each pays what a command pays after parsing: work a graph defers to its
@@ -39,7 +41,9 @@ instance. A case that runs past CAP_S seconds, or needs more than
 CAP_MIB MiB of address space beyond what the process holds
 when it starts, is stopped (SIGALRM, and RLIMIT_AS on this process
 only, read against /proc/self/statm, so Linux) and recorded as
-"over-cap"; its later repeats are skipped. Each instance is named with
+"over-cap"; its later repeats are skipped. A case the library refuses
+(SizeGuardError: a size guard or the greedy candidate budget, exit 3 on
+the CLI) is recorded as "refused". Each instance is named with
 the sha256 digest of its canonical text, so two files can be checked
 to time the same graphs. scripts/bench_compare.py
 prints the per-stage ratios between two files.
@@ -62,6 +66,7 @@ import time
 from pathlib import Path
 
 from flowmon import cutspace, flowsim, generators, graph, kernel, reduce, solvers, textio
+from flowmon.errors import SizeGuardError
 
 # one host clock: the reference loop and nominal time of perfbench/run.py,
 # which loads no flowmon module until its main runs
@@ -77,6 +82,7 @@ REPEATS = 3
 CAP_S = 20.0
 CAP_MIB = 256
 OVER_CAP = "over-cap"
+REFUSED = "refused"
 STAGES = {
     "parse": lambda text, g, mon, readings: textio.parse_graph(text),
     "search_forest": lambda text, g, mon, readings: graph.search_forest(g),
@@ -87,6 +93,8 @@ STAGES = {
     "deputies": lambda text, g, mon, readings: cutspace.deputies(g),
     "preprocess": lambda text, g, mon, readings: reduce.preprocess(g),
     "solve": lambda text, g, mon, readings: solvers.solve_pipeline(g, 8, "greedy1"),
+    "solve_k=m/8": lambda text, g, mon, readings: solvers.solve_pipeline(g, len(g.us) // 8, "greedy1"),
+    "solve_k=m/4": lambda text, g, mon, readings: solvers.solve_pipeline(g, len(g.us) // 4, "greedy1"),
 }
 
 
@@ -112,7 +120,7 @@ def _address_space() -> int:
 
 
 def time_case(stage, text: str, mon, readings):
-    """One stage's medians and runs, in seconds, or OVER_CAP."""
+    """One stage's medians and runs, in seconds, or OVER_CAP or REFUSED."""
     runs, refs = [], []
     _, hard = resource.getrlimit(resource.RLIMIT_AS)
     for _ in range(REPEATS):
@@ -128,6 +136,8 @@ def time_case(stage, text: str, mon, readings):
             runs.append(time.perf_counter() - t0)
         except (OverCap, MemoryError):
             return OVER_CAP
+        except SizeGuardError:
+            return REFUSED
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
             resource.setrlimit(resource.RLIMIT_AS, (hard, hard))
@@ -152,7 +162,7 @@ def run(sizes, log) -> dict:
         cases = {}
         for stage_name, stage in STAGES.items():
             case = cases[stage_name] = time_case(stage, text, mon, readings)
-            shown = case if case == OVER_CAP else f"{case['median_s'] * 1e3:.2f} ms"
+            shown = case if isinstance(case, str) else f"{case['median_s'] * 1e3:.2f} ms"
             print(f"{name:12} {stage_name:14} {shown}", file=log, flush=True)
         out.append({
             "name": name,

@@ -8,11 +8,16 @@ labels. Bridges have label 0, and two edges of a bridgeless graph form
 a 2-cut iff their labels are equal. _label_forest builds the labels in
 one pass over graph.search_forest's forest, and deputies groups them
 into the one view of G that every 2-cut reader (reduce, solve_pipeline,
-graph.is_c_edge_connected) takes. span_search is the one evaluator over
-them: each sigma_greedy batch, exact and the hardness decision is one
-search over label residuals folded incrementally, not a masked
-traversal per candidate, and a branch and bound (Land & Doig, 1960)
-whose answer is the one the full enumeration gives.
+graph.is_c_edge_connected) takes. Two evaluators read them, neither
+with a masked traversal per candidate. span_search takes every batch
+of two or more picks (sigma_greedy's, exact's and the hardness
+decision's): one search over label residuals folded incrementally, a
+branch and bound (Land & Doig, 1960) whose answer is the one the full
+enumeration gives. A run of single picks (every greedy1 step, the last
+step of greedy:<sigma> when k mod sigma is 1, exact and the decision at
+k = 1) reads one class table instead, kept across its steps: each step
+takes the heaviest class with one maximum and folds only the classes
+that carry its pivot bit (class_table, take_class).
 """
 
 from __future__ import annotations
@@ -108,6 +113,68 @@ def fold_residual(residuals: Sequence[int], r: int) -> list[int]:
     return [x ^ r if x >> b & 1 else x for x in residuals]
 
 
+def class_table(residuals: Sequence[int], weights: Sequence[int]) -> tuple[dict[int, list], int]:
+    """The residuals' classes for a run of size-1 steps (see take_class):
+    each distinct residual maps to [weight, -first, members, residual],
+    its summed weight, its first position negated and its positions;
+    the zero class weighs 0 here, its true weight returned beside the
+    table."""
+    table: dict[int, list] = {}
+    for j, (x, wt) in enumerate(zip(residuals, weights)):
+        cls = table.get(x)
+        if cls is None:
+            table[x] = [wt, -j, [j], x]
+        else:
+            cls[0] += wt
+            cls[2].append(j)
+    zero = table.get(0)
+    if zero is None:
+        return table, 0
+    val, zero[0] = zero[0], 0
+    return table, val
+
+
+def take_class(table: dict[int, list], zero: int) -> tuple[int, int, list[int]]:
+    """One size-1 step on a class_table whose zero class weighs `zero`:
+    the first best single position, worth what span_search counts a
+    subset worth. Returns its value, the position and the positions it
+    collects, and leaves the table as class_table would build it from
+    the residuals still live, folded modulo the pick's, at their
+    original positions.
+
+    The pick is the first position of the heaviest class, the table's
+    one C-level maximum; its value is the class weight plus `zero`, as
+    the zero class is collected with any pick. A zero class in the table
+    (the first step only) ties at 0 with the other classes. The picked
+    and zero classes leave, and only the keys with the pick's pivot bit
+    set fold, each into a new key or merged into the class already
+    there, the shorter member list into the longer.
+    """
+    cls = max(table.values())
+    top, first, taken, r = cls
+    del table[r]
+    if r:
+        rest = table.pop(0, None)
+        if rest is not None:
+            taken = taken + rest[2]
+        pivot = 1 << r.bit_length() - 1
+        for y in [y for y in table if y & pivot]:
+            cls = table.pop(y)
+            y ^= r
+            into = table.get(y)
+            if into is None:
+                cls[3] = y
+                table[y] = cls
+                continue
+            into[0] += cls[0]
+            if cls[1] > into[1]:
+                into[1] = cls[1]
+            if len(cls[2]) > len(into[2]):
+                into[2], cls[2] = cls[2], into[2]
+            into[2] += cls[2]
+    return top + zero, -first, taken
+
+
 def _caps(coset: dict[int, int], val: int, need: int, total: int) -> tuple[int, int, int]:
     """Upper bounds for a prefix worth val, with `need` picks to go,
     whose cosets outside its span weigh coset[...] (val plus their sum
@@ -138,7 +205,8 @@ def span_search(
     lies in the span of its own residuals. Returns the best value, the
     subset and the residuals folded modulo its span (the positions it
     collects read 0). The search ends at the first value that reaches
-    `stop`; needs size <= len(residuals) and weights >= 0.
+    `stop`; needs size <= len(residuals), size != 1 and weights >= 0: a
+    size-1 step reads a class_table instead (take_class).
 
     Depth-first over prefixes with an explicit stack, so any size is
     fine. Each prefix keeps the residuals after its last position folded
@@ -176,11 +244,7 @@ def span_search(
     for x, wt in zip(residuals, weights):
         coset[x] = coset.get(x, 0) + wt
     val = coset.pop(0, 0)
-    if size == 1 and coset:
-        gains = [coset.get(x, 0) for x in residuals]
-        top = max(gains)
-        best, best_pick, frames = val + top, (gains.index(top),), []
-    elif size < 2 or not coset:
+    if not size or not coset:
         best, best_pick, frames = val, (*range(size),), []
     else:
         best, best_pick = -1, ()

@@ -6,8 +6,8 @@ l = n - q and k = m - q(q-1)/2 - l. The verifiers here brute-force both
 sides of that equivalence on small instances: exhaustively over canonical
 (isomorphism-class) connected graphs up to 7 vertices, plus seeded random
 connected graphs beyond that. The decision side counts, for each k-set,
-the edges whose cut label lies in the set's span (cutspace.span_search),
-not the bridges of a traversal per subset. A composition lemma used by
+the edges whose cut label lies in the set's span (cutspace.span_search,
+or take_class at k = 1), not the bridges of a traversal per subset. A composition lemma used by
 the reduction (sum of C(a_i, 2) over positive parts summing to n is
 maximized exactly by one big part) is checked over every partition of
 n, which covers every composition.
@@ -20,7 +20,7 @@ from itertools import combinations, count, cycle, islice, permutations
 from math import comb
 from typing import Iterable, Iterator, NamedTuple
 
-from .cutspace import cut_labels, span_search
+from .cutspace import class_table, cut_labels, span_search, take_class
 from .errors import Checked, SizeGuardError, ValidationError
 from .generators import random_connected_multigraph
 from .graph import Graph, component_count, contract, spanning_forest
@@ -102,7 +102,8 @@ def decide_flow_monitors(inst: DecInstance) -> bool:
     A k-set M leaves b bridges exactly when k + b edges have a cut label
     in the span of M's labels, so one span_search over the labels with
     unit weights counts them, and it stops at the first set reaching
-    k + l; no subset needs a traversal.
+    k + l; at k = 1 one read of the class table does (take_class). No
+    subset needs a traversal.
     """
     g, k, l = inst.graph, inst.k, inst.l
     m = len(g.weights_micros)
@@ -111,7 +112,11 @@ def decide_flow_monitors(inst: DecInstance) -> bool:
     _check_exact_size(m, k)
     if l == 0:
         return True
-    best, _, _ = span_search(cut_labels(g), [1] * m, k, k + l)
+    labels, ones = cut_labels(g), [1] * m
+    if k == 1:
+        best = take_class(*class_table(labels, ones))[0]
+    else:
+        best = span_search(labels, ones, k, k + l)[0]
     return best >= k + l
 
 

@@ -8,11 +8,16 @@ against, is the same search taken as one batch of size k. Both are thin
 Graph wrappers over one batch loop, _batches, which reads nothing but
 edge ids, their cut-space labels (see cutspace.cut_labels) and their
 weights: the edges a candidate set determines are those whose label
-lies in the span of the candidate's labels. Each batch is one
-cutspace.span_search, a branch and bound over the label residuals
-folded modulo each prefix's span, with no traversal per candidate; it
-returns the first best batch, as the full enumeration would. Each
-step's folded residuals are the next step's live labels. The
+lies in the span of the candidate's labels. Each batch of two or more
+is one cutspace.span_search, a branch and bound over the label
+residuals folded modulo each prefix's span, with no traversal per
+candidate; it returns the first best batch, as the full enumeration
+would, and its folded residuals are the next step's live labels. Once
+a step places one monitor every later step does, and that run reads
+one cutspace.class_table, built when it starts: each step
+(cutspace.take_class) takes the first position of the heaviest class
+and folds only the classes that carry its pivot bit, so a step costs
+the classes it touches, not a pass over every live edge. The
 enumeration budgets are fixed constants and count every candidate,
 read or skipped, as the trace's candidates field does; a run that
 would exceed one is refused before it enumerates (CLI exit 3).
@@ -38,7 +43,7 @@ from itertools import compress
 from math import comb
 from typing import NamedTuple, Sequence
 
-from .cutspace import cut_labels, deputies, span_search
+from .cutspace import class_table, cut_labels, deputies, span_search, take_class
 from .errors import CandidateBudgetError, Checked, FlowmonError, SizeGuardError, ValidationError
 from .graph import Graph, bridge_ids, make_mask, spanning_forest
 from .weights import Weight
@@ -103,6 +108,9 @@ def _batches(
     the trace is simply truncated, and with k at least the edge count
     one step of size k takes them all. GREEDY_DEFAULT_BUDGET caps the
     subset evaluations of the whole run, which guards large sigma.
+    The steps of size 1, always the last ones, read one class table
+    (cutspace.take_class): the first best single position, and exactly
+    the edges it determines.
     """
     k = cfg.k
     sigma = k if k >= len(ids) else cfg.sigma
@@ -111,36 +119,53 @@ def _batches(
     # after the first step; an edge is collected by p iff its residual
     # lies in the span of p's residuals
     res = labels
+    # once a step has size 1 every later one has: that run of steps reads
+    # one class table over the positions of `live` as the run found it
+    table: dict[int, list] | None = None
+    left = len(live)
     monitors: list[int] = []
     determined: list[int] = []
     steps: list[StepRecord] = []
     evals_used = 0
 
-    while live and len(monitors) < k:
+    while left and len(monitors) < k:
         sp = min(sigma, k - len(monitors))
-        if len(live) <= sp:
+        if left <= sp:
+            if table is not None:
+                live = [live[j] for cls in table.values() for j in cls[2]]
+                wl = [cls[0] for cls in table.values()]
             monitors.extend(live)
             taken = frozenset(live)
             steps.append(StepRecord(taken, taken, Weight(sum(wl)), 0))
             break
-        count = comb(len(live), sp)
+        count = comb(left, sp)
         if evals_used + count > GREEDY_DEFAULT_BUDGET:
             raise CandidateBudgetError(
                 f"step {len(steps) + 1} needs {count} candidate evaluations;"
                 f" budget {GREEDY_DEFAULT_BUDGET} exhausted"
             )
         evals_used += count
-        best, pick, res = span_search(res, wl, sp, sum(wl))
-        placed = [live[j] for j in pick]
-        collected = [e for e, x in zip(live, res) if not x]
+        if sp == 1:
+            if table is None:
+                table, zero = class_table(res, wl)
+            best, j, taken = take_class(table, zero)
+            zero = 0
+            placed = [live[j]]
+            collected = [live[i] for i in taken]
+            left -= len(taken)
+        else:
+            best, pick, res = span_search(res, wl, sp, sum(wl))
+            placed = [live[j] for j in pick]
+            collected = [e for e, x in zip(live, res) if not x]
+            live = list(compress(live, res))
+            wl = list(compress(wl, res))
+            res = [x for x in res if x]
+            left = len(live)
         determined.extend(collected)
         monitors.extend(placed)
         steps.append(
             StepRecord(frozenset(placed), frozenset(collected), Weight(best), count)
         )
-        live = list(compress(live, res))
-        wl = list(compress(wl, res))
-        res = [x for x in res if x]
 
     # each step's gain is the weight it collects, and the steps collect
     # disjoint sets: the monitors and every edge whose label lies in

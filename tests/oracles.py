@@ -40,7 +40,13 @@ which reads the same forest pieces as the code under test. span_search_exhaustiv
 its branch and bound and before it tried each distinct residual once
 per prefix: every position of every prefix read to the end; it pins
 span_search, and through it the solvers and the hardness decision, to
-the same value, subset and folded residuals. simple_pairs_by_list is
+the same value, subset and folded residuals. batches_by_lists is the
+batch loop as it was before a run of size-1 steps read one class table:
+each size-1 step built a coset dict and a gain list over every live
+residual (single_by_lists, span_search's old size-1 branch) and folded
+and filtered every one; it pins _batches, and through it greedy1, the
+size-1 step of greedy:<sigma>, exact at k = 1 and the budget refusals,
+to the same Solution and trace. simple_pairs_by_list is
 gen_random's simple draw as it was when it listed all C(n, 2) pairs,
 and pins the unranked draw to the same pairs for every seed.
 gen_random_simple_by_option_lists is gen_random(simple=True) as it was
@@ -54,12 +60,12 @@ and pins the unranked draw to the same graph for every seed.
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import combinations, compress
 from math import comb
 from typing import Callable, Iterable, Sequence
 
 from flowmon import solvers
-from flowmon.cutspace import fold_residual
+from flowmon.cutspace import fold_residual, span_search
 from flowmon.errors import CandidateBudgetError, ParseError, ValidationError, WeightOverflowError
 from flowmon.flowsim import InferenceResult, Measurements
 from flowmon.graph import (
@@ -641,6 +647,78 @@ def span_search_exhaustive(
         if folded_res[j]:
             folded_res = fold_residual(folded_res, folded_res[j])
     return best, best_pick, folded_res
+
+
+def single_by_lists(
+    residuals: Sequence[int], weights: Sequence[int]
+) -> tuple[int, tuple[int, ...], list[int]]:
+    """span_search's size-1 branch as it was before the class table: one
+    coset dict over every residual, a gain per position, the first
+    maximum, and every residual folded by the pick's."""
+    coset: dict[int, int] = {}
+    for x, wt in zip(residuals, weights):
+        coset[x] = coset.get(x, 0) + wt
+    val = coset.pop(0, 0)
+    if coset:
+        gains = [coset.get(x, 0) for x in residuals]
+        top = max(gains)
+        best, best_pick = val + top, (gains.index(top),)
+    else:
+        best, best_pick = val, (0,)
+    folded_res = list(residuals)
+    for j in best_pick:
+        if folded_res[j]:
+            folded_res = fold_residual(folded_res, folded_res[j])
+    return best, best_pick, folded_res
+
+
+def batches_by_lists(
+    ids: Sequence[int], labels: Sequence[int], weights: Sequence[int], cfg: SolverConfig
+) -> Solution:
+    """solvers._batches as it was before the class table: every step,
+    size 1 included, searches the live residuals (single_by_lists at
+    size 1) and filters the live ids, weights and residuals."""
+    k = cfg.k
+    sigma = k if k >= len(ids) else cfg.sigma
+    live, wl = list(ids), list(weights)
+    res = labels
+    monitors: list[int] = []
+    determined: list[int] = []
+    steps: list[StepRecord] = []
+    evals_used = 0
+
+    while live and len(monitors) < k:
+        sp = min(sigma, k - len(monitors))
+        if len(live) <= sp:
+            monitors.extend(live)
+            taken = frozenset(live)
+            steps.append(StepRecord(taken, taken, Weight(sum(wl)), 0))
+            break
+        count = comb(len(live), sp)
+        if evals_used + count > solvers.GREEDY_DEFAULT_BUDGET:
+            raise CandidateBudgetError(
+                f"step {len(steps) + 1} needs {count} candidate evaluations;"
+                f" budget {solvers.GREEDY_DEFAULT_BUDGET} exhausted"
+            )
+        evals_used += count
+        if sp == 1:
+            best, pick, res = single_by_lists(res, wl)
+        else:
+            best, pick, res = span_search(res, wl, sp, sum(wl))
+        placed = [live[j] for j in pick]
+        collected = [e for e, x in zip(live, res) if not x]
+        determined.extend(collected)
+        monitors.extend(placed)
+        steps.append(
+            StepRecord(frozenset(placed), frozenset(collected), Weight(best), count)
+        )
+        live = list(compress(live, res))
+        wl = list(compress(wl, res))
+        res = [x for x in res if x]
+
+    mon = frozenset(monitors)
+    gain = Weight(sum(s.step_gain.micros for s in steps))
+    return Solution(mon, frozenset(determined) - mon, gain, GreedyTrace(tuple(steps)))
 
 
 def simple_pairs_by_list(n: int, m: int, seed: int) -> list[tuple[int, int]]:

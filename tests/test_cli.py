@@ -18,7 +18,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import flowmon
-from flowmon import cli, generators, hardness, textio
+from flowmon import cli, generators, hardness, solvers, textio
 from flowmon import graph as graph_mod
 from flowmon.cli import main
 from flowmon.flowsim import measure, random_circulation
@@ -27,6 +27,8 @@ from flowmon.kernel import kernel_graph
 from flowmon.reduce import preprocess
 from flowmon.textio import format_graph, format_readings, parse_graph
 from flowmon.weights import MAX_MICROS, Weight
+
+import oracles
 
 
 def run_cli(*argv) -> tuple[int, str]:
@@ -222,6 +224,21 @@ def test_size_guard_exit_code(tmp_path):
     run_cli("gen", "ladder", "-n", "30", "-o", str(path))
     code, _ = run_cli("exact", "-k", "9", str(path))
     assert code == 3
+
+
+def test_greedy1_budget_refusal_exit_code(tmp_path, monkeypatch, capsys):
+    # refused at the same step, with the same text, as the list-step
+    # reference of the batch loop
+    monkeypatch.setattr(solvers, "GREEDY_DEFAULT_BUDGET", 1200)
+    path = tmp_path / "circ.graph"
+    path.write_text(format_graph(generators.gen_circulant(250)))
+    argv = ("solve", "--algo", "greedy1", "-k", "125", str(path))
+    assert run_cli(*argv) == (3, "")
+    err = capsys.readouterr().err
+    assert "step 3 needs 498 candidate evaluations; budget 1200 exhausted" in err
+    monkeypatch.setattr(solvers, "_batches", oracles.batches_by_lists)
+    assert run_cli(*argv) == (3, "")
+    assert capsys.readouterr().err == err
 
 
 def test_validation_error_exit_code(tmp_path):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from flowmon import cutspace
 from flowmon import graph as graph_mod
-from flowmon.cutspace import cut_labels, fold_residual, span_search
+from flowmon.cutspace import class_table, cut_labels, fold_residual, span_search, take_class
 from flowmon.errors import ValidationError, WeightOverflowError
 from flowmon.flowsim import infer
 from flowmon.graph import (
@@ -37,6 +37,7 @@ from oracles import (
     kernel_labels_by_stages,
     label_span,
     search_forest_by_iterators,
+    single_by_lists,
     span_search_exhaustive,
     two_cut_classes_by_pairs,
 )
@@ -420,7 +421,8 @@ def _subset_value(res, wts, p):
 def test_span_search_is_the_first_best_subset(items, data):
     res = [x for x, _ in items]
     wts = [wt for _, wt in items]
-    size = data.draw(st.integers(0, len(res)))
+    # a size-1 step reads the class table (see the tests below)
+    size = data.draw(st.integers(0, len(res)).filter(lambda s: s != 1))
     first_best = (-1, ())
     for p in combinations(range(len(res)), size):
         val = _subset_value(res, wts, p)
@@ -449,7 +451,7 @@ def test_span_search_matches_the_exhaustive_search(items, data):
     # ties everywhere, so equal bounds and equal subsets both occur
     res = [x for x, _ in items]
     wts = [wt for _, wt in items]
-    size = data.draw(st.integers(0, len(res)))
+    size = data.draw(st.integers(0, len(res)).filter(lambda s: s != 1))
     best = span_search_exhaustive(res, wts, size, sum(wts) + 1)[0]
     stop = data.draw(st.sampled_from([best - 1, best, best + 1, 0, sum(wts) + 1]))
     assert span_search(res, wts, size, stop) == span_search_exhaustive(res, wts, size, stop)
@@ -482,10 +484,73 @@ def test_span_search_matches_the_exhaustive_search_on_repeated_residuals(items, 
     # repeat a residual an earlier position of the same prefix tried
     res = [x for x, _ in items]
     wts = [wt for _, wt in items]
-    size = data.draw(st.integers(0, len(res)))
+    size = data.draw(st.integers(0, len(res)).filter(lambda s: s != 1))
     best = span_search_exhaustive(res, wts, size, sum(wts) + 1)[0]
     stop = data.draw(st.sampled_from([best - 1, best, best + 1, 0, sum(wts) + 1]))
     assert span_search(res, wts, size, stop) == span_search_exhaustive(res, wts, size, stop)
+
+
+@pytest.mark.differential
+@given(st.lists(st.tuples(st.integers(0, 31), st.integers(0, 4)), min_size=1, max_size=9))
+def test_class_table_takes_the_first_best_position(items):
+    res = [x for x, _ in items]
+    wts = [wt for _, wt in items]
+    first_best = max((_subset_value(res, wts, (j,)), -j) for j in range(len(res)))
+    best, j, taken = take_class(*class_table(res, wts))
+    assert (best, -j) == first_best
+    span = label_span([res[j]])
+    assert sorted(taken) == [i for i, x in enumerate(res) if x in span]
+
+
+@pytest.mark.differential
+@settings(max_examples=300)
+@given(
+    st.lists(st.integers(1, 63), min_size=1, max_size=5).flatmap(
+        lambda pool: st.lists(
+            st.tuples(st.sampled_from([0, *pool]), st.integers(0, 2)), min_size=1, max_size=16
+        )
+    )
+)
+def test_class_table_steps_match_the_list_steps(items):
+    # few distinct residuals, zeros and weights 0..2: classes tie, the zero
+    # class ties with them at 0, and folds merge classes
+    res = [x for x, _ in items]
+    wts = [wt for _, wt in items]
+    table, zero = class_table(res, wts)
+    live = list(range(len(res)))
+    while live:
+        best, (pick,), res = single_by_lists(res, wts)
+        value, j, taken = take_class(table, zero)
+        assert (value, j) == (best, live[pick])
+        assert sorted(taken) == [i for i, x in zip(live, res) if not x]
+        zero = 0
+        live, wts = [i for i, x in zip(live, res) if x], [wt for wt, x in zip(wts, res) if x]
+        res = [x for x in res if x]
+        # the folded table is the one the live folded residuals build, at
+        # their original positions
+        rebuilt, rebuilt_zero = class_table(res, wts)
+        assert rebuilt_zero == 0
+        assert {
+            y: [w, -live[-f], sorted(live[i] for i in members), y]
+            for y, (w, f, members, _) in rebuilt.items()
+        } == {y: [w, f, sorted(members), key] for y, (w, f, members, key) in table.items()}
+
+
+def test_class_table_zero_class_ties_at_zero():
+    # position 0 is a bridge (residual 0) and every class weighs 0: the
+    # first position wins, as the first maximum of the gain list does,
+    # and only the zero class is collected
+    res, wts = [0, 3, 0, 3, 5], [4, 0, 2, 0, 0]
+    table, zero = class_table(res, wts)
+    assert zero == 6 and take_class(table, zero) == (6, 0, [0, 2])
+    assert sorted(table) == [3, 5]
+    # a heavier class takes the zero class with it, and the class 6
+    # carries 3's pivot bit, so it folds to 6 ^ 3 = 5
+    res, wts = [3, 0, 3, 6], [1, 4, 1, 1]
+    table, zero = class_table(res, wts)
+    best, j, taken = take_class(table, zero)
+    assert (best, j, sorted(taken)) == (6, 0, [0, 1, 2])
+    assert table == {5: [1, -3, [3], 5]}
 
 
 def _caps_by_subsets(coset, val, need):

@@ -1,3 +1,4 @@
+import random
 from math import comb
 from unittest import mock
 
@@ -6,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowmon import solvers
+from flowmon.cutspace import class_table, cut_labels, take_class
 from flowmon.errors import CandidateBudgetError, FlowmonError, SizeGuardError
 from flowmon.generators import (
     gen_circulant,
@@ -28,6 +30,7 @@ from flowmon.weights import Weight
 
 from conftest import greedy, multigraphs, record_graph_calls
 from oracles import (
+    batches_by_lists,
     exact_by_traversal,
     exact_reference,
     greedy_reference,
@@ -319,6 +322,107 @@ def test_exact_dominates_heuristics(g, k):
     opt = exact(g, k).gain
     assert opt >= greedy1(g, k).gain
     assert opt >= greedy2(g, k).gain
+
+
+def _by_lists(run):
+    """run() with the batch loop replaced by its list-step reference."""
+    with mock.patch.object(solvers, "_batches", batches_by_lists):
+        return run()
+
+
+def _tangled_multigraph(seed: int, core: int = 60, pendant: int = 90) -> Graph:
+    """Weights 0..2 on random edges over `core` vertices, 16/3 per vertex,
+    then parallels of some of them and loops, and pendant trees on
+    `pendant` more vertices, whose edges are bridges: about 500 edges at
+    the defaults."""
+    rng = random.Random(seed)
+    m = 16 * core // 3
+    edges = [(rng.randrange(core), rng.randrange(core), rng.randint(0, 2)) for _ in range(m)]
+    edges += [edges[rng.randrange(m)] for _ in range(5 * core // 6)]
+    edges += [(v, v, rng.randint(0, 2)) for v in rng.sample(range(core), core // 3)]
+    edges += [(v, rng.randrange(v), rng.randint(0, 2)) for v in range(core, core + pendant)]
+    rng.shuffle(edges)
+    return Graph.build(core + pendant, edges)
+
+
+def test_greedy1_matches_the_list_steps_on_a_circulant():
+    g = gen_circulant(250)
+    k = len(g.weights_micros) // 4
+    for run in (
+        lambda: sigma_greedy(g, SolverConfig(k=k)),
+        lambda: solve_pipeline(g, k, "greedy1"),
+    ):
+        sol = run()
+        assert len(sol.trace.steps) == k
+        assert sol == _by_lists(run)
+
+
+def test_greedy1_matches_the_list_steps_on_a_tangled_multigraph():
+    g = _tangled_multigraph(30)
+    m = len(g.weights_micros)
+    # the table's steps merge classes many times on this graph: every
+    # class leaves either as a pick, as the zero class or by a merge
+    table, zero = class_table(cut_labels(g), g.weights_micros)
+    classes, steps = len(table), 0
+    while table:
+        take_class(table, zero)
+        zero, steps = 0, steps + 1
+    assert classes - steps - 1 >= 50  # 59 merges
+    runs = [lambda: exact(g, 1)]
+    for k in (m // 8, m // 4, m - 1):
+        runs += [
+            lambda k=k: sigma_greedy(g, SolverConfig(k=k)),
+            lambda k=k: solve_pipeline(g, k, "greedy1"),
+        ]
+    for run in runs:
+        assert run() == _by_lists(run)
+
+
+@pytest.mark.parametrize(
+    "g", [gen_circulant(20), _tangled_multigraph(4, core=9, pendant=8)], ids=["circ", "tangled"]
+)
+def test_a_size_three_batch_then_a_size_one_step_match_the_list_steps(g):
+    for run in (
+        lambda: sigma_greedy(g, SolverConfig(k=4, sigma=3)),
+        lambda: solve_pipeline(g, 4, "greedy:3"),
+    ):
+        sol = run()
+        assert [len(s.monitors_placed) for s in sol.trace.steps] == [3, 1]
+        assert sol == _by_lists(run)
+
+
+@pytest.mark.differential
+@settings(max_examples=150)
+@given(multigraphs(max_n=7, max_m=13, min_w=0, max_w=2), st.integers(1, 6), st.integers(1, 3))
+def test_batches_match_the_list_steps(g, k, sigma):
+    # weights 0..2 and loops tie classes, the zero class among them
+    runs = [
+        lambda: sigma_greedy(g, SolverConfig(k=k, sigma=sigma)),
+        lambda: solve_pipeline(g, k, f"greedy:{sigma}"),
+        lambda: exact(g, 1),
+    ]
+    for run in runs:
+        assert run() == _by_lists(run)
+
+
+def test_greedy1_budget_refusal_matches_the_list_steps(monkeypatch):
+    # 500, 499 and 498 live edges: the third step passes 1,200
+    monkeypatch.setattr(solvers, "GREEDY_DEFAULT_BUDGET", 1200)
+    g = gen_circulant(250)
+    run = lambda: sigma_greedy(g, SolverConfig(k=125))
+    with pytest.raises(CandidateBudgetError) as got:
+        run()
+    with pytest.raises(CandidateBudgetError) as want:
+        _by_lists(run)
+    assert str(got.value) == str(want.value)
+    assert str(got.value) == "step 3 needs 498 candidate evaluations; budget 1200 exhausted"
+
+
+def test_pair_reads_do_not_count_size_one_steps(search_counts):
+    g = gen_circulant(20)
+    run = lambda: sigma_greedy(g, SolverConfig(k=8))
+    assert run() == _by_lists(run)
+    assert search_counts["cutspace", "pair reads"] == search_counts["oracles", "pair reads"] == 0
 
 
 def test_candidate_budget_guard():

@@ -109,8 +109,8 @@ def fold_residual(residuals: Sequence[int], r: int) -> list[int]:
     """
     if not r:
         return list(residuals)
-    b = r.bit_length() - 1
-    return [x ^ r if x >> b & 1 else x for x in residuals]
+    pivot = 1 << r.bit_length() - 1
+    return [x ^ r if x & pivot else x for x in residuals]
 
 
 def class_table(residuals: Sequence[int], weights: Sequence[int]) -> tuple[dict[int, list], int]:
@@ -287,10 +287,10 @@ def span_search(
             best, best_pick = val + top, (*picks, j, j + 1 + gains.index(top))
         else:
             if r:
-                b = r.bit_length() - 1
+                pivot = 1 << r.bit_length() - 1
                 folded: dict[int, int] = {}
                 for y, wt in coset.items():
-                    if y >> b & 1:
+                    if y & pivot:
                         y ^= r
                     folded[y] = folded.get(y, 0) + wt
                 coset = folded

@@ -16,6 +16,10 @@ the net monitor inflow of every subtree, and one root-to-leaf pass
 carrying each tree's total, read every bridge's flow off the side
 holding its stored tail. The whole inference is linear in the size of
 the graph.
+
+infer is the one place that rule is written: random_circulation draws
+the flows of the edges outside a spanning forest and takes every forest
+edge's flow from infer, with the drawn edges as the monitors.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import random
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import FlowmonError, ValidationError
-from .graph import Graph, kernel_labels, search_forest, spanning_forest
+from .graph import Graph, kernel_labels, spanning_forest
 
 Measurements = Mapping[int, int]
 
@@ -50,38 +54,22 @@ def conservation_violations(g: Graph, flow: Sequence[int]) -> list[int]:
 
 def random_circulation(g: Graph, seed: int, flow_range: int = 100) -> tuple[int, ...]:
     """Seeded circulation, one flow per edge, flow[e] running from
-    g.us[e] to g.vs[e] (its negation the other way): every
-    non-forest edge (loops included) draws a uniform integer in [-R, R];
-    forest edges are then forced leaf-inward so conservation holds."""
+    g.us[e] to g.vs[e] (its negation the other way): every edge outside
+    spanning_forest(g) (loops included) draws a uniform integer in
+    [-R, R], in id order. Those edges determine every forest edge, each a
+    bridge of what is left, so infer forces the forest flows from them.
+    The conservation check does not read infer: a tuple that passes it
+    is the one circulation with the drawn flows."""
     if flow_range < 1:
         raise ValidationError("flow_range must be positive")
     rng = random.Random(seed)
     forest = spanning_forest(g)
-    us, vs = g.us, g.vs
-    flow = [0] * len(us)
-    free = bytearray(len(us))
-    resid = [0] * g.vertex_count  # net inflow from the free edges
-    for eid, u, v in zip(range(len(us)), us, vs):
-        if eid in forest:
-            continue
-        f = rng.randint(-flow_range, flow_range)
-        flow[eid] = f
-        free[eid] = 1
-        resid[v] += f
-        resid[u] -= f
-
-    # forest edges are forced leaf-inward: the flow into the subtree
-    # hanging below an edge must cancel that subtree's residual
-    order, entry = search_forest(g, free)
-    for v in reversed(order):
-        eid = entry[v]
-        if eid >= 0:
-            x, y = us[eid], vs[eid]
-            flow[eid] = -resid[v] if y == v else resid[v]
-            resid[x + y - v] += resid[v]
+    drawn = {e: rng.randint(-flow_range, flow_range) for e in range(len(g.us)) if e not in forest}
+    forced = infer(g, drawn, drawn).determined
+    flow = tuple(forced[e] for e in range(len(g.us)))
     if conservation_violations(g, flow):
         raise FlowmonError("random circulation violates conservation")
-    return tuple(flow)
+    return flow
 
 
 def measure(flow: Sequence[int], monitors: Iterable[int]) -> dict[int, int]:

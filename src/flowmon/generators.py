@@ -166,13 +166,11 @@ def gen_random(
                     raise ValidationError(f"min_degree needs more than {MAX_EDGES} edges")
                 if simple:
                     # the k-th vertex, in index order, that is neither v
-                    # nor a neighbour: randrange(count) makes the draw that
-                    # rng.choice would make from the list of them
+                    # nor a neighbour; there are n - 1 - degree[v] >= 1 of
+                    # them, as min_degree <= n - 1, and randrange over that
+                    # count makes the draw rng.choice would make from them
                     taken = neighbours.setdefault(v, [])
-                    count = n - 1 - len(taken)
-                    if count <= 0:
-                        raise ValidationError(f"cannot reach min_degree at vertex {v}")
-                    u = rng.randrange(count)
+                    u = rng.randrange(n - 1 - len(taken))
                     for x in sorted([v, *taken]):
                         if x > u:
                             break

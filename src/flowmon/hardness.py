@@ -23,8 +23,8 @@ from typing import Iterable, Iterator, NamedTuple
 from .cutspace import class_table, cut_labels, span_search, take_class
 from .errors import Checked, SizeGuardError, ValidationError
 from .generators import random_connected_multigraph
-from .graph import Graph, component_count, contract, spanning_forest
-from .solvers import _check_exact_size
+from .graph import Graph, component_count, contract
+from .solvers import _check_exact_size, full_determination
 
 CLIQUE_MAX_COMBOS = 5_000_000
 # the partitions of 1..40 (215,307) take 2.5-2.8 s through lemma1_check
@@ -151,15 +151,14 @@ def has_clique(g: Graph, q: int) -> bool:
 
 def forward_witness(g: Graph, q: int, clique: Iterable[int]) -> frozenset[int]:
     """Constructive monitor set from a clique: contract the clique to one
-    vertex, take a spanning tree of the contraction, and monitor every
-    contracted-graph edge outside the tree. Leaves the tree edges as
-    bridges of G - M."""
+    vertex and monitor the contraction's full_determination set, every
+    edge outside its spanning forest, in G's ids. Leaves the forest edges
+    as bridges of G - M."""
     cl = frozenset(clique)
     merged = min(cl)
     vmap = [merged if v in cl else v for v in range(g.vertex_count)]
     outside = [e for e, u, v in zip(count(), g.us, g.vs) if not (u in cl and v in cl)]
-    tree = spanning_forest(contract(g, vmap, outside))
-    return frozenset(e for i, e in enumerate(outside) if i not in tree)
+    return frozenset(map(outside.__getitem__, full_determination(contract(g, vmap, outside))))
 
 
 def partitions(n: int, s: int) -> Iterator[tuple[int, ...]]:

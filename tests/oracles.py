@@ -19,7 +19,11 @@ decide_by_traversal likewise pins the label-counting decision, and label_span (t
 an explicit set) is the reference for the folded residuals. Likewise
 infer_by_traversal is inference as it was before the forest
 passes: one reachable_from traversal per bridge of G - M, pinning infer
-to the same values, verdicts and violation lists. preprocess_by_stages
+to the same values, verdicts and violation lists.
+random_circulation_by_forest_pass is random_circulation as it was when
+it forced the forest edges itself, by one leaf-inward pass over a
+masked search_forest, instead of asking infer; it pins
+random_circulation to the same flows. preprocess_by_stages
 is preprocessing as it was before its single label pass: strip_bridges,
 merge_components and the old contract_groups body, each building its own
 graph, with the three maps composed; it pins preprocess's reduced graph
@@ -66,14 +70,22 @@ from typing import Callable, Iterable, Sequence
 
 from flowmon import solvers
 from flowmon.cutspace import fold_residual, span_search
-from flowmon.errors import CandidateBudgetError, ParseError, ValidationError, WeightOverflowError
-from flowmon.flowsim import InferenceResult, Measurements
+from flowmon.errors import (
+    CandidateBudgetError,
+    FlowmonError,
+    ParseError,
+    ValidationError,
+    WeightOverflowError,
+)
+from flowmon.flowsim import InferenceResult, Measurements, conservation_violations
 from flowmon.graph import (
     EdgeRecord,
     Graph,
     bridge_ids,
     make_mask,
     reachable_from,
+    search_forest,
+    spanning_forest,
 )
 from flowmon.hardness import DecInstance
 from flowmon.reduce import (
@@ -419,6 +431,42 @@ def infer_by_traversal(g: Graph, monitors: Iterable[int], readings: Measurements
         if net[c] != 0
     )
     return InferenceResult(determined, undetermined, not violations, violations)
+
+
+def random_circulation_by_forest_pass(g: Graph, seed: int, flow_range: int = 100) -> tuple[int, ...]:
+    """Seeded circulation, one flow per edge, flow[e] running from
+    g.us[e] to g.vs[e] (its negation the other way): every
+    non-forest edge (loops included) draws a uniform integer in [-R, R];
+    forest edges are then forced leaf-inward so conservation holds."""
+    if flow_range < 1:
+        raise ValidationError("flow_range must be positive")
+    rng = random.Random(seed)
+    forest = spanning_forest(g)
+    us, vs = g.us, g.vs
+    flow = [0] * len(us)
+    free = bytearray(len(us))
+    resid = [0] * g.vertex_count  # net inflow from the free edges
+    for eid, u, v in zip(range(len(us)), us, vs):
+        if eid in forest:
+            continue
+        f = rng.randint(-flow_range, flow_range)
+        flow[eid] = f
+        free[eid] = 1
+        resid[v] += f
+        resid[u] -= f
+
+    # forest edges are forced leaf-inward: the flow into the subtree
+    # hanging below an edge must cancel that subtree's residual
+    order, entry = search_forest(g, free)
+    for v in reversed(order):
+        eid = entry[v]
+        if eid >= 0:
+            x, y = us[eid], vs[eid]
+            flow[eid] = -resid[v] if y == v else resid[v]
+            resid[x + y - v] += resid[v]
+    if conservation_violations(g, flow):
+        raise FlowmonError("random circulation violates conservation")
+    return tuple(flow)
 
 
 def _contract_groups_by_components(g: Graph) -> tuple[Graph, ReductionMap]:

@@ -219,6 +219,14 @@ def test_parse_error_exit_code(tmp_path):
     assert code == 2
 
 
+def test_non_integer_endpoint_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.graph"
+    bad.write_text("p flowmon 2 1\ne x 1 1\n")
+    code, out = run_cli("solve", "--algo", "greedy1", "-k", "1", str(bad))
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == "error: line 2: non-integer endpoint\n"
+
+
 def test_size_guard_exit_code(tmp_path):
     path = tmp_path / "big.graph"
     run_cli("gen", "ladder", "-n", "30", "-o", str(path))

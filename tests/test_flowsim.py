@@ -1,7 +1,7 @@
 import hashlib
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowmon import graph as graph_mod
@@ -17,7 +17,7 @@ from flowmon.graph import Graph, gain, make_mask, bridge_ids, component_labels, 
 from flowmon.solvers import full_determination
 
 from conftest import multigraphs
-from oracles import infer_by_traversal
+from oracles import infer_by_traversal, random_circulation_by_forest_pass
 
 TRIANGLE = Graph.build(3, [(0, 1), (1, 2), (0, 2)])
 
@@ -77,6 +77,20 @@ def test_random_circulation_flows_are_pinned():
     assert digest.hexdigest() == (
         "ca1a275165fdbec68ba20e1794aba3dce9359120f13a8e404cc75d853aee8b93"
     )
+
+
+@pytest.mark.differential
+@settings(max_examples=200)
+@given(multigraphs(max_n=9, max_m=14), st.integers(0, 2**32), st.integers(1, 100))
+@example(Graph.build(0, []), 0, 1)
+@example(Graph.build(4, []), 1, 1)
+# a loop, parallel edges both ways, two components and an isolated vertex
+@example(Graph.build(6, [(0, 0), (0, 1), (1, 0), (1, 2), (2, 0), (3, 4), (4, 3), (4, 4)]), 7, 1)
+def test_random_circulation_matches_the_forest_pass(g, seed, flow_range):
+    # infer forces, from the drawn edges, the flows the reference's
+    # leaf-inward pass over the spanning forest solves for
+    want = random_circulation_by_forest_pass(g, seed, flow_range)
+    assert random_circulation(g, seed, flow_range) == want
 
 
 def test_random_circulation_deterministic():

@@ -46,6 +46,9 @@ def test_parse_empty_graph():
         ("p flowmon 2 1\ne 0 1 99999999999999\n", "line 2"),
         ("p flowmon 2 3\ne 0 1 9000000000000\ne 1 0 9000000000000\n"
          "e 0 1 9000000000000\n", "line 3: total weight exceeds"),
+        # canonical-shaped, so the fast path hands it to the line loop
+        ("p flowmon 2 1\ne x 1 1\n", "line 2: non-integer endpoint"),
+        ("c note\np flowmon 2 2\ne 0 1 1\ne 1 x 1\n", "line 4: non-integer endpoint"),
     ],
 )
 def test_parse_errors_name_the_line(text, fragment):

@@ -19,6 +19,7 @@ paused as the CLI pauses it:
     solve          solvers.solve_pipeline(g, 8, "greedy1")
     solve_k=m/8    solvers.solve_pipeline(g, m // 8, "greedy1"), the greedy1 k-ladder
     solve_k=m/4    solvers.solve_pipeline(g, m // 4, "greedy1")
+    solve_greedy2  solvers.solve_pipeline(g, 6, "greedy2"), the pair greedy
 
 Every stage but parse runs on a graph parsed just before it, untimed, so
 each pays what a command pays after parsing: work a graph defers to its
@@ -95,6 +96,7 @@ STAGES = {
     "solve": lambda text, g, mon, readings: solvers.solve_pipeline(g, 8, "greedy1"),
     "solve_k=m/8": lambda text, g, mon, readings: solvers.solve_pipeline(g, len(g.us) // 8, "greedy1"),
     "solve_k=m/4": lambda text, g, mon, readings: solvers.solve_pipeline(g, len(g.us) // 4, "greedy1"),
+    "solve_greedy2": lambda text, g, mon, readings: solvers.solve_pipeline(g, 6, "greedy2"),
 }
 
 

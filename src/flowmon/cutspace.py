@@ -13,19 +13,25 @@ with a masked traversal per candidate. span_search takes every batch
 of two or more picks (sigma_greedy's, exact's and the hardness
 decision's): one search over label residuals folded incrementally, a
 branch and bound (Land & Doig, 1960) whose answer is the one the full
-enumeration gives. A run of single picks (every greedy1 step, the last
-step of greedy:<sigma> when k mod sigma is 1, exact and the decision at
-k = 1) reads one class table instead, kept across its steps: each step
-takes the heaviest class with one maximum and folds only the classes
-that carry its pivot bit (class_table, take_class).
+enumeration gives. A batch of two reads the classes of equal residuals
+first (_best_pair): a pair is worth its two classes and their XOR's,
+so its best value comes from the two heaviest classes and the
+triangles, three classes that XOR to 0 (on the labels, the 3-edge cuts
+of the live graph; see triangles), and only the rows of pairs that can
+reach that value are read. A run of single picks (every greedy1 step,
+the last step of greedy:<sigma> when k mod sigma is 1, exact and the
+decision at k = 1) reads one class table instead, kept across its
+steps: each step takes the heaviest class with one maximum and folds
+only the classes that carry its pivot bit (class_table, take_class).
 """
 
 from __future__ import annotations
 
-from itertools import compress
-from operator import itemgetter, not_
+from itertools import combinations, compress, starmap
+from operator import itemgetter, not_, xor
 from typing import NamedTuple, Sequence
 
+from .errors import FlowmonError
 from .graph import Graph, search_forest
 
 
@@ -196,6 +202,113 @@ def _caps(coset: dict[int, int], val: int, need: int, total: int) -> tuple[int, 
     return val + sum(top), val + sum(top[: 2 * half]), val + sum(top[:half])
 
 
+def triangles(table: dict[int, int]) -> list[tuple[int, int, int]]:
+    """Every triangle of a table keyed by distinct nonzero residuals:
+    three keys a, b, c = a ^ b, each triangle once, a and b the two keys
+    with the triangle's lowest set bit.
+
+    Three nonzero keys that XOR to 0 have that bit set in an even number
+    of them, and in at least one, so in exactly two; both have it as
+    their lowest set bit, and their XOR, the third key, has a higher
+    one. So only keys with the same lowest set bit are paired, each pair
+    is tested once by looking its XOR up, and no triangle is missed or
+    found twice. On cut labels a triangle is a 3-edge cut of the live
+    graph.
+    """
+    by_low: dict[int, list[int]] = {}
+    for x in table:
+        by_low.setdefault(x & -x, []).append(x)
+    pairs: list[tuple[int, int]] = []
+    for keys in by_low.values():
+        if len(keys) > 1:
+            hits = map(table.__contains__, starmap(xor, combinations(keys, 2)))
+            pairs += compress(combinations(keys, 2), hits)
+    return [(a, b, a ^ b) for a, b in pairs]
+
+
+def _pair_bounds(
+    coset: dict[int, int], val: int, stop: int
+) -> tuple[int, int, int, dict[int, int]]:
+    """What _best_pair reads off the classes: the value it must reach,
+    min(V, stop), the two heaviest class weights (0 for a missing one)
+    and, for each class r, the heaviest coset[z] + coset[z ^ r] over
+    r's triangles, kept only for triangles worth the target."""
+    heavy, second, *_ = sorted(coset.values(), reverse=True) + [0]
+    found = triangles(coset)
+    worth = [coset[a] + coset[b] + coset[c] for a, b, c in found]
+    target = min(val + max(heavy + second, max(worth, default=0)), stop)
+    through: dict[int, int] = {}
+    for tri, total in zip(found, worth):
+        if val + total >= target:
+            for x in tri:
+                if total - coset[x] > through.get(x, 0):
+                    through[x] = total - coset[x]
+    return target, heavy, second, through
+
+
+def _best_pair(
+    residuals: Sequence[int], coset: dict[int, int], val: int, stop: int
+) -> tuple[int, tuple[int, int]]:
+    """span_search at size 2 on a nonempty table `coset` of the nonzero
+    residuals' summed weights, the zero residuals weighing val: the
+    value and pair that one row per distinct residual returns, read off
+    the classes, with a row read only where it can be the answer.
+
+    The row of the first position j of a residual r pairs j with every
+    later position z: z adds coset[z] + coset[z ^ r] if r is nonzero and
+    z is neither 0 nor r, coset[z] if r is 0, else nothing; its value is
+    val, plus coset[r] for a nonzero r, plus the first maximum over z.
+    Walking those rows in order, keeping a row worth strictly more than
+    every earlier one and stopping at the first kept row that reaches
+    stop, returns the first row whose value reaches min(V, stop), V the
+    best pair value: every earlier row is worth less, so that row is
+    kept, and either it reaches stop or it is worth V, which no later
+    row beats. The row of the best pair's first position reaches V, so
+    such a row exists.
+
+    V is read off the classes (_pair_bounds). A pair of distinct nonzero
+    classes A, B is worth val + coset[A] + coset[B] + coset[A ^ B], and
+    A ^ B is a class exactly when A, B, A ^ B form a triangle (see
+    triangles); any other pair is worth at most val plus one class. So
+    V is val plus the larger of the two heaviest weights' sum (their
+    XOR's weight, if a class, makes a triangle) and the heaviest
+    triangle, and every class has a position, so V is reached. A row
+    bounds by class too: r's row is worth at most val + coset[r] plus
+    the heaviest other class or the heaviest pair completing a triangle
+    with r, whichever is more, and the zero row at most val plus the
+    heaviest class. A triangle worth less than the target lifts no row's
+    bound to it, so only the others are kept. A row whose bound falls
+    short of min(V, stop) cannot be the answer and is not read; the
+    first row read that reaches it is.
+    """
+    target, heavy, second, through = _pair_bounds(coset, val, stop)
+    tried = set()
+    for j in range(len(residuals) - 1):
+        r = residuals[j]
+        if r in tried:
+            continue
+        tried.add(r)
+        if r:
+            row = val + coset[r]
+            other = second if coset[r] == heavy else heavy
+            pair = through.get(r, 0)
+            if row + (pair if pair > other else other) < target:
+                continue
+            gains = [
+                coset.get(z, 0) + coset.get(z ^ r, 0) if z and z != r else 0
+                for z in residuals[j + 1:]
+            ]
+        else:
+            row = val
+            if row + heavy < target:
+                continue
+            gains = [coset.get(z, 0) for z in residuals[j + 1:]]
+        gain = max(gains)
+        if row + gain >= target:
+            return row + gain, (j, j + 1 + gains.index(gain))
+    raise FlowmonError(f"no pair of {len(residuals)} residuals reaches {target}")
+
+
 def span_search(
     residuals: Sequence[int], weights: Sequence[int], size: int, stop: int
 ) -> tuple[int, tuple[int, ...], list[int]]:
@@ -206,7 +319,10 @@ def span_search(
     subset and the residuals folded modulo its span (the positions it
     collects read 0). The search ends at the first value that reaches
     `stop`; needs size <= len(residuals), size != 1 and weights >= 0: a
-    size-1 step reads a class_table instead (take_class).
+    size-1 step reads a class_table instead (take_class). Size 2 reads
+    the table's classes and triangles, then only the rows of pairs that
+    can reach the best value (_best_pair); the rest of this describes
+    the larger sizes, whose last two picks still read a row each.
 
     Depth-first over prefixes with an explicit stack, so any size is
     fine. Each prefix keeps the residuals after its last position folded
@@ -246,6 +362,9 @@ def span_search(
     val = coset.pop(0, 0)
     if not size or not coset:
         best, best_pick, frames = val, (*range(size),), []
+    elif size == 2:
+        best, best_pick = _best_pair(residuals, coset, val, stop)
+        frames = []
     else:
         best, best_pick = -1, ()
         total = sum(weights)

@@ -12,7 +12,10 @@ lies in the span of the candidate's labels. Each batch of two or more
 is one cutspace.span_search, a branch and bound over the label
 residuals folded modulo each prefix's span, with no traversal per
 candidate; it returns the first best batch, as the full enumeration
-would, and its folded residuals are the next step's live labels. Once
+would, and its folded residuals are the next step's live labels. A
+batch of two (each greedy2 step) reads the live classes and their
+triangles (cutspace.triangles) for its best value, then only the rows
+of pairs that can reach it, not one row per live edge. Once
 a step places one monitor every later step does, and that run reads
 one cutspace.class_table, built when it starts: each step
 (cutspace.take_class) takes the first position of the heaviest class

@@ -77,19 +77,22 @@ def seeded_multigraph(seed: int, max_n=8, max_m=12, min_w=1, max_w=5) -> Graph:
 
 @pytest.fixture()
 def search_counts(monkeypatch):
-    """Pair reads and fold_residual calls made by cutspace.span_search and
-    by oracles.span_search_exhaustive, counted per (module, kind). With
-    size >= 2 both searches call max once per pair read, so a counting
-    max shadows the builtin in each module's globals; it counts only the
-    calls made from those two searches, not take_class's argmax over
-    its table or single_by_lists' over its gains."""
+    """Pair reads and fold_residual calls made by the searches of
+    cutspace (span_search, and _best_pair at size 2) and of oracles
+    (span_search_exhaustive and pair_by_rows), counted per (module,
+    kind). Each calls max once per row of pair reads, so a counting max
+    shadows the builtin in each module's globals; it counts only the
+    calls made from those functions, not take_class's argmax over its
+    table, single_by_lists' over its gains or _pair_bounds' over the
+    class weights."""
     counts = Counter()
     fold = cutspace.fold_residual
+    readers = ("span_search", "_best_pair", "pair_by_rows")
     for name, module in (("cutspace", cutspace), ("oracles", oracles)):
-        def counting_max(*args, name=name):
-            if sys._getframe(1).f_code.co_name.startswith("span_search"):
+        def counting_max(*args, name=name, **kwargs):
+            if sys._getframe(1).f_code.co_name.startswith(readers):
                 counts[name, "pair reads"] += 1
-            return max(*args)
+            return max(*args, **kwargs)
 
         def counting_fold(residuals, r, name=name):
             counts[name, "folds"] += 1

@@ -44,7 +44,15 @@ which reads the same forest pieces as the code under test. span_search_exhaustiv
 its branch and bound and before it tried each distinct residual once
 per prefix: every position of every prefix read to the end; it pins
 span_search, and through it the solvers and the hardness decision, to
-the same value, subset and folded residuals. batches_by_lists is the
+the same value, subset and folded residuals. pair_by_rows is
+span_search's size-2 search as it was before it read the classes and
+their triangles: one row of pair reads per distinct residual, each
+bounded only by the heaviest classes; span_search_by_rows routes every
+size-2 search to it and pins span_search, greedy2, the size-2 steps of
+greedy:<sigma>, exact at k = 2 and the decision at k = 2 to the same
+value, pair, Solution and trace. triangles_by_triples pins
+cutspace.triangles to every key triple that XORs to 0.
+batches_by_lists is the
 batch loop as it was before a run of size-1 steps read one class table:
 each size-1 step built a coset dict and a gain list over every live
 residual (single_by_lists, span_search's old size-1 branch) and folded
@@ -69,7 +77,7 @@ from math import comb
 from typing import Callable, Iterable, Sequence
 
 from flowmon import solvers
-from flowmon.cutspace import fold_residual, span_search
+from flowmon.cutspace import _caps, fold_residual, span_search
 from flowmon.errors import (
     CandidateBudgetError,
     FlowmonError,
@@ -695,6 +703,67 @@ def span_search_exhaustive(
         if folded_res[j]:
             folded_res = fold_residual(folded_res, folded_res[j])
     return best, best_pick, folded_res
+
+
+def pair_by_rows(
+    residuals: Sequence[int], weights: Sequence[int], stop: int
+) -> tuple[int, tuple[int, ...], list[int]]:
+    """span_search at size 2 as it was before it read the classes: one
+    row per distinct residual, in order, each read unless its _caps
+    bound cannot beat the best value so far, up to the first value that
+    reaches stop."""
+    n = len(residuals)
+    coset: dict[int, int] = {}
+    for x, wt in zip(residuals, weights):
+        coset[x] = coset.get(x, 0) + wt
+    val = coset.pop(0, 0)
+    if not coset:
+        best, best_pick = val, (0, 1)
+    else:
+        best, best_pick = -1, ()
+        _, pair, lone = _caps(coset, val, 2, sum(weights))
+        tried = set()
+        for j in range(n - 1):
+            r = residuals[j]
+            if r in tried:
+                continue
+            tried.add(r)
+            if (pair + coset[r] if r else lone) <= best:
+                continue
+            value = val
+            if r:
+                value += coset[r]
+                gains = [
+                    coset.get(z, 0) + coset.get(z ^ r, 0) if z and z != r else 0
+                    for z in residuals[j + 1:]
+                ]
+            else:
+                gains = [coset.get(z, 0) for z in residuals[j + 1:]]
+            top = max(gains)
+            if value + top <= best:
+                continue
+            best, best_pick = value + top, (j, j + 1 + gains.index(top))
+            if best >= stop:
+                break
+    folded_res = list(residuals)
+    for j in best_pick:
+        if folded_res[j]:
+            folded_res = fold_residual(folded_res, folded_res[j])
+    return best, best_pick, folded_res
+
+
+def span_search_by_rows(
+    residuals: Sequence[int], weights: Sequence[int], size: int, stop: int
+) -> tuple[int, tuple[int, ...], list[int]]:
+    """span_search with its size-2 searches read by pair_by_rows."""
+    if size == 2:
+        return pair_by_rows(residuals, weights, stop)
+    return span_search(residuals, weights, size, stop)
+
+
+def triangles_by_triples(table: dict[int, int]) -> set[frozenset[int]]:
+    """Every three keys of the table whose XOR is 0."""
+    return {frozenset(t) for t in combinations(table, 3) if t[0] ^ t[1] == t[2]}
 
 
 def single_by_lists(

@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 
 from flowmon import cutspace
 from flowmon import graph as graph_mod
-from flowmon.cutspace import class_table, cut_labels, fold_residual, span_search, take_class
+from flowmon.cutspace import (
+    class_table,
+    cut_labels,
+    fold_residual,
+    span_search,
+    take_class,
+    triangles,
+)
 from flowmon.errors import ValidationError, WeightOverflowError
 from flowmon.flowsim import infer
 from flowmon.graph import (
@@ -36,9 +43,11 @@ from oracles import (
     gain_micros_by_definition,
     kernel_labels_by_stages,
     label_span,
+    pair_by_rows,
     search_forest_by_iterators,
     single_by_lists,
     span_search_exhaustive,
+    triangles_by_triples,
     two_cut_classes_by_pairs,
 )
 
@@ -459,14 +468,81 @@ def test_span_search_matches_the_exhaustive_search(items, data):
 
 def test_span_search_keeps_the_first_of_tied_subsets(search_counts):
     # 6, 4 and 2 each lie in the span of the other two, so the pairs
-    # (0, 1), (0, 2) and (1, 2) all collect positions 0-2 and tie at 3.
-    # Once (0, 1) is read, the picks 4 and 2 are bounded by 0 + 1 + 1 + 1,
-    # which equals the best value, so their pair reads are skipped.
+    # (0, 1), (0, 2) and (1, 2) all collect positions 0-2 and tie at 3,
+    # the weight of the triangle 6, 4, 2. The row of 6 is bounded by
+    # 1 plus that triangle's other two, which reaches 3, and it is the
+    # first row read and the answer. pair_by_rows bounds the picks 4 and
+    # 2 by 0 + 1 + 1 + 1, which equals the best value, and skips them.
     res, wts = [6, 4, 2, 5], [1, 1, 1, 1]
     assert span_search(res, wts, 2, 5) == (3, (0, 1), [0, 0, 0, 1])
+    assert pair_by_rows(res, wts, 5) == (3, (0, 1), [0, 0, 0, 1])
     assert span_search_exhaustive(res, wts, 2, 5) == (3, (0, 1), [0, 0, 0, 1])
     assert search_counts["cutspace", "pair reads"] == 1
+    assert search_counts["oracles", "pair reads"] == 1 + 3
+
+
+def test_span_search_reads_only_the_rows_that_reach_the_best_pair(search_counts):
+    # the best pair, worth 3, sits in the triangle 4, 8, 12; the rows of 1
+    # and 2 are bounded by 1 + 1 < 3 and not read, so the row of 4 is the
+    # one read. pair_by_rows reads the rows of 1 and 2 first, each worth 2
+    res, wts = [1, 2, 4, 8, 12], [1] * 5
+    expected = (3, (2, 3), [1, 2, 0, 0, 0])
+    assert span_search(res, wts, 2, 5) == expected
+    assert search_counts["cutspace", "pair reads"] == 1
+    assert pair_by_rows(res, wts, 5) == expected
     assert search_counts["oracles", "pair reads"] == 3
+    # a stop of 2 is reached by the first row, whatever reads it
+    assert span_search(res, wts, 2, 2) == pair_by_rows(res, wts, 2) == (2, (0, 1), [0, 0, 4, 8, 12])
+    # the heaviest class, 8, is worth 3 with any other, less than the
+    # triangle 1, 2, 3, worth 6, so its row is not read either
+    search_counts.clear()
+    res, wts = [8, 1, 2, 3], [3, 2, 2, 2]
+    expected = (6, (1, 2), [8, 0, 0, 0])
+    assert span_search(res, wts, 2, 7) == pair_by_rows(res, wts, 7) == expected
+    assert search_counts["cutspace", "pair reads"] == 1
+    assert search_counts["oracles", "pair reads"] == 3
+
+
+@pytest.mark.differential
+@settings(max_examples=400)
+@given(
+    st.lists(st.integers(1, 63), min_size=1, max_size=4).flatmap(
+        lambda pool: st.lists(
+            st.tuples(
+                # the pool, its pairwise XORs (triangles) and zeros, repeated
+                st.sampled_from(sorted({0, *pool, *(a ^ b for a in pool for b in pool)})),
+                st.integers(0, 3),
+            ),
+            min_size=2,
+            max_size=12,
+        )
+    ),
+    st.data(),
+)
+def test_span_search_at_size_two_matches_the_row_reads(items, data):
+    res = [x for x, _ in items]
+    wts = [wt for _, wt in items]
+    best = pair_by_rows(res, wts, sum(wts) + 1)[0]
+    stop = data.draw(
+        st.sampled_from([best - 1, best, best + 1, -1, 0, sum(wts) + 1]) | st.integers(-1, sum(wts) + 1)
+    )
+    got = span_search(res, wts, 2, stop)
+    assert got == pair_by_rows(res, wts, stop) == span_search_exhaustive(res, wts, 2, stop)
+
+
+@pytest.mark.differential
+@given(st.sets(st.integers(1, 127), max_size=7), st.booleans())
+def test_triangles_are_the_triples_that_xor_to_zero(keys, closed):
+    # closed adds the XOR of every two keys, so most triples are triangles
+    if closed:
+        keys |= {a ^ b for a in keys for b in keys if a != b}
+    table = dict.fromkeys(keys, 1)
+    found = triangles(table)
+    assert len(found) == len(triangles_by_triples(table))
+    assert {frozenset(t) for t in found} == triangles_by_triples(table)
+    # a and b share the triangle's lowest set bit, c = a ^ b has a higher one
+    for a, b, c in found:
+        assert a ^ b == c and a & -a == b & -b < c & -c
 
 
 @pytest.mark.differential

@@ -1,5 +1,6 @@
 from itertools import combinations
 from math import comb
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +28,7 @@ from flowmon.hardness import (
 
 from conftest import multigraphs
 from flowmon.solvers import EXACT_DEFAULT_BUDGET, exact
-from oracles import decide_by_traversal
+from oracles import decide_by_traversal, span_search_by_rows
 
 K4 = Graph.build(4, list(combinations(range(4), 2)))
 K5 = Graph.build(5, list(combinations(range(5), 2)))
@@ -88,6 +89,18 @@ def test_decide_matches_traversal(g):
             inst = DecInstance(g, k, l)
             assert decide_flow_monitors(inst) == decide_by_traversal(inst), (k, l)
     assert not decide_flow_monitors(DecInstance(g, m + 1, 0))
+
+
+@pytest.mark.differential
+@settings(max_examples=150)
+@given(multigraphs(max_n=7, max_m=12))
+def test_decide_at_k_two_matches_the_row_reads(g):
+    # every l, so the search stops at every value from 3 to m + 2
+    for l in range(len(g.edges) + 1):
+        inst = DecInstance(g, 2, l)
+        got = decide_flow_monitors(inst)
+        with mock.patch.object(hardness, "span_search", span_search_by_rows):
+            assert decide_flow_monitors(inst) == got
 
 
 def test_decide_size_guard():

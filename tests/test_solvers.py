@@ -1,12 +1,13 @@
 import random
+from collections import Counter
 from math import comb
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, settings, target
 from hypothesis import strategies as st
 
-from flowmon import solvers
+from flowmon import cutspace, solvers
 from flowmon.cutspace import class_table, cut_labels, take_class
 from flowmon.errors import CandidateBudgetError, FlowmonError, SizeGuardError
 from flowmon.generators import (
@@ -36,6 +37,7 @@ from oracles import (
     greedy_reference,
     sigma_greedy_by_traversal,
     solve_pipeline_by_traversal,
+    span_search_by_rows,
     span_search_exhaustive,
 )
 
@@ -423,6 +425,108 @@ def test_pair_reads_do_not_count_size_one_steps(search_counts):
     run = lambda: sigma_greedy(g, SolverConfig(k=8))
     assert run() == _by_lists(run)
     assert search_counts["cutspace", "pair reads"] == search_counts["oracles", "pair reads"] == 0
+
+
+def _by_rows(run):
+    """run() with every size-2 search read by its row reference."""
+    with mock.patch.object(solvers, "span_search", span_search_by_rows):
+        return run()
+
+
+@pytest.mark.differential
+@settings(max_examples=200)
+@given(multigraphs(max_n=7, max_m=13, min_w=0, max_w=2), st.integers(1, 4))
+def test_size_two_steps_match_the_row_reads(g, k):
+    # weights 0..2, loops and parallels tie pairs and classes; greedy:3
+    # at k = 3j - 1 ends on a size-2 step
+    runs = [
+        lambda: sigma_greedy(g, SolverConfig(k=k, sigma=2)),
+        lambda: sigma_greedy(g, SolverConfig(k=3 * k - 1, sigma=3)),
+        lambda: solve_pipeline(g, k, "greedy2"),
+        lambda: exact(g, 2),
+    ]
+    for run in runs:
+        assert run() == _by_rows(run)
+
+
+@pytest.mark.parametrize(
+    "g", [gen_circulant(60), _tangled_multigraph(7, core=30, pendant=20)], ids=["circ", "tangled"]
+)
+def test_greedy2_matches_the_row_reads_on_larger_graphs(g):
+    m = len(g.weights_micros)
+    for run in (
+        lambda: sigma_greedy(g, SolverConfig(k=m // 4, sigma=2)),
+        lambda: solve_pipeline(g, 12, "greedy2"),
+        lambda: solve_pipeline(g, 8, "greedy:3"),
+        lambda: exact(g, 2),
+    ):
+        assert run() == _by_rows(run)
+
+
+def test_greedy2_steps_read_one_row_on_the_ladder(monkeypatch, search_counts):
+    # per size-2 step: the rows of pair reads, and the class pairs that
+    # cutspace.triangles tests, those within each lowest-set-bit bucket.
+    # The row reads read a row per distinct live residual, 472-999 per
+    # step at m = 500 and 1,000; the triangle pairs stay quadratic, about
+    # L^2/8 of the L classes on a circulant
+    real = cutspace._best_pair
+    steps = []
+
+    def counted(residuals, coset, val, stop):
+        rows = search_counts["cutspace", "pair reads"]
+        buckets = Counter(x & -x for x in coset).values()
+        found = real(residuals, coset, val, stop)
+        rows = search_counts["cutspace", "pair reads"] - rows
+        steps.append((len(coset), rows, sum(comb(c, 2) for c in buckets)))
+        return found
+
+    monkeypatch.setattr(cutspace, "_best_pair", counted)
+    for m in (500, 1000, 2000):
+        for g in (gen_circulant(m // 2), random_connected_multigraph(2 * m // 5, m, seed=3)):
+            steps.clear()
+            assert len(solve_pipeline(g, 6, "greedy2").trace.steps) == 3
+            assert [rows for _, rows, _ in steps] == [1, 1, 1]
+            assert all(3 * pairs <= comb(classes, 2) for classes, _, pairs in steps)
+
+
+def _tight_mutant(k: int, weights, chords) -> tuple[Graph, int]:
+    """gen_greedy2_tight(k) with the (edge, millionths) weights given and
+    the (u, v, millionths) chords added, and k."""
+    g = gen_greedy2_tight(k)
+    w = list(g.weights_micros)
+    for e, micros in weights:
+        w[e] = micros
+    edges = list(zip(g.us, g.vs, map(Weight, w)))
+    edges += [(u, v, Weight(micros)) for u, v, micros in chords]
+    return Graph.build(g.vertex_count, edges), k
+
+
+@st.composite
+def greedy2_tight_mutants(draw):
+    """The family greedy2 trails the optimum most on, at k = 4-6, with
+    some weights redrawn and up to four chords, loops and parallels
+    among them, weights 0-4 in tenths."""
+    k = draw(st.integers(4, 6))
+    n, m = 2 * k, 4 * k - 1
+    tenths = st.integers(0, 40).map(lambda t: t * 100_000)
+    weights = draw(st.lists(st.tuples(st.integers(0, m - 1), tenths), max_size=6))
+    ends = st.integers(0, n - 1)
+    chords = draw(st.lists(st.tuples(ends, ends, tenths), max_size=4))
+    return _tight_mutant(k, weights, chords)
+
+
+@pytest.mark.differential
+@given(greedy2_tight_mutants())
+# the worst ratio found in 6,000 targeted examples: 12 / 7.04 = 1.705, on
+# three parallels lightened to 0.3, 0.4 and 0.9 (12 / 7.55 = 1.589 unmutated)
+@example(_tight_mutant(5, [(3, 300_000), (4, 400_000), (5, 900_000)], []))
+def test_greedy2_gains_at_least_half_the_optimum(case):
+    g, k = case
+    opt = exact(g, k).gain.micros
+    gain = sigma_greedy(g, SolverConfig(k=k, sigma=2)).gain.micros
+    if gain:
+        target(opt / gain, label="optimum / greedy2")
+    assert 2 * gain >= opt
 
 
 def test_candidate_budget_guard():

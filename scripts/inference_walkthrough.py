@@ -23,23 +23,23 @@ def main() -> None:
     res = infer(g, monitors, readings)
     for e in sorted(res.determined):
         tag = "measured" if e in monitors else "forced"
-        rec = g.edges[e]
-        print(f"edge {e} ({rec.u}->{rec.v}): flow {res.determined[e]:>2} [{tag}]")
+        print(f"edge {e} ({g.us[e]}->{g.vs[e]}): flow {res.determined[e]:>2} [{tag}]")
     print(f"undetermined: {sorted(res.undetermined)} (one free cycle)\n")
 
     kg = kernel_graph(g, monitors)
-    print(f"kernel: {kg.graph.vertex_count} vertices, {len(kg.graph.edges)} edges,"
-          f" bound |E| <= k + |V| - 1 is {'tight' if len(kg.graph.edges) == 4 + kg.graph.vertex_count - 1 else 'slack'}"
+    km = len(kg.graph.weights_micros)
+    print(f"kernel: {kg.graph.vertex_count} vertices, {km} edges,"
+          f" bound |E| <= k + |V| - 1 is {'tight' if km == 4 + kg.graph.vertex_count - 1 else 'slack'}"
           f" ({check_kernel_bound(kg, len(monitors))})")
-    for e in kg.graph.edges:
-        print(f"  kernel edge {e.id} ({e.u}->{e.v}) represents original {kg.represents[e.id]}")
+    for e, (u, v) in enumerate(zip(kg.graph.us, kg.graph.vs)):
+        print(f"  kernel edge {e} ({u}->{v}) represents original {kg.represents[e]}")
 
     reduced, rmap = preprocess(g)
     groups = {}
     for orig, gi in rmap.group_of.items():
         groups.setdefault(gi, []).append(orig)
     multi = {gi: sorted(m) for gi, m in groups.items() if len(m) > 1}
-    print(f"\nreduction: {reduced.vertex_count} vertices, {len(reduced.edges)} edges,"
+    print(f"\nreduction: {reduced.vertex_count} vertices, {len(reduced.weights_micros)} edges,"
           f" multi-edge groups: {multi or 'none'}")
 
 

@@ -34,7 +34,7 @@ def main() -> None:
         g2 = gen_greedy2_tight(k, eps)
         gain1 = sigma_greedy(g1, SolverConfig(k=k, sigma=1)).gain
         gain2 = sigma_greedy(g2, SolverConfig(k=k, sigma=2)).gain
-        m = len(g1.edges)
+        m = len(g1.weights_micros)
         if comb(m, k) <= EXACT_CEILING:
             opt = exact(g1, k).gain
             source = ""

@@ -10,12 +10,15 @@ the monitor readings crossing into that side. Nothing else is forced,
 and nothing else is guessed.
 
 Inference works on the depth-first forest of G - M that finds the
-bridges (graph.kernel_labels): each side of a bridge is a subtree of
+bridges (graph._forest_bridges): each side of a bridge is a subtree of
 that forest or the rest of its tree, so one leaf-to-root pass summing
-the net monitor inflow of every subtree, and one root-to-leaf pass
-carrying each tree's total, read every bridge's flow off the side
-holding its stored tail. The whole inference is linear in the size of
-the graph.
+the net monitor inflow of every subtree reads every bridge's flow off
+the side holding its stored tail. Readings are consistent exactly when
+each tree's total inflow is zero; only inconsistent ones take a second,
+root-to-leaf pass, which carries each tree's total and each vertex's
+piece top (the first vertex in preorder of its component of G - M - B),
+and an audit that sums the net flow across each piece's boundary by
+top. The whole inference is linear in the size of the graph.
 
 infer is the one place that rule is written: random_circulation draws
 the flows of the edges outside a spanning forest and takes every forest
@@ -25,12 +28,15 @@ edge's flow from infer, with the drawn edges as the monitors.
 from __future__ import annotations
 
 import random
+from itertools import compress
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import FlowmonError, ValidationError
-from .graph import Graph, kernel_labels, spanning_forest
+from .graph import Graph, _forest_bridges, make_mask, spanning_forest
 
 Measurements = Mapping[int, int]
+# bytes.translate table turning a 0/1 mask into its complement
+_UNSET = bytes([1]) + bytes(255)
 
 
 class InferenceResult(NamedTuple):
@@ -81,23 +87,30 @@ def infer(g: Graph, monitors: Iterable[int], readings: Measurements) -> Inferenc
     """Determine every edge forced by the readings and validate them.
 
     O(n + m), on the depth-first forest F of G - M that finds B, the
-    bridges of G - M (graph.kernel_labels). Summing conservation over
+    bridges of G - M (graph._forest_bridges). Summing conservation over
     the side of bridge b that holds b's stored tail u, the flow on b
     equals that side's net monitor inflow. Each bridge b is the entry
     edge of one vertex c, and its two sides are the subtree of F below
     c and the rest of c's tree. One leaf-to-root pass gives sub[c], the
-    monitor inflow into the subtree below c, and one root-to-leaf pass
-    carries total[c], the inflow into c's whole tree:
+    monitor inflow into the subtree below c; total[c], the inflow into
+    c's whole tree, is its root's sub:
 
         flow(b) = sub[c]              if u == c,
         flow(b) = total[c] - sub[c]   otherwise.
 
-    Consistent readings make every tree's total zero; inconsistent ones
-    still get values by this tail-side rule. Afterwards every component
-    of G - M - B is audited: the net determined flow across its boundary
-    must be zero, otherwise the readings are inconsistent and the
-    component's vertices are reported, by component label. Loops
-    outside M stay undetermined.
+    Only monitors cross the boundary of a tree of F, a component of
+    G - M, so consistent readings make every tree's total zero. That is
+    also enough: each bridge's flow then balances the subtree below it,
+    and every piece of F cut at B, a component of G - M - B, is a
+    balanced subtree less the balanced subtrees hanging below it by
+    bridges. So consistent readings need no audit and no second pass.
+    Inconsistent ones still get values by this tail-side rule: one
+    root-to-leaf pass carries each tree's total down, and with it each
+    vertex's piece top, its parent's unless its entry edge is a bridge.
+    The audit sums the net determined flow across each piece's
+    boundary, keyed by top, and reports every piece whose net is not
+    zero as its vertices, pieces in lowest-vertex order. Loops outside
+    M stay undetermined.
     """
     mon = frozenset(monitors)
     g.check_edge_ids(mon)
@@ -108,40 +121,52 @@ def infer(g: Graph, monitors: Iterable[int], readings: Measurements) -> Inferenc
         if e not in readings:
             raise ValidationError(f"missing reading for monitor edge {e}")
 
-    us, vs = g.us, g.vs
-    order, entry, exposed, labels = kernel_labels(g, mon)
+    us, vs, n = g.us, g.vs, g.vertex_count
+    mask = make_mask(g, mon)
+    order, entry, exposed = _forest_bridges(g, mask)
     # net monitor inflow per vertex; a loop, or a monitor inside one
-    # component of G - M - B, cancels on every side of every bridge
-    sub = [0] * g.vertex_count
+    # piece, cancels on every side of every bridge
+    sub = [0] * n
     for e in mon:
         sub[us[e]] -= readings[e]
         sub[vs[e]] += readings[e]
+    consistent = True
     for v in reversed(order):
         eid = entry[v]
         if eid >= 0:
             sub[us[eid] + vs[eid] - v] += sub[v]
-    total = sub[:]  # a root's subtree is its whole tree
-    for v in order:
-        eid = entry[v]
-        if eid >= 0:
-            total[v] = total[us[eid] + vs[eid] - v]
+        elif sub[v]:  # a root, so its tree's total
+            consistent = False
+    for b in exposed:
+        mask[b] = 1  # now M and B: the determined edges
+    total = [0] * n if consistent else sub[:]  # a root's subtree is its whole tree
+    if not consistent:
+        top = list(range(n))
+        for v in order:
+            eid = entry[v]
+            if eid >= 0:
+                p = us[eid] + vs[eid] - v
+                total[v] = total[p]
+                if not mask[eid]:
+                    top[v] = top[p]
 
     determined: dict[int, int] = {e: readings[e] for e in sorted(mon)}
     for b in sorted(exposed):
         u, v = us[b], vs[b]
         determined[b] = sub[u] if entry[u] == b else total[v] - sub[v]
-    undetermined = frozenset(range(len(us))) - determined.keys()
+    undetermined = frozenset(compress(range(len(mask)), mask.translate(_UNSET)))
+    if consistent:
+        return InferenceResult(determined, undetermined, True)
 
-    # audit: net determined flow across each kernel-component boundary is zero
-    ncomp = max(labels) + 1 if labels else 0
-    net = [0] * ncomp
+    # audit: net determined flow across each piece's boundary is zero
+    net = [0] * n
     for e, f in determined.items():
-        cu, cv = labels[us[e]], labels[vs[e]]
-        if cu != cv:
-            net[cu] -= f
-            net[cv] += f
-    members: list[list[int]] = [[] for _ in range(ncomp)]
-    for v, c in enumerate(labels):
-        members[c].append(v)
-    violations = tuple(tuple(members[c]) for c in range(ncomp) if net[c])
-    return InferenceResult(determined, undetermined, not violations, violations)
+        tu, tv = top[us[e]], top[vs[e]]
+        if tu != tv:
+            net[tu] -= f
+            net[tv] += f
+    members: dict[int, list[int]] = {t: [] for t in top}  # by lowest vertex
+    for v, t in enumerate(top):
+        members[t].append(v)
+    violations = tuple(tuple(piece) for t, piece in members.items() if net[t])
+    return InferenceResult(determined, undetermined, False, violations)

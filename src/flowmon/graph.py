@@ -12,9 +12,11 @@ lists are built from the columns on first use, so a graph that is only
 printed gets neither. There is one traversal, search_forest: it takes a
 removal mask rather than copying the graph and grows the depth-first
 forest that every pass reads: component_labels (its trees), bridge_ids,
-kernel_labels (whose forest flowsim.infer walks) and the cut-space
-labels of cutspace. _forest_pieces labels every vertex by its piece of
-such a forest cut at some of its tree edges.
+kernel_labels (which kernel.kernel_graph reads) and the cut-space
+labels of cutspace. _forest_bridges finds the bridges on that forest,
+and flowsim.infer walks its forest directly. _forest_pieces labels
+every vertex by its piece of such a forest cut at some of its tree
+edges.
 
 The adjacency lists deliberately omit self-loops: a loop never affects
 connectivity, components, or bridges, so traversals can skip it. Code

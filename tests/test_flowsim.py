@@ -4,16 +4,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from flowmon import flowsim as flowsim_mod
 from flowmon import graph as graph_mod
 from flowmon.errors import ValidationError
 from flowmon.flowsim import (
+    InferenceResult,
     conservation_violations,
     infer,
     measure,
     random_circulation,
 )
 from flowmon.generators import gen_cycle, gen_fig1, gen_random, random_connected_multigraph
-from flowmon.graph import Graph, gain, make_mask, bridge_ids, component_labels, search_forest
+from flowmon.graph import Graph, gain, make_mask, bridge_ids, component_labels
 from flowmon.solvers import full_determination
 
 from conftest import multigraphs
@@ -229,15 +231,54 @@ def test_infer_matches_traversal_oracle(g, data):
 
 
 def test_infer_grows_one_forest(monkeypatch):
-    # every forced flow is read off the forest that finds the bridges
-    calls = []
+    # every forced flow, and the audit, is read off the one forest that
+    # finds the bridges: no kernel_labels, and no separate piece pass
+    calls = dict.fromkeys(("search_forest", "kernel_labels", "_forest_pieces"), 0)
+    for name in calls:
+        def counting(*args, _name=name, _f=getattr(graph_mod, name), **kwargs):
+            calls[_name] += 1
+            return _f(*args, **kwargs)
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return search_forest(*args, **kwargs)
-
-    monkeypatch.setattr(graph_mod, "search_forest", counting)
+        for mod in (graph_mod, flowsim_mod):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, counting)
     g, monitors, readings = gen_fig1()
     res = infer(g, monitors, readings)
-    assert len(calls) == 1
+    assert calls == {"search_forest": 1, "kernel_labels": 0, "_forest_pieces": 0}
     assert res.determined == {0: 1, 1: 4, 2: 2, 3: 7, 4: 2, 5: 2, 6: 3, 7: 5}
+    assert res.consistent
+    calls.update(dict.fromkeys(calls, 0))
+    assert not infer(TRIANGLE, {0, 1}, {0: 5, 1: 6}).consistent
+    assert calls == {"search_forest": 1, "kernel_labels": 0, "_forest_pieces": 0}
+
+
+# Two trees of G - M and an isolated vertex 5. Tree 0-6-1-2 is piece {0}
+# and, below bridge 0 = (0, 6), piece {1, 2, 6}, whose top 6 is not its
+# lowest vertex; tree 3-4-8-7 is piece {3, 4, 8} and, below bridge
+# 7 = (7, 8), whose stored tail is the child, piece {7}. Edge 8 is a
+# monitored self-loop, edge 9 an unmonitored one, and monitors 10 and 11
+# join the trees, so each tree's total is r10 - r11 or its negation.
+TWO_TREES = Graph.build(9, [
+    (0, 6), (6, 1), (1, 2), (2, 6),
+    (3, 4), (4, 8), (8, 3), (7, 8),
+    (2, 2), (4, 4), (0, 3), (7, 1),
+])
+
+
+@pytest.mark.parametrize("readings, want", [
+    ({8: 6, 10: 4, 11: 3}, InferenceResult(
+        {8: 6, 10: 4, 11: 3, 0: -4, 7: -3}, frozenset({1, 2, 3, 4, 5, 6, 9}), False,
+        ((1, 2, 6), (3, 4, 8)))),
+    ({8: 6, 10: 4, 11: 4}, InferenceResult(
+        {8: 6, 10: 4, 11: 4, 0: -4, 7: -4}, frozenset({1, 2, 3, 4, 5, 6, 9}), True)),
+], ids=["violating", "consistent"])
+def test_infer_two_trees_pinned(readings, want):
+    # a violating piece in each tree, reported by lowest vertex although
+    # piece {1, 2, 6} is keyed by its top 6; loops and the isolated vertex
+    # belong to no violation, and the unmonitored loop stays undetermined
+    got = infer(TWO_TREES, {8, 10, 11}, readings)
+    assert got == want
+    assert list(got.determined) == list(want.determined)
+    oracle = infer_by_traversal(TWO_TREES, {8, 10, 11}, readings)
+    assert got == oracle
+    assert list(got.determined) == list(oracle.determined)

@@ -10,7 +10,7 @@ paused as the CLI pauses it:
 
     parse          textio.parse_graph on the canonical text
     search_forest  graph.search_forest
-    kernel_labels  graph.kernel_labels(g, M)
+    known          graph._known(g, M), the mask of M and the bridges of G - M
     infer          flowsim.infer(g, M, readings)
     kernel_graph   kernel.kernel_graph(g, M)
     _label_forest  cutspace._label_forest, the labelled forest behind preprocess and solve
@@ -87,7 +87,7 @@ REFUSED = "refused"
 STAGES = {
     "parse": lambda text, g, mon, readings: textio.parse_graph(text),
     "search_forest": lambda text, g, mon, readings: graph.search_forest(g),
-    "kernel_labels": lambda text, g, mon, readings: graph.kernel_labels(g, mon),
+    "known": lambda text, g, mon, readings: graph._known(g, mon),
     "infer": lambda text, g, mon, readings: flowsim.infer(g, mon, readings),
     "kernel_graph": lambda text, g, mon, readings: kernel.kernel_graph(g, mon),
     "_label_forest": lambda text, g, mon, readings: cutspace._label_forest(g),

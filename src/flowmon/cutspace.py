@@ -18,9 +18,10 @@ first (_best_pair): a pair is worth its two classes and their XOR's,
 so its best value comes from the two heaviest classes and the
 triangles, three classes that XOR to 0 (on the labels, the 3-edge cuts
 of the live graph; see triangles), and only the rows of pairs that can
-reach that value are read. A run of single picks (every greedy1 step,
-the last step of greedy:<sigma> when k mod sigma is 1, exact and the
-decision at k = 1) reads one class table instead, kept across its
+reach that value are read: _row, the one pair row, which the last two
+picks of a larger batch read too. A run of single picks (every greedy1
+step, the last step of greedy:<sigma> when k mod sigma is 1, exact and
+the decision at k = 1) reads one class table instead, kept across its
 steps: each step takes the heaviest class with one maximum and folds
 only the classes that carry its pivot bit (class_table, take_class).
 """
@@ -226,6 +227,20 @@ def triangles(table: dict[int, int]) -> list[tuple[int, int, int]]:
     return [(a, b, a ^ b) for a, b in pairs]
 
 
+def _row(coset: dict[int, int], r: int, residuals: Sequence[int], start: int) -> tuple[int, int]:
+    """The row of a pick r: the first maximum over z in residuals[start:]
+    (not empty) of what z adds on the table coset, and its index there;
+    z adds coset[z] + coset[z ^ r] if r is nonzero and z is neither 0
+    nor r, coset[z] if r is 0 (no key of coset), else nothing."""
+    later = residuals[start:]
+    if r:
+        gains = [coset.get(z, 0) + coset.get(z ^ r, 0) if z and z != r else 0 for z in later]
+    else:
+        gains = [coset.get(z, 0) for z in later]
+    top = max(gains)
+    return top, gains.index(top)
+
+
 def _pair_bounds(
     coset: dict[int, int], val: int, stop: int
 ) -> tuple[int, int, int, dict[int, int]]:
@@ -255,16 +270,14 @@ def _best_pair(
     the classes, with a row read only where it can be the answer.
 
     The row of the first position j of a residual r pairs j with every
-    later position z: z adds coset[z] + coset[z ^ r] if r is nonzero and
-    z is neither 0 nor r, coset[z] if r is 0, else nothing; its value is
-    val, plus coset[r] for a nonzero r, plus the first maximum over z.
-    Walking those rows in order, keeping a row worth strictly more than
-    every earlier one and stopping at the first kept row that reaches
-    stop, returns the first row whose value reaches min(V, stop), V the
-    best pair value: every earlier row is worth less, so that row is
-    kept, and either it reaches stop or it is worth V, which no later
-    row beats. The row of the best pair's first position reaches V, so
-    such a row exists.
+    later position (_row); its value is val, plus coset[r] for a nonzero
+    r, plus the row's first maximum. Walking those rows in order, keeping a
+    row worth strictly more than every earlier one and stopping at the
+    first kept row that reaches stop, returns the first row whose value
+    reaches min(V, stop), V the best pair value: every earlier row is
+    worth less, so that row is kept, and either it reaches stop or it is
+    worth V, which no later row beats. The row of the best pair's first
+    position reaches V, so such a row exists.
 
     V is read off the classes (_pair_bounds). A pair of distinct nonzero
     classes A, B is worth val + coset[A] + coset[B] + coset[A ^ B], and
@@ -294,18 +307,13 @@ def _best_pair(
             pair = through.get(r, 0)
             if row + (pair if pair > other else other) < target:
                 continue
-            gains = [
-                coset.get(z, 0) + coset.get(z ^ r, 0) if z and z != r else 0
-                for z in residuals[j + 1:]
-            ]
         else:
             row = val
             if row + heavy < target:
                 continue
-            gains = [coset.get(z, 0) for z in residuals[j + 1:]]
-        gain = max(gains)
+        gain, z = _row(coset, r, residuals, j + 1)
         if row + gain >= target:
-            return row + gain, (j, j + 1 + gains.index(gain))
+            return row + gain, (j, j + 1 + z)
     raise FlowmonError(f"no pair of {len(residuals)} residuals reaches {target}")
 
 
@@ -328,11 +336,10 @@ def span_search(
     fine. Each prefix keeps the residuals after its last position folded
     modulo its span, and a table of summed weight per residual outside
     the span: adding a pick r is worth table[r], and nothing if r is 0.
-    The last two picks r, z are read off the table without folding: z
-    adds table[z] + table[z ^ r] unless it is 0 or r, and the first
-    maximum over z completes the prefix. A prefix that spans everything
-    takes the next contiguous positions, since every completion is worth
-    the same.
+    The last two picks are read off the table without folding: the first
+    maximum of the next-to-last pick's row (_row) completes the prefix.
+    A prefix that spans everything takes the next contiguous positions,
+    since every completion is worth the same.
 
     Branch and bound: each prefix keeps two bounds from _caps, computed
     when it is pushed. A pick is skipped, with no fold and no pair read,
@@ -394,16 +401,10 @@ def span_search(
         if need == 2:
             if r:
                 val += coset[r]
-                gains = [
-                    coset.get(z, 0) + coset.get(z ^ r, 0) if z and z != r else 0
-                    for z in tail[off + 1:]
-                ]
-            else:
-                gains = [coset.get(z, 0) for z in tail[off + 1:]]
-            top = max(gains)
+            top, z = _row(coset, r, tail, off + 1)
             if val + top <= best:
                 continue
-            best, best_pick = val + top, (*picks, j, j + 1 + gains.index(top))
+            best, best_pick = val + top, (*picks, j, j + 1 + z)
         else:
             if r:
                 pivot = 1 << r.bit_length() - 1

@@ -10,8 +10,9 @@ the monitor readings crossing into that side. Nothing else is forced,
 and nothing else is guessed.
 
 Inference works on the depth-first forest of G - M that finds the
-bridges (graph._forest_bridges): each side of a bridge is a subtree of
-that forest or the rest of its tree, so one leaf-to-root pass summing
+bridges B, with the mask of M and B read off it (graph._known): each
+side of a bridge is a subtree of that forest or the rest of its tree,
+so one leaf-to-root pass summing
 the net monitor inflow of every subtree reads every bridge's flow off
 the side holding its stored tail. Readings are consistent exactly when
 each tree's total inflow is zero; only inconsistent ones take a second,
@@ -32,7 +33,7 @@ from itertools import compress
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import FlowmonError, ValidationError
-from .graph import Graph, _forest_bridges, make_mask, spanning_forest
+from .graph import Graph, _known, spanning_forest
 
 Measurements = Mapping[int, int]
 # bytes.translate table turning a 0/1 mask into its complement
@@ -87,9 +88,9 @@ def infer(g: Graph, monitors: Iterable[int], readings: Measurements) -> Inferenc
     """Determine every edge forced by the readings and validate them.
 
     O(n + m), on the depth-first forest F of G - M that finds B, the
-    bridges of G - M (graph._forest_bridges). Summing conservation over
-    the side of bridge b that holds b's stored tail u, the flow on b
-    equals that side's net monitor inflow. Each bridge b is the entry
+    bridges of G - M, and the mask of M and B (graph._known). Summing
+    conservation over the side of bridge b that holds b's stored tail
+    u, the flow on b equals that side's net monitor inflow. Each bridge b is the entry
     edge of one vertex c, and its two sides are the subtree of F below
     c and the rest of c's tree. One leaf-to-root pass gives sub[c], the
     monitor inflow into the subtree below c; total[c], the inflow into
@@ -113,7 +114,7 @@ def infer(g: Graph, monitors: Iterable[int], readings: Measurements) -> Inferenc
     M stay undetermined.
     """
     mon = frozenset(monitors)
-    g.check_edge_ids(mon)
+    mask, order, entry, exposed = _known(g, mon)  # mask: M and B, the determined edges
     for e in readings:
         if e not in mon:
             raise ValidationError(f"reading for non-monitor edge {e}")
@@ -122,8 +123,6 @@ def infer(g: Graph, monitors: Iterable[int], readings: Measurements) -> Inferenc
             raise ValidationError(f"missing reading for monitor edge {e}")
 
     us, vs, n = g.us, g.vs, g.vertex_count
-    mask = make_mask(g, mon)
-    order, entry, exposed = _forest_bridges(g, mask)
     # net monitor inflow per vertex; a loop, or a monitor inside one
     # piece, cancels on every side of every bridge
     sub = [0] * n
@@ -137,8 +136,6 @@ def infer(g: Graph, monitors: Iterable[int], readings: Measurements) -> Inferenc
             sub[us[eid] + vs[eid] - v] += sub[v]
         elif sub[v]:  # a root, so its tree's total
             consistent = False
-    for b in exposed:
-        mask[b] = 1  # now M and B: the determined edges
     total = [0] * n if consistent else sub[:]  # a root's subtree is its whole tree
     if not consistent:
         top = list(range(n))

@@ -11,12 +11,14 @@ through a solve. The EdgeRecord view (Graph.edges) and the adjacency
 lists are built from the columns on first use, so a graph that is only
 printed gets neither. There is one traversal, search_forest: it takes a
 removal mask rather than copying the graph and grows the depth-first
-forest that every pass reads: component_labels (its trees), bridge_ids,
-kernel_labels (which kernel.kernel_graph reads) and the cut-space
-labels of cutspace. _forest_bridges finds the bridges on that forest,
-and flowsim.infer walks its forest directly. _forest_pieces labels
-every vertex by its piece of such a forest cut at some of its tree
-edges.
+forest that every pass reads: component_labels (its trees), bridge_ids
+and the cut-space labels of cutspace. _forest_bridges finds the
+bridges on that forest. _known is the traversal side's one answer to
+"which edges does this monitor set determine?": the mask of M and the
+bridges of G - M, with the forest that found them; gain sums it,
+kernel.kernel_graph contracts it and flowsim.infer walks its forest.
+_forest_pieces labels every vertex by its piece of such a forest cut
+at some of its tree edges.
 
 The adjacency lists deliberately omit self-loops: a loop never affects
 connectivity, components, or bridges, so traversals can skip it. Code
@@ -323,39 +325,34 @@ def bridge_ids(g: Graph, removed: Sequence[int] | None = None) -> list[int]:
     return _forest_bridges(g, bytes(len(g.weights_micros)) if removed is None else removed)[2]
 
 
-def kernel_labels(
-    g: Graph, monitors: Iterable[int]
-) -> tuple[list[int], list[int], list[int], list[int]]:
-    """search_forest's order and entry edges on G - M, the bridges B of
-    G - M, and a component label per vertex of G - M - B, numbered by
-    lowest vertex as component_labels numbers them.
+def _known(g: Graph, monitors: Iterable[int]) -> tuple[bytearray, list[int], list[int], list[int]]:
+    """What a monitor set M determines, off one _forest_bridges walk of
+    G - M: the per-edge 0/1 mask of M and the bridges B of G - M, that
+    walk's search_forest order and entry edges, and B, leaves first.
 
-    All come off the one depth-first forest of G - M that finds B: no
-    edge covers a bridge, so the components of G - M - B are the pieces
-    of the forest cut at the bridges (_forest_pieces, with B added to
-    the monitor mask). The labels name the kernel vertices; each bridge
-    joins two distinct labels, and the bridges form a forest on them.
-    The two sides of a bridge in G - M are the forest's subtree below it
-    and the rest of that tree.
+    The components of G - M - B are the pieces of that forest cut at the
+    mask (_forest_pieces), numbered by lowest vertex as component_labels
+    numbers them: the forest has no monitor edge, each of its trees spans
+    a component of G - M, and no edge of G - M covers a bridge, so
+    cutting the trees at B leaves pieces that no edge of G - M - B joins.
+    They are the kernel vertices; each bridge joins two distinct pieces,
+    and the bridges form a forest on them. The two sides of a bridge in
+    G - M are the forest's subtree below it and the rest of that tree.
     """
     mask = make_mask(g, monitors)
     order, entry, exposed = _forest_bridges(g, mask)
     for e in exposed:
         mask[e] = 1
-    return order, entry, exposed, _forest_pieces(g, order, entry, mask)
+    return mask, order, entry, exposed
 
 
 def gain(g: Graph, monitors: Iterable[int]) -> Weight:
     """Total weight of the monitor edges plus the bridges they expose.
 
     Placing monitors on M makes the flow known on M itself and on every
-    bridge of G - M; this is the objective every solver maximizes.
+    bridge of G - M (_known); this is the objective every solver maximizes.
     """
-    mon = frozenset(monitors)
-    mask = make_mask(g, mon)
-    w = g.weights_micros
-    total = sum(w[e] for e in mon) + sum(w[e] for e in bridge_ids(g, mask))
-    return Weight(total)
+    return Weight(sum(compress(g.weights_micros, _known(g, monitors)[0])))
 
 
 def is_c_edge_connected(g: Graph, c: int) -> bool:

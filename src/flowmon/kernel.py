@@ -5,15 +5,17 @@ component of G - M - B to one vertex; each edge of M or B survives as one
 kernel edge with its weight preserved (loops and parallels arise
 naturally). The kernel is the object the approximation analysis counts
 on: its edge count obeys |E| <= k + |V| - 1, and the B-edges are exactly
-its bridges and form a forest. It is one graph.contract call, with each
-vertex mapped to its component label from graph.kernel_labels.
+its bridges and form a forest. It is one graph.contract call on the
+edges graph._known marks, with each vertex mapped to its piece of the
+forest that found them (graph._forest_pieces).
 """
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Iterable, NamedTuple
 
-from .graph import Graph, contract, kernel_labels
+from .graph import Graph, _forest_pieces, _known, contract
 
 
 class KernelGraph(NamedTuple):
@@ -32,9 +34,9 @@ def kernel_graph(g: Graph, monitors: Iterable[int]) -> KernelGraph:
     vertex, so output is canonical; kernel edges appear in original edge
     id order.
     """
-    mon = frozenset(monitors)
-    _, _, extra, labels = kernel_labels(g, mon)
-    kept = sorted(mon.union(extra))
+    mask, order, entry, _ = _known(g, monitors)
+    labels = _forest_pieces(g, order, entry, mask)
+    kept = list(compress(range(len(mask)), mask))
     return KernelGraph(contract(g, labels, kept), tuple(labels), tuple(kept))
 
 

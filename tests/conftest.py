@@ -78,16 +78,16 @@ def seeded_multigraph(seed: int, max_n=8, max_m=12, min_w=1, max_w=5) -> Graph:
 @pytest.fixture()
 def search_counts(monkeypatch):
     """Pair reads and fold_residual calls made by the searches of
-    cutspace (span_search, and _best_pair at size 2) and of oracles
-    (span_search_exhaustive and pair_by_rows), counted per (module,
-    kind). Each calls max once per row of pair reads, so a counting max
-    shadows the builtin in each module's globals; it counts only the
-    calls made from those functions, not take_class's argmax over its
-    table, single_by_lists' over its gains or _pair_bounds' over the
-    class weights."""
+    cutspace (span_search, and _best_pair at size 2, whose rows are
+    _row's) and of oracles (span_search_exhaustive and pair_by_rows),
+    counted per (module, kind). Each calls max once per row of pair
+    reads, so a counting max shadows the builtin in each module's
+    globals; it counts only the calls made from those functions, not
+    take_class's argmax over its table, single_by_lists' over its gains
+    or _pair_bounds' over the class weights."""
     counts = Counter()
     fold = cutspace.fold_residual
-    readers = ("span_search", "_best_pair", "pair_by_rows")
+    readers = ("span_search", "_best_pair", "_row", "pair_by_rows")
     for name, module in (("cutspace", cutspace), ("oracles", oracles)):
         def counting_max(*args, name=name, **kwargs):
             if sys._getframe(1).f_code.co_name.startswith(readers):

@@ -33,10 +33,11 @@ weight token once, and pins parse_graph to the same Graph or the same
 ParseError text. search_forest_by_iterators is search_forest as it was
 before it pushed each vertex's whole adjacency: a stack of adjacency
 iterators, each resumed where it stopped; it pins search_forest to the
-same preorder and entry edges. kernel_labels_by_stages is
-kernel_labels' bridges and labels as they were before it read the
-components off its depth-first forest: bridge_ids, then
-components_naive with the bridges masked as well. Wherever a stage
+same preorder and entry edges. kernel_labels_by_stages is the
+bridges and kernel vertex labels as they were found before both came
+off one depth-first forest: bridge_ids, then components_naive with the
+bridges masked as well; it pins graph._known's bridges and
+kernel.kernel_graph's component_of. Wherever a stage
 oracle needs the components of a masked graph (that one,
 _contract_groups_by_components and infer_by_traversal's audit) it takes
 them from components_naive, not from the library's component_labels,

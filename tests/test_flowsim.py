@@ -232,8 +232,8 @@ def test_infer_matches_traversal_oracle(g, data):
 
 def test_infer_grows_one_forest(monkeypatch):
     # every forced flow, and the audit, is read off the one forest that
-    # finds the bridges: no kernel_labels, and no separate piece pass
-    calls = dict.fromkeys(("search_forest", "kernel_labels", "_forest_pieces"), 0)
+    # finds the bridges: no separate piece pass
+    calls = dict.fromkeys(("search_forest", "_forest_pieces"), 0)
     for name in calls:
         def counting(*args, _name=name, _f=getattr(graph_mod, name), **kwargs):
             calls[_name] += 1
@@ -244,12 +244,12 @@ def test_infer_grows_one_forest(monkeypatch):
                 monkeypatch.setattr(mod, name, counting)
     g, monitors, readings = gen_fig1()
     res = infer(g, monitors, readings)
-    assert calls == {"search_forest": 1, "kernel_labels": 0, "_forest_pieces": 0}
+    assert calls == {"search_forest": 1, "_forest_pieces": 0}
     assert res.determined == {0: 1, 1: 4, 2: 2, 3: 7, 4: 2, 5: 2, 6: 3, 7: 5}
     assert res.consistent
     calls.update(dict.fromkeys(calls, 0))
     assert not infer(TRIANGLE, {0, 1}, {0: 5, 1: 6}).consistent
-    assert calls == {"search_forest": 1, "kernel_labels": 0, "_forest_pieces": 0}
+    assert calls == {"search_forest": 1, "_forest_pieces": 0}
 
 
 # Two trees of G - M and an isolated vertex 5. Tree 0-6-1-2 is piece {0}

@@ -20,17 +20,18 @@ from flowmon.flowsim import infer
 from flowmon.graph import (
     EdgeRecord,
     Graph,
+    _known,
     bridge_ids,
     component_count,
     component_labels,
     contract,
     gain,
     is_c_edge_connected,
-    kernel_labels,
     make_mask,
     search_forest,
     spanning_forest,
 )
+from flowmon.kernel import kernel_graph
 from flowmon.reduce import preprocess
 from flowmon.weights import MAX_MICROS, Weight
 
@@ -254,17 +255,20 @@ def test_edges_and_adjacency_are_built_on_first_read():
 @pytest.mark.differential
 @settings(max_examples=300)
 @given(multigraphs(max_n=10, max_m=16), st.data())
-def test_kernel_labels_match_stages(g, data):
+def test_known_and_kernel_components_match_stages(g, data):
     # loops, parallel edges, isolated vertices and several components
     m = len(g.edges)
     monitors = data.draw(st.sets(st.integers(0, m - 1))) if m else set()
-    order, entry, exposed, labels = kernel_labels(g, monitors)
+    mask, order, entry, exposed = _known(g, monitors)
+    labels = list(kernel_graph(g, monitors).component_of)
     assert (exposed, labels) == kernel_labels_by_stages(g, monitors)
-    # the forest it returns is the depth-first forest of G - M
+    # the mask is M and B, and the forest it returns is the depth-first
+    # forest of G - M
+    assert mask == make_mask(g, monitors | set(exposed))
     assert_dfs_forest(g, make_mask(g, monitors), order, entry)
 
 
-def test_kernel_labels_do_not_flood_fill(monkeypatch):
+def test_kernel_components_do_not_flood_fill(monkeypatch):
     # the components of G - M - B come off the forest that finds B
     calls = []
 
@@ -274,17 +278,19 @@ def test_kernel_labels_do_not_flood_fill(monkeypatch):
 
     monkeypatch.setattr(graph_mod, "component_labels", counting)
     g = Graph.build(7, [(0, 1), (1, 2), (2, 0), (2, 3), (4, 5), (5, 6), (6, 4), (4, 4)])
-    _, _, exposed, labels = kernel_labels(g, [0])
+    exposed = _known(g, [0])[3]
+    labels = list(kernel_graph(g, [0]).component_of)
     assert calls == []
     assert (sorted(exposed), labels) == ([1, 2, 3], [0, 1, 2, 3, 4, 4, 4])
 
 
 @pytest.mark.parametrize("bad", [-1, 3])
-def test_kernel_labels_refuse_edge_ids_out_of_range(bad):
+@pytest.mark.parametrize("known", [_known, kernel_graph])
+def test_known_refuses_edge_ids_out_of_range(known, bad):
     # -1 would mark the last edge, 3 would end in a bare IndexError
     triangle = Graph.build(3, [(0, 1), (1, 2), (0, 2)])
     with pytest.raises(ValidationError, match=f"^edge id {bad} out of range for graph with 3 edges$"):
-        kernel_labels(triangle, [bad])
+        known(triangle, [bad])
 
 
 def test_tree_passes_do_not_recurse_on_deep_graphs():

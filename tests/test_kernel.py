@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -5,6 +6,7 @@ from flowmon.generators import gen_fig1, gen_ladder
 from flowmon.graph import Graph, gain, is_c_edge_connected
 from flowmon.kernel import check_kernel_bound, kernel_graph
 from flowmon.reduce import preprocess
+from flowmon.solvers import solve_pipeline
 
 from conftest import multigraphs
 
@@ -77,6 +79,24 @@ def test_kernel_bound_and_structure(g, data):
         bridge_ids(kg.graph, make_mask(kg.graph, kernel_monitor_ids))
     )
     assert edge_set_is_forest(kg.graph, sorted(kernel_extra_ids))
+
+
+@pytest.mark.differential
+@settings(max_examples=200)
+@given(
+    multigraphs(max_n=8, max_m=14, min_w=0, max_w=4),
+    st.integers(1, 6),
+    st.sampled_from(["greedy1", "greedy2", "greedy:3", "exact"]),
+)
+def test_kernel_of_every_answer_keeps_what_the_labels_determined(g, k, algo):
+    # two evaluators of one question: solve_pipeline reads the cut labels
+    # (cutspace), kernel_graph one bridge walk of G - M (graph._known);
+    # the kernel's edges are the answer's monitors, extras and stripped
+    # bridges, and the kernel lemma bounds every answer's kernel
+    sol = solve_pipeline(g, k, algo)
+    kg = kernel_graph(g, sol.monitors)
+    assert kg.represents == tuple(sorted(sol.monitors | sol.determined_extras | sol.zero_flow))
+    assert check_kernel_bound(kg, len(sol.monitors))
 
 
 @settings(max_examples=30)

@@ -489,10 +489,10 @@ def test_greedy2_steps_read_one_row_on_the_ladder(monkeypatch, search_counts):
             assert all(3 * pairs <= comb(classes, 2) for classes, _, pairs in steps)
 
 
-def _tight_mutant(k: int, weights, chords) -> tuple[Graph, int]:
-    """gen_greedy2_tight(k) with the (edge, millionths) weights given and
-    the (u, v, millionths) chords added, and k."""
-    g = gen_greedy2_tight(k)
+def _tight_mutant(tight, k: int, weights, chords) -> tuple[Graph, int]:
+    """tight(k), one of the tight families, with the (edge, millionths)
+    weights given and the (u, v, millionths) chords added, and k."""
+    g = tight(k)
     w = list(g.weights_micros)
     for e, micros in weights:
         w[e] = micros
@@ -502,24 +502,24 @@ def _tight_mutant(k: int, weights, chords) -> tuple[Graph, int]:
 
 
 @st.composite
-def greedy2_tight_mutants(draw):
-    """The family greedy2 trails the optimum most on, at k = 4-6, with
-    some weights redrawn and up to four chords, loops and parallels
-    among them, weights 0-4 in tenths."""
+def tight_mutants(draw, tight):
+    """tight(k), the family a greedy trails the optimum most on, at
+    k = 4-6, with some weights redrawn and up to four chords, loops and
+    parallels among them, weights 0-4 in tenths."""
     k = draw(st.integers(4, 6))
     n, m = 2 * k, 4 * k - 1
     tenths = st.integers(0, 40).map(lambda t: t * 100_000)
     weights = draw(st.lists(st.tuples(st.integers(0, m - 1), tenths), max_size=6))
     ends = st.integers(0, n - 1)
     chords = draw(st.lists(st.tuples(ends, ends, tenths), max_size=4))
-    return _tight_mutant(k, weights, chords)
+    return _tight_mutant(tight, k, weights, chords)
 
 
 @pytest.mark.differential
-@given(greedy2_tight_mutants())
+@given(tight_mutants(gen_greedy2_tight))
 # the worst ratio found in 6,000 targeted examples: 12 / 7.04 = 1.705, on
 # three parallels lightened to 0.3, 0.4 and 0.9 (12 / 7.55 = 1.589 unmutated)
-@example(_tight_mutant(5, [(3, 300_000), (4, 400_000), (5, 900_000)], []))
+@example(_tight_mutant(gen_greedy2_tight, 5, [(3, 300_000), (4, 400_000), (5, 900_000)], []))
 def test_greedy2_gains_at_least_half_the_optimum(case):
     g, k = case
     opt = exact(g, k).gain.micros
@@ -527,6 +527,22 @@ def test_greedy2_gains_at_least_half_the_optimum(case):
     if gain:
         target(opt / gain, label="optimum / greedy2")
     assert 2 * gain >= opt
+
+
+@pytest.mark.differential
+@given(tight_mutants(gen_greedy1_tight))
+# the worst ratio found: 15 / 6.02 = 2.492, six of the eight parallels
+# lightened to 1.0, so that each ties a prism edge and wins on its lower
+# id (15 / 6.06 = 2.475 unmutated); 6,000 targeted examples found none
+# worse than the unmutated family
+@example(_tight_mutant(gen_greedy1_tight, 6, [(e, 1_000_000) for e in range(6)], []))
+def test_greedy1_gains_at_least_a_third_of_the_optimum(case):
+    g, k = case
+    opt = exact(g, k).gain.micros
+    gain = sigma_greedy(g, SolverConfig(k=k, sigma=1)).gain.micros
+    if gain:
+        target(opt / gain, label="optimum / greedy1")
+    assert 3 * gain >= opt
 
 
 def test_candidate_budget_guard():
